@@ -7,7 +7,8 @@ Modules:
     analytic   saddle point, singular series, sifted Mobius sums
     gowers     Gowers uniformity norms U^2..U^4 (cyclic and interval)
     correlate  balanced friable functions, Mobius truncation, phase correlations
-    cli        command-line front end and verification suites
+    criteria   acceptance criteria 1-8, shared by `friable verify` and the tests
+    cli        command-line front end
 """
 
 __version__ = "0.1.0"

@@ -172,8 +172,19 @@ def singular_series_s1(alpha: float, tol: float = 1e-12) -> float:
     raise NumericError(f"S1 quadrature did not converge to {tol} by 4096 nodes")
 
 
-def harper_prediction(N: int, y: float, *, threads: int = 1) -> float:
-    """S0(alpha, y) * S1(alpha) * Psi(N, y)^3 / N with alpha = alpha(N, y).
+class HarperPrediction(NamedTuple):
+    alpha: float
+    saddle_residual: float
+    s0: float
+    s0_tail_bound: float
+    s1: float
+    psi: int
+    prediction: float  # s0 * s1 * psi^3 / N
+
+
+def harper_prediction(N: int, y: float, *, threads: int = 1) -> HarperPrediction:
+    """S0(alpha, y) * S1(alpha) * Psi(N, y)^3 / N with alpha = alpha(N, y),
+    returned with the terms it is built from.
 
     The S0 product is truncated at p_max = max(y, 10^6); Psi is exact.
     """
@@ -181,11 +192,19 @@ def harper_prediction(N: int, y: float, *, threads: int = 1) -> float:
         raise ArgumentError(f"N must be >= 2, got {N}")
     if not 2 <= y <= N:
         raise ArgumentError(f"need 2 <= y <= N, got y={y}, N={N}")
-    alpha = solve_saddle_alpha(N, y).alpha
-    s0 = singular_series_s0(alpha, y, p_max=max(int(y), 10**6)).value
-    s1 = singular_series_s1(alpha)
+    sp = solve_saddle_alpha(N, y)
+    s0 = singular_series_s0(sp.alpha, y, p_max=max(int(y), 10**6))
+    s1 = singular_series_s1(sp.alpha)
     psi = sieve.psi_count(N, y, threads=threads)
-    return s0 * s1 * psi**3 / N
+    return HarperPrediction(
+        alpha=sp.alpha,
+        saddle_residual=sp.residual,
+        s0=s0.value,
+        s0_tail_bound=s0.tail_bound,
+        s1=s1,
+        psi=psi,
+        prediction=s0.value * s1 * psi**3 / N,
+    )
 
 
 def _sifted_terms(N: int, u: float) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import math
 import sys
 import time
@@ -23,11 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytic, correlate, dickman, forms, gowers, sieve
+from . import __version__, analytic, correlate, criteria, dickman, forms, gowers, sieve
 from .config import RuntimeConfig, resolve_config
 from .errors import ArgumentError, FriableError, NumericError, PreconditionError, ResourceError
-
-_SUITES = {}
 
 
 class _UsageError(Exception):
@@ -133,6 +132,13 @@ def parse_body_spec(text: str, dimension: int) -> forms.ConvexBody:
     raise ArgumentError(f"unknown body kind {kind!r} (box | simplex | hpoly)")
 
 
+def _parse_number(convert, text: str, spec: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ArgumentError(f"cannot parse {text!r} in {spec!r}") from exc
+
+
 def parse_u_list(text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip()]
@@ -145,7 +151,7 @@ def parse_phase_spec(text: str) -> correlate.PhaseSequence:
     if text in correlate.PHASE_PRESETS:
         return correlate.phase_preset(text)
     kind, _, rest = text.partition(":")
-    params = [float(x) for x in rest.split(",") if x.strip()] if rest else []
+    params = [_parse_number(float, x, text) for x in rest.split(",") if x.strip()]
     kind = kind.strip().lower()
     if kind == "constant":
         return correlate.PhaseSequence.constant(*params[:1])
@@ -198,15 +204,8 @@ def _write_outputs(
         "command": command,
         "params": params,
         "version": __version__,
-        "sieve_limits": {
-            "segment_size": cfg.segment_size,
-            "max_table_entries": cfg.max_table_entries,
-            "max_sieve_n": cfg.max_sieve_n,
-        },
-        "tolerances": {
-            "dickman_tol": cfg.dickman_tol,
-            "dickman_umax": cfg.dickman_umax,
-        },
+        "sieve_limits": {"segment_size": cfg.segment_size},
+        "tolerances": {"dickman_tol": cfg.dickman_tol},
         "threads": cfg.threads,
         "wall_clock_s": elapsed,
         "output_digest": hashlib.sha256(digest_text.encode("utf-8")).hexdigest(),
@@ -300,23 +299,8 @@ def _cmd_saddle(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
 
 
 def _cmd_harper(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
-    sp = analytic.solve_saddle_alpha(args.N, args.y)
-    p_max = max(int(args.y), 10**6)
-    s0 = analytic.singular_series_s0(sp.alpha, args.y, p_max)
-    s1 = analytic.singular_series_s1(sp.alpha)
-    psi = sieve.psi_count(args.N, args.y, threads=cfg.threads)
-    prediction = s0.value * s1 * psi**3 / args.N
-    params = {"N": args.N, "y": args.y}
-    result = {
-        "alpha": sp.alpha,
-        "saddle_residual": sp.residual,
-        "s0": s0.value,
-        "s0_tail_bound": s0.tail_bound,
-        "s1": s1,
-        "psi": psi,
-        "prediction": prediction,
-    }
-    return params, result, {}
+    terms = analytic.harper_prediction(args.N, args.y, threads=cfg.threads)
+    return {"N": args.N, "y": args.y}, terms._asdict(), {}
 
 
 def _cmd_mertens(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
@@ -336,13 +320,13 @@ def _cmd_mertens(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     return params, result, {}
 
 
-def _load_gowers_input(spec: str, cfg: RuntimeConfig) -> gowers.SequenceFn:
+def _load_gowers_input(spec: str) -> gowers.SequenceFn:
     parts = spec.split(":")
     if parts[0] == "balanced" and len(parts) == 3:
-        N, u = int(parts[1]), float(parts[2])
+        N, u = _parse_number(int, parts[1], spec), _parse_number(float, parts[2], spec)
         return correlate.balanced_friable(N, u).sequence()
     if parts[0] in correlate.PHASE_PRESETS and len(parts) == 2:
-        return correlate.phase_preset(parts[0]).sequence(int(parts[1]))
+        return correlate.phase_preset(parts[0]).sequence(_parse_number(int, parts[1], spec))
     path = Path(spec)
     if not path.exists():
         raise ArgumentError(
@@ -356,14 +340,14 @@ def _load_gowers_input(spec: str, cfg: RuntimeConfig) -> gowers.SequenceFn:
             if not line:
                 continue
             cells = line.split(",")
-            re_part = float(cells[0])
-            im_part = float(cells[1]) if len(cells) > 1 else 0.0
+            re_part = _parse_number(float, cells[0], spec)
+            im_part = _parse_number(float, cells[1], spec) if len(cells) > 1 else 0.0
             values.append(complex(re_part, im_part))
     return gowers.SequenceFn(np.array(values), meta=f"csv:{path.name}")
 
 
 def _cmd_gowers(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
-    seq = _load_gowers_input(args.input, cfg)
+    seq = _load_gowers_input(args.input)
     if args.mode == "cyclic":
         norm = gowers.gowers_norm_cyclic(seq, args.k)
     else:
@@ -414,194 +398,19 @@ def _cmd_decompose(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     return params, result, {}
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-
-def _suite(name):
-    def deco(fn):
-        _SUITES[name] = fn
-        return fn
-
-    return deco
-
-
-@_suite("theorem1")
-def _suite_theorem1(args, cfg: RuntimeConfig):
-    """Ternary system x1, x2, x1+x2 on the simplex, count vs Vol prod rho."""
-    N = args.N or 2000
-    system = forms.parse_form_system("x1; x2; x1+x2")
-    body = forms.ConvexBody.simplex(2, 1, N)
-    table = forms.shared_factor_table(system, N)
-    header = ["u1", "u2", "u3", "count", "main_term", "ratio", "in_window"]
-    rows = []
-    ok = True
-    for u in [(2.0, 2.0, 2.0), (1.5, 2.0, 2.5)]:
-        count = forms.count_friable_values(
-            system, body, N, u, threads=cfg.threads, table=table
-        )
-        main = forms.main_term(system, body, N, u)
-        ratio = count / main
-        inside = 0.75 <= ratio <= 1.25
-        ok = ok and inside
-        rows.append([u[0], u[1], u[2], count, main, ratio, inside])
-    return {"N": N, "window": [0.75, 1.25], "passed": ok}, {"ratios": (header, rows)}
-
-
-@_suite("product")
-def _suite_product(args, cfg: RuntimeConfig):
-    """Box product structure: the bivariate count must equal Psi(N, y)^2."""
-    N = args.N or 10**3
-    system = forms.parse_form_system("x1; x2")
-    body = forms.ConvexBody.box([(1, N), (1, N)])
-    header = ["u", "count", "psi", "exact_match"]
-    rows = []
-    ok = True
-    for u in (2.0, 3.0):
-        count = forms.count_friable_values(system, body, N, (u, u), threads=cfg.threads)
-        psi = sieve.psi_count(N, float(N) ** (1.0 / u), threads=cfg.threads)
-        match = count == psi * psi
-        ok = ok and match
-        rows.append([u, count, psi, match])
-    return {"N": N, "passed": ok}, {"counts": (header, rows)}
-
-
-@_suite("hildebrand")
-def _suite_hildebrand(args, cfg: RuntimeConfig):
-    """|Psi(N, N^(1/u)) / (N rho(u)) - 1| against 3 u log(u+1) / log N."""
-    N = args.N or 10**6
-    header = ["u", "psi", "n_rho", "relative_deviation", "bound", "within"]
-    rows = []
-    ok = True
-    for u in [1.5, 2.0, 2.5, 3.0]:
-        psi = sieve.psi_count(N, float(N) ** (1.0 / u), threads=cfg.threads)
-        target = N * float(dickman.rho(u))
-        rel = psi / target - 1.0
-        bound = 3.0 * u * math.log(u + 1.0) / math.log(N)
-        inside = abs(rel) <= bound
-        ok = ok and inside
-        rows.append([u, psi, target, rel, bound, inside])
-    return {"N": N, "passed": ok}, {"ratios": (header, rows)}
-
-
-@_suite("dickman")
-def _suite_dickman(args, cfg: RuntimeConfig):
-    table = dickman.build_rho_table(20.0, cfg.dickman_tol)
-    closed = abs(table.eval(2.0) - (1.0 - math.log(2.0)))
-    _, residuals = dickman.dde_residual_grid(table, 1000, 1.0, 20.0)
-    result = {
-        "closed_form_error_at_2": closed,
-        "max_dde_residual": float(np.max(residuals)),
-        "passed": bool(closed <= 1e-9 and float(np.max(residuals)) <= 1e-9),
-    }
-    return result, {}
-
-
-@_suite("mertens")
-def _suite_mertens(args, cfg: RuntimeConfig):
-    u = 2.0
-    rho_u = float(dickman.rho(u))
-    header = ["N", "sum", "abs_error"]
-    rows = []
-    errors = []
-    for N in [10**3, 10**4, 10**5, 10**6]:
-        s = analytic.sifted_mobius_sum(N, u)
-        err = abs(s - rho_u)
-        errors.append(err)
-        rows.append([N, s, err])
-    inversions = sum(
-        1 for a, b in zip(errors, errors[1:]) if b > a and (b - a) > 0.1 * a
-    )
-    final_bound = 2.0 * u * math.log(u + 1.0) / math.log(10**6) * rho_u
-    ok = inversions == 0 and errors[-1] <= final_bound
-    # one mild inversion (<= 10%) is tolerated
-    soft_inversions = sum(1 for a, b in zip(errors, errors[1:]) if b > a)
-    ok = ok or (soft_inversions <= 1 and errors[-1] <= final_bound)
-    return (
-        {"u": u, "final_bound": final_bound, "passed": bool(ok)},
-        {"errors": (header, rows)},
-    )
-
-
-@_suite("harper")
-def _suite_harper(args, cfg: RuntimeConfig):
-    N = args.N or 10**4
-    y = 100.0
-    system = forms.parse_form_system("x1; x2; x1+x2")
-    body = forms.ConvexBody.simplex(2, 1, N)
-    u = math.log(N) / math.log(y)
-    count = forms.count_friable_values(system, body, N, (u, u, u), threads=cfg.threads)
-    prediction = analytic.harper_prediction(N, y, threads=cfg.threads)
-    ratio = count / prediction
-    ok = 0.5 <= ratio <= 2.0
-    result = {
-        "N": N,
-        "y": y,
-        "count": count,
-        "prediction": prediction,
-        "ratio": ratio,
-        "passed": bool(ok),
-    }
-    return result, {}
-
-
-@_suite("gowers")
-def _suite_gowers(args, cfg: RuntimeConfig):
-    header = ["N", "u2_interval_norm"]
-    rows = []
-    norms = []
-    for e in (10, 12, 14):
-        N = 2**e
-        h = correlate.balanced_friable(N, 2.0)
-        norms.append(gowers.gowers_norm_interval(h.sequence(), 2))
-        rows.append([N, norms[-1]])
-    decreasing = norms[0] > norms[1] > norms[2]
-    one = gowers.gowers_norm_cyclic(np.ones(64), 3)
-    result = {
-        "strictly_decreasing": bool(decreasing),
-        "norm_of_one": one,
-        "passed": bool(decreasing and abs(one - 1.0) < 1e-12),
-    }
-    return result, {"norms": (header, rows)}
-
-
-@_suite("decompose")
-def _suite_decompose(args, cfg: RuntimeConfig):
-    header = ["N", "u", "phase", "rel_identity_error", "fitted_C"]
-    rows = []
-    worst_rel = 0.0
-    worst_c = 0.0
-    phases = ["linear_golden", "quadratic_sqrt2", "bracket_golden"]
-    for N in (10**3, 10**4, 10**5):
-        tau = correlate.default_tau(N)
-        table = sieve.build_factor_sieve(0, N)
-        for u in (1.5, 2.0, 3.0):
-            rho_u = float(dickman.rho(u))
-            scale = u * N * (tau * u + rho_u * math.log(u + 1.0) / math.log(N))
-            for name in phases:
-                split = correlate.sigma_split(
-                    N, u, tau, correlate.phase_preset(name), table=table
-                )
-                rel = split.reconstruction_error / max(abs(split.total), 1e-30)
-                c = abs(split.sigma2) / scale
-                worst_rel = max(worst_rel, rel)
-                worst_c = max(worst_c, c)
-                rows.append([N, u, name, rel, c])
-    ok = worst_rel <= 1e-8 and worst_c <= 50.0
-    result = {
-        "cases": len(rows),
-        "max_rel_identity_error": worst_rel,
-        "max_fitted_C": worst_c,
-        "passed": bool(ok),
-    }
-    return result, {"grid": (header, rows)}
-
-
 def _cmd_verify(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
-    if args.suite not in _SUITES:
-        raise ArgumentError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
-    result, tables = _SUITES[args.suite](args, cfg)
+    if args.suite not in criteria.SUITES:
+        raise ArgumentError(
+            f"unknown suite {args.suite!r}; choose from {sorted(criteria.SUITES)}"
+        )
+    run_suite = criteria.SUITES[args.suite]
+    accepted = inspect.signature(run_suite).parameters
+    if args.N is not None and "N" not in accepted:
+        raise ArgumentError(f"suite {args.suite!r} has no size to set with --N")
+    options = {"N": args.N, "threads": cfg.threads, "tol": cfg.dickman_tol}
+    result, tables = run_suite(
+        **{k: v for k, v in options.items() if k in accepted and v is not None}
+    )
     params = {"suite": args.suite}
     if args.N is not None:
         params["N"] = args.N

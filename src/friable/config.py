@@ -1,4 +1,5 @@
-"""Runtime configuration: sieve budgets, thread count, default tolerances.
+"""Runtime configuration (segment size, threads, Dickman tolerance) and the
+library's default budgets.
 
 Values come from (highest precedence first): explicit function arguments /
 CLI flags, the FRIABLE_THREADS environment variable (threads only), a plain
@@ -24,15 +25,11 @@ THREADS_ENV = "FRIABLE_THREADS"
 @dataclass(frozen=True)
 class RuntimeConfig:
     segment_size: int = DEFAULT_SEGMENT_SIZE
-    max_table_entries: int = DEFAULT_MAX_TABLE
-    max_sieve_n: int = DEFAULT_MAX_SIEVE_N
     threads: int = 1
     dickman_tol: float = DEFAULT_DICKMAN_TOL
-    dickman_umax: float = DEFAULT_DICKMAN_UMAX
 
 
-_INT_KEYS = {"segment_size", "max_table_entries", "max_sieve_n", "threads"}
-_FLOAT_KEYS = {"dickman_tol", "dickman_umax"}
+_INT_KEYS = {"segment_size", "threads"}
 
 
 def parse_config_file(path: str) -> dict:

@@ -7,8 +7,8 @@ The cyclic norm is computed by the derivative recursion
 
 with the U^2 base case evaluated through the Fourier identity
 ||f||_{U^2}^4 = sum_xi |fhat(xi)|^4 (one FFT), giving O(M^(k-1) log M)
-instead of the O(M^(k+1)) direct sum.  The direct sum is kept as
-``gowers_norm_bruteforce`` and serves as the test oracle.
+instead of the O(M^(k+1)) direct sum, which the test suite keeps as its
+oracle.
 
 The interval norm U^k[N] embeds f * 1_[0,N] into Z_M' with
 M' = 2^k (N + 1), the smallest modulus for which no wrap-around occurs,
@@ -26,8 +26,7 @@ import numpy as np
 from .errors import ArgumentError, NumericError, ResourceError
 
 _CYCLIC_GUARDRAIL = {2: 1 << 22, 3: 1 << 14, 4: 1 << 9}
-_BRUTE_GUARDRAIL = 10**9
-_BLOCK_ENTRIES = 1 << 22  # complex entries per batched block (FFT and brute force)
+_BLOCK_ENTRIES = 1 << 22  # complex entries per batched FFT block
 
 
 @dataclass
@@ -149,42 +148,3 @@ def gowers_norm_interval(f, k: int) -> float:
     num = _uk_pow(emb, k)
     den = _uk_pow(ind, k)
     return _root(num, k) / _root(den, k)
-
-
-def gowers_norm_bruteforce(f, k: int) -> float:
-    """Direct (k+1)-fold sum over all (n, h_1, ..., h_k); test oracle only.
-
-    The grid is evaluated as blocks of shape (h_{k-1} chunk, h_k, n), with
-    any remaining h variables looped.  Cost is M^(k+1), guarded at 10^9.
-    """
-    vals = _coerce(f)
-    M = vals.size
-    if k not in (2, 3, 4):
-        raise ArgumentError(f"only U^2..U^4 are supported, got k = {k}")
-    if M ** (k + 1) > _BRUTE_GUARDRAIL:
-        raise ResourceError(f"brute force needs M^(k+1) = {M**(k+1)} > {_BRUTE_GUARDRAIL}")
-    _check_bounded(vals)
-    lead = k - 2
-    n = np.arange(M).reshape(1, 1, M)
-    h_b = np.arange(M).reshape(1, M, 1)
-    rows = max(1, _BLOCK_ENTRIES // (M * M))
-    total = 0.0
-
-    def block_sum(lead_hs: tuple[int, ...], h_a: np.ndarray) -> float:
-        prod = None
-        for bits in np.ndindex(*([2] * k)):
-            off = sum(b * h for b, h in zip(bits[:lead], lead_hs))
-            arr = off + (bits[lead] * h_a) + (bits[lead + 1] * h_b)
-            idx = (n + arr) % M
-            w = vals[idx]
-            if sum(bits) % 2 == 1:
-                w = np.conj(w)
-            prod = w if prod is None else prod * w
-        return float(np.sum(prod).real)
-
-    lead_iter = np.ndindex(*([M] * lead)) if lead else [()]
-    for lead_hs in lead_iter:
-        for start in range(0, M, rows):
-            h_a = np.arange(start, min(start + rows, M)).reshape(-1, 1, 1)
-            total += block_sum(tuple(lead_hs), h_a)
-    return _root(total / M ** (k + 1), k)

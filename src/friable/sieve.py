@@ -191,56 +191,8 @@ def iter_factor_segments(lo: int, hi: int, segment_size: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# scalar operations
+# counts and enumerations
 # ---------------------------------------------------------------------------
-
-
-def largest_prime_factor(n: int) -> int:
-    """P+(n) by trial division; P+(0) = 0 and P+(+-1) = 1."""
-    n = abs(n)
-    if n <= 1:
-        return n  # 0 -> 0, 1 -> 1
-    best = 1
-    for p in (2, 3):
-        while n % p == 0:
-            best = p
-            n //= p
-    d = 5
-    while d * d <= n:
-        for q in (d, d + 2):
-            while n % q == 0:
-                best = q
-                n //= q
-        d += 6
-    return max(best, n) if n > 1 else best
-
-
-def smallest_prime_factor(n: int) -> int | float:
-    """P-(n) by trial division; P-(0) = 0 and P-(+-1) = +infinity."""
-    n = abs(n)
-    if n == 0:
-        return 0
-    if n == 1:
-        return math.inf
-    if n % 2 == 0:
-        return 2
-    if n % 3 == 0:
-        return 3
-    d = 5
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        if n % (d + 2) == 0:
-            return d + 2
-        d += 6
-    return n
-
-
-def is_friable(n: int, y: float) -> bool:
-    """True iff P+(n) <= y.  Note 0 and +-1 are y-friable for every y > 1."""
-    if y <= 1:
-        raise ArgumentError(f"friability bound must exceed 1, got {y}")
-    return largest_prime_factor(n) <= y
 
 
 def psi_count(
@@ -285,12 +237,3 @@ def sifted_squarefree_arrays(
         ks.append(np.arange(seg.lo, seg.hi + 1, dtype=np.int64)[keep])
         mus.append(seg.mu[keep].astype(np.int64))
     return np.concatenate(ks), np.concatenate(mus)
-
-
-def enumerate_sifted_squarefree(limit: int, y: float) -> list[tuple[int, int]]:
-    """All squarefree k <= limit with P-(k) > y, paired with mu(k), ascending.
-
-    k = 1 is always present since P-(1) = +infinity.
-    """
-    ks, mus = sifted_squarefree_arrays(limit, y)
-    return list(zip(ks.tolist(), mus.tolist()))

@@ -5,7 +5,8 @@ implementation it checks: trial division instead of sieving, 150-point
 Gauss-Legendre steps with barycentric interpolation instead of Chebyshev
 collocation, Monte Carlo instead of exact geometry, long-double bisection
 instead of double bisection + Newton, per-n divisor scans instead of
-sieve passes, and O(M^2) autocorrelation sums instead of FFTs.
+sieve passes, and O(M^2) autocorrelation sums and direct (k+1)-fold
+Gowers sums instead of FFTs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BarycentricInterpolator
+
+from friable.errors import ArgumentError, ResourceError
+from friable.gowers import _BLOCK_ENTRIES, _check_bounded, _coerce, _root
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +315,45 @@ def u2_interval_autocorrelation(values: np.ndarray) -> float:
         return acc / M
 
     return (u2pow(values) / u2pow(np.ones(n0))) ** 0.25
+
+
+_BRUTE_GUARDRAIL = 10**9
+
+
+def gowers_norm_bruteforce(f, k: int) -> float:
+    """Direct (k+1)-fold sum over all (n, h_1, ..., h_k); test oracle only.
+
+    The grid is evaluated as blocks of shape (h_{k-1} chunk, h_k, n), with
+    any remaining h variables looped.  Cost is M^(k+1), guarded at 10^9.
+    """
+    vals = _coerce(f)
+    M = vals.size
+    if k not in (2, 3, 4):
+        raise ArgumentError(f"only U^2..U^4 are supported, got k = {k}")
+    if M ** (k + 1) > _BRUTE_GUARDRAIL:
+        raise ResourceError(f"brute force needs M^(k+1) = {M**(k+1)} > {_BRUTE_GUARDRAIL}")
+    _check_bounded(vals)
+    lead = k - 2
+    n = np.arange(M).reshape(1, 1, M)
+    h_b = np.arange(M).reshape(1, M, 1)
+    rows = max(1, _BLOCK_ENTRIES // (M * M))
+    total = 0.0
+
+    def block_sum(lead_hs: tuple[int, ...], h_a: np.ndarray) -> float:
+        prod = None
+        for bits in np.ndindex(*([2] * k)):
+            off = sum(b * h for b, h in zip(bits[:lead], lead_hs))
+            arr = off + (bits[lead] * h_a) + (bits[lead + 1] * h_b)
+            idx = (n + arr) % M
+            w = vals[idx]
+            if sum(bits) % 2 == 1:
+                w = np.conj(w)
+            prod = w if prod is None else prod * w
+        return float(np.sum(prod).real)
+
+    lead_iter = np.ndindex(*([M] * lead)) if lead else [()]
+    for lead_hs in lead_iter:
+        for start in range(0, M, rows):
+            h_a = np.arange(start, min(start + rows, M)).reshape(-1, 1, 1)
+            total += block_sum(tuple(lead_hs), h_a)
+    return _root(total / M ** (k + 1), k)

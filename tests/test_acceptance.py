@@ -1,257 +1,112 @@
 """Acceptance gate: one test per verification criterion, one line printed each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the status lines.
-Criterion 2 checks the paper's asymptotic formula in its two steps: the
-window applies to the count over D, the independent-friability sum of
-local densities, and the ratio to ``Vol(K) prod rho(u_i)`` must shrink
-towards 1 as N grows.  See README, "Criterion 2 at desk scale".
+Criteria 1-8 are defined once, in ``friable.criteria``, and ``friable
+verify`` runs the same functions; these tests assert their verdicts and add
+what the library does not hold: the comparisons with independent oracles
+(``tests/oracles.py``), the elapsed budgets, and criterion 9.  Criterion 2
+checks the paper's asymptotic formula in its two steps; see README,
+"Criterion 2 at desk scale".
 """
 
-import math
 import time
 
-import numpy as np
-
 import oracles
-from friable import analytic, correlate, dickman, forms, gowers, sieve
-
-HARPER = forms.parse_form_system("x1; x2; x1+x2")
+from friable import analytic, criteria, dickman, forms, gowers, sieve
 
 
-def _report(num: int, ok: bool, detail: str) -> None:
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    return str(value)
+
+
+def _check(num: int, run, *, budget: float | None = None, extra: str = ""):
+    """Run criterion ``num``, print its status line and assert its verdict."""
+    start = time.perf_counter()
+    result, tables = run()
+    elapsed = time.perf_counter() - start
+    detail = ", ".join(f"{k}={_fmt(v)}" for k, v in result.items() if k != "passed")
+    for name, (header, rows) in tables.items():
+        if len(rows) > 6:  # keep the status line to one screen
+            detail += f"; {name}: {len(rows)} rows"
+            continue
+        detail += f"; {name}: " + " | ".join(
+            ", ".join(f"{h}={_fmt(v)}" for h, v in zip(header, row)) for row in rows
+        )
+    ok = result["passed"] and (budget is None or elapsed <= budget)
+    print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}{extra}; elapsed={elapsed:.1f}s")
+    if budget is not None:
+        assert elapsed <= budget
+    assert result["passed"], detail
 
 
 def test_criterion_1_hildebrand_consistency():
-    N = 10**6
-    start = time.perf_counter()
-    table = dickman.build_rho_table(4.0, 1e-10)
-    rows = []
-    ok = True
-    for u in (1.5, 2.0, 2.5, 3.0):
-        psi = sieve.psi_count(N, float(N) ** (1.0 / u))
-        rel = psi / (N * table.eval(u)) - 1.0
-        bound = 3.0 * u * math.log(u + 1.0) / math.log(N)
-        ok = ok and abs(rel) <= bound
-        rows.append(f"u={u}: |rel|={abs(rel):.4f} <= {bound:.4f}")
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed <= 60.0
-    _report(1, ok, "; ".join(rows) + f"; elapsed={elapsed:.1f}s")
-    assert elapsed <= 60.0
-    for u in (1.5, 2.0, 2.5, 3.0):
-        psi = sieve.psi_count(N, float(N) ** (1.0 / u))
-        rel = abs(psi / (N * table.eval(u)) - 1.0)
-        assert rel <= 3.0 * u * math.log(u + 1.0) / math.log(N), u
+    _check(1, criteria.hildebrand, budget=60.0)
 
 
 def test_criterion_2_ternary_count_window():
-    # The paper's formula is asymptotic and its proof has two steps; each
-    # is asserted on its own.  (a) Green-Tao: friability of the three forms
-    # is independent, so the exact count matches D, the sum of products of
-    # the local friable densities of the form values (tests/oracles.py),
-    # within the window.  (b) Replacing each local density by rho(u_i)
-    # converges only like log(u+1)/log y (criterion 1), so count/(Vol prod
-    # rho) is asserted to approach 1 along N = 500, 2000, 8000, not to sit
-    # in the window at one desk-scale N.
-    N = 2000
-    ladder = (500, 2000, 8000)
-    start = time.perf_counter()
-    independence = {}
-    main_ratios = {}
-    for u in ((2.0, 2.0, 2.0), (1.5, 2.0, 2.5)):
-        main_ratios[u] = []
-        for M in ladder:
-            body = forms.ConvexBody.simplex(2, 1, M)
-            count = forms.count_friable_values(HARPER, body, M, u)
-            main_ratios[u].append(count / forms.main_term(HARPER, body, M, u))
-            if M == N:
-                independence[u] = count / oracles.ternary_local_density_sum(N, u)
-    elapsed = time.perf_counter() - start
-    in_window = all(0.75 <= r <= 1.25 for r in independence.values())
-    shrinking = all(
-        all(abs(b - 1.0) < abs(a - 1.0) for a, b in zip(rs, rs[1:]))
-        for rs in main_ratios.values()
-    )
-    ok = in_window and shrinking and elapsed <= 120.0
-    detail = "; ".join(
-        f"u={u}: count/D={independence[u]:.4f}, count/(Vol prod rho) at N={ladder}: "
-        + " -> ".join(f"{r:.4f}" for r in main_ratios[u])
-        for u in independence
-    )
-    _report(2, ok, detail + f"; window=[0.75,1.25]; elapsed={elapsed:.1f}s")
-    assert elapsed <= 120.0
-    for u, r in independence.items():
-        assert 0.75 <= r <= 1.25, (
-            f"count/D = {r:.4f} at N={N}, u={u} misses [0.75, 1.25]: the three "
-            "friability events are not independent at their local densities"
-        )
-    for u, rs in main_ratios.items():
-        gaps = [abs(r - 1.0) for r in rs]
-        assert all(b < a for a, b in zip(gaps, gaps[1:])), (
-            f"|count/(Vol prod rho) - 1| = {gaps} over N={ladder}, u={u} does not "
-            "shrink: the count does not approach the paper's main term"
-        )
+    # (a) Green-Tao: the three friability events are independent, so the
+    # exact count matches D, the sum of products of local friable densities;
+    # (b) replacing each local density by rho(u_i) converges only like
+    # log(u+1)/log y, so the main-term ratio must approach 1 along the ladder.
+    _check(2, criteria.theorem1, budget=120.0)
 
 
 def test_criterion_3_product_cross_check():
-    N = 10**3
-    sys2 = forms.parse_form_system("x1; x2")
-    body = forms.ConvexBody.box([(1, N), (1, N)])
-    ok = True
-    details = []
-    for u in (2.0, 3.0):
-        count = forms.count_friable_values(sys2, body, N, (u, u))
-        psi = sieve.psi_count(N, float(N) ** (1.0 / u))
-        ok = ok and count == psi * psi
-        details.append(f"u={u}: {count} == {psi}^2")
-    _report(3, ok, "; ".join(details))
-    assert ok
+    _check(3, criteria.product)
 
 
 def test_criterion_4_dickman_precision():
-    table = dickman.build_rho_table(20.0, 1e-10)
-    closed = abs(table.eval(2.0) - (1.0 - math.log(2.0)))
-    _, residuals = dickman.dde_residual_grid(table, 1000, 1.0, 20.0)
-    max_res = float(np.max(residuals))
-    oracle_errs = {
-        u: abs(table.eval(u) - oracles.rho_quadrature(u)) for u in (3.0, 5.0, 10.0)
-    }
-    ok = closed <= 1e-9 and max_res <= 1e-9 and all(e <= 1e-8 for e in oracle_errs.values())
-    _report(
-        4,
-        ok,
-        f"|rho(2)-(1-log2)|={closed:.2e}; max DDE residual={max_res:.2e}; "
-        + "; ".join(f"oracle u={u}: {e:.2e}" for u, e in oracle_errs.items()),
-    )
-    assert closed <= 1e-9
-    assert max_res <= 1e-9
-    for u, e in oracle_errs.items():
-        assert e <= 1e-8, u
+    errs = {u: abs(float(dickman.rho(u)) - oracles.rho_quadrature(u)) for u in (3.0, 5.0, 10.0)}
+    extra = "; " + ", ".join(f"oracle u={u}: {e:.2e}" for u, e in errs.items())
+    _check(4, criteria.dickman, extra=extra)
+    for u, e in errs.items():
+        assert e <= criteria.RHO_ORACLE_TOL, u
 
 
 def test_criterion_5_mertens_error_decay():
-    u = 2.0
-    rho2 = 1.0 - math.log(2.0)
-    errors = []
-    for N in (10**3, 10**4, 10**5, 10**6):
-        errors.append(abs(analytic.sifted_mobius_sum(N, u) - rho2))
-    inversions = [
-        (a, b) for a, b in zip(errors, errors[1:]) if b > a
-    ]
-    hard_inversions = [(a, b) for a, b in inversions if b > 1.1 * a]
-    final_bound = 2.0 * u * math.log(u + 1.0) / math.log(10**6) * rho2
-    ok = len(inversions) <= 1 and not hard_inversions and errors[-1] <= final_bound
-    _report(
-        5,
-        ok,
-        f"errors={['%.5f' % e for e in errors]}; inversions={len(inversions)}; "
-        f"final {errors[-1]:.5f} <= {final_bound:.5f}",
-    )
-    assert len(hard_inversions) == 0
-    assert len(inversions) <= 1
-    assert errors[-1] <= final_bound
+    _check(5, criteria.mertens)
 
 
 def test_criterion_6_gowers_module():
-    rng = np.random.default_rng(60)
-    worst = 0.0
-    nest_ok = True
-    for _ in range(50):
-        f = rng.uniform(-1.0, 1.0, 64) + 1j * rng.uniform(-1.0, 1.0, 64)
-        f /= np.max(np.abs(f))
-        u2 = gowers.gowers_norm_cyclic(f, 2)
-        u3 = gowers.gowers_norm_cyclic(f, 3)
-        worst = max(worst, abs(u2 - gowers.gowers_norm_bruteforce(f, 2)))
-        worst = max(worst, abs(u3 - gowers.gowers_norm_bruteforce(f, 3)))
-        nest_ok = nest_ok and u2 <= u3 + 1e-10
-    one = gowers.gowers_norm_cyclic(np.ones(64), 2)
-    norms = []
-    for e in (10, 12, 14):
-        h = correlate.balanced_friable(2**e, 2.0)
-        norms.append(gowers.gowers_norm_interval(h.sequence(), 2))
-    decreasing = norms[0] > norms[1] > norms[2]
-    ok = worst <= 1e-10 and nest_ok and one == 1.0 and decreasing
-    _report(
-        6,
-        ok,
-        f"max |fast-brute|={worst:.2e}; nesting ok={nest_ok}; ||1||={one}; "
-        f"balanced U2[N] decay={['%.5f' % n for n in norms]}",
+    worst = max(
+        abs(gowers.gowers_norm_cyclic(f, k) - oracles.gowers_norm_bruteforce(f, k))
+        for f in criteria.gowers_samples()
+        for k in (2, 3)
     )
-    assert worst <= 1e-10
-    assert nest_ok
-    assert one == 1.0
-    assert decreasing
+    _check(6, criteria.gowers, extra=f"; max |fast-brute|={worst:.2e}")
+    assert worst <= criteria.GOWERS_ORACLE_TOL
 
 
 def test_criterion_7_decomposition_identity_and_tail_bound():
-    worst_rel = 0.0
-    worst_c = 0.0
-    for N in (10**3, 10**4, 10**5):
-        tau = correlate.default_tau(N)
-        table = sieve.build_factor_sieve(0, N)
-        for u in (1.5, 2.0, 3.0):
-            rho_u = float(dickman.rho(u))
-            scale = u * N * (tau * u + rho_u * math.log(u + 1.0) / math.log(N))
-            for name in ("linear_golden", "quadratic_sqrt2", "bracket_golden"):
-                split = correlate.sigma_split(
-                    N, u, tau, correlate.phase_preset(name), table=table
-                )
-                rel = split.reconstruction_error / max(abs(split.total), 1e-30)
-                worst_rel = max(worst_rel, rel)
-                worst_c = max(worst_c, abs(split.sigma2) / scale)
-    ok = worst_rel <= 1e-8 and worst_c <= 50.0
-    _report(
-        7,
-        ok,
-        f"27 cases; max relative identity error={worst_rel:.2e}; "
-        f"max fitted C={worst_c:.3f} <= 50",
-    )
-    assert worst_rel <= 1e-8
-    assert worst_c <= 50.0
+    _check(7, criteria.decompose)
 
 
 def test_criterion_8_harper_soft_check():
-    N, y = 10**4, 100.0
-    u = math.log(N) / math.log(y)
-    body = forms.ConvexBody.simplex(2, 1, N)
-    count = forms.count_friable_values(HARPER, body, N, (u, u, u))
-    prediction = analytic.harper_prediction(N, y)
-    ratio = count / prediction
-    s1_at_one = analytic.singular_series_s1(1.0)
-    sp = analytic.solve_saddle_alpha(N, y)
-    ok = (
-        0.5 <= ratio <= 2.0
-        and abs(s1_at_one - 0.5) <= 1e-10
-        and sp.residual <= 1e-10 * math.log(N)
-    )
-    _report(
-        8,
-        ok,
-        f"count={count}, prediction={prediction:.1f}, ratio={ratio:.4f} in [0.5,2]; "
-        f"|S1(1)-1/2|={abs(s1_at_one - 0.5):.2e}; saddle residual={sp.residual:.2e}",
-    )
-    assert 0.5 <= ratio <= 2.0
-    assert abs(s1_at_one - 0.5) <= 1e-10
-    assert sp.residual <= 1e-10 * math.log(N)
+    _check(8, criteria.harper)
 
 
 def test_criterion_9_thread_determinism():
     N = 800
     body = forms.ConvexBody.simplex(2, 1, N)
+    system = forms.parse_form_system(criteria.TERNARY)
     counts = {
-        t: forms.count_friable_values(HARPER, body, N, (2.0, 2.0, 2.0), threads=t)
+        t: forms.count_friable_values(system, body, N, (2.0, 2.0, 2.0), threads=t)
         for t in (1, 4, 8)
     }
     psis = {t: sieve.psi_count(10**5, 316.0, segment_size=8191, threads=t) for t in (1, 4, 8)}
-    preds = {t: analytic.harper_prediction(2000, 44.0, threads=t) for t in (1, 4, 8)}
+    preds = {
+        t: analytic.harper_prediction(2000, 44.0, threads=t).prediction for t in (1, 4, 8)
+    }
     ints_ok = len(set(counts.values())) == 1 and len(set(psis.values())) == 1
     spread = max(preds.values()) - min(preds.values())
     ok = ints_ok and spread <= 1e-12 * max(preds.values())
-    _report(
-        9,
-        ok,
-        f"counts={set(counts.values())}, psis={set(psis.values())}, "
-        f"float spread={spread:.2e}",
+    print(
+        f"[{'PASS' if ok else 'FAIL'}] criterion 9: counts={set(counts.values())}, "
+        f"psis={set(psis.values())}, float spread={spread:.2e}"
     )
     assert ints_ok
     assert spread <= 1e-12 * max(preds.values())

@@ -157,7 +157,7 @@ def test_s1_arguments():
 
 
 def test_harper_prediction_positive():
-    p = analytic.harper_prediction(10**3, 50.0)
+    p = analytic.harper_prediction(10**3, 50.0).prediction
     assert p > 0.0 and math.isfinite(p)
 
 
@@ -167,7 +167,9 @@ def test_harper_prediction_y_equals_N():
     s0 = analytic.singular_series_s0(sp.alpha, float(N), 10**6)
     s1 = analytic.singular_series_s1(sp.alpha)
     expected = s0.value * s1 * N**2  # Psi(N, N) = N
-    assert analytic.harper_prediction(N, float(N)) == pytest.approx(expected, rel=1e-12)
+    terms = analytic.harper_prediction(N, float(N))
+    assert terms.psi == N and terms.alpha == sp.alpha
+    assert terms.prediction == pytest.approx(expected, rel=1e-12)
 
 
 def test_harper_argument_errors():

@@ -98,6 +98,10 @@ def test_exit_codes(tmp_path):
     assert cli.run(["bogus"]) == 64
     assert cli.run(["count", "--badflag"]) == 64
     assert run_cli(tmp_path, "verify", "--suite", "nope") == 2
+    assert run_cli(tmp_path, "verify", "--suite", "dickman", "--N", "100") == 2
+    assert run_cli(tmp_path, "harper", "--N", "10", "--y", "20") == 2  # y > N
+    assert run_cli(tmp_path, "correlate", "--N", "100", "--u", "2", "--phase", "linear:abc") == 2
+    assert run_cli(tmp_path, "gowers", "--input", "balanced:x:2", "--k", "2") == 2
 
 
 def test_gowers_csv_input(tmp_path):
@@ -107,6 +111,8 @@ def test_gowers_csv_input(tmp_path):
     payload = read_result(tmp_path, "gowers")
     assert payload["result"]["length"] == 4
     assert 0.0 < payload["result"]["norm"] <= 1.0
+    data.write_text("1\nabc\n")
+    assert run_cli(tmp_path, "gowers", "--input", str(data), "--k", "2") == 2
 
 
 def test_gowers_preset_input(tmp_path):
@@ -192,6 +198,12 @@ def test_config_file_errors(tmp_path):
     bad.write_text("segment_size\n")
     with pytest.raises(ArgumentError):
         resolve_config(str(bad))
+    # keys the library never read are gone, not silently recorded
+    for key in ("max_table_entries", "max_sieve_n", "dickman_umax"):
+        bad.write_text(f"{key} = 100\n")
+        with pytest.raises(ArgumentError, match="unknown config key"):
+            resolve_config(str(bad))
+        assert cli.run(["--config", str(bad), "dickman", "--u", "2"]) == 2
 
 
 def test_parse_helpers():

