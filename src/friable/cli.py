@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import inspect
 import math
 import sys
 import time
@@ -404,13 +403,7 @@ def _cmd_verify(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
             f"unknown suite {args.suite!r}; choose from {sorted(criteria.SUITES)}"
         )
     run_suite = criteria.SUITES[args.suite]
-    accepted = inspect.signature(run_suite).parameters
-    if args.N is not None and "N" not in accepted:
-        raise ArgumentError(f"suite {args.suite!r} has no size to set with --N")
-    options = {"N": args.N, "threads": cfg.threads, "tol": cfg.dickman_tol}
-    result, tables = run_suite(
-        **{k: v for k, v in options.items() if k in accepted and v is not None}
-    )
+    result, tables = run_suite(args.N, threads=cfg.threads, tol=cfg.dickman_tol)
     params = {"suite": args.suite}
     if args.N is not None:
         params["N"] = args.N

@@ -7,6 +7,10 @@ both; the acceptance tests assert ``passed`` and add the comparisons with
 independent oracles (trial division, quadrature, direct Gowers sums),
 which stay out of the library.  The thresholds of those comparisons are
 the ``*_ORACLE_TOL`` constants below.
+
+All criteria take ``(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL)``;
+``N=None`` means the criterion's default size, and a criterion without a
+size refuses any other ``N``.
 """
 
 from __future__ import annotations
@@ -15,23 +19,30 @@ import math
 
 import numpy as np
 
-from . import analytic, config, correlate, forms, sieve
-from .dickman import build_rho_table, dde_residual_grid, rho
+from . import analytic, correlate, forms, sieve
+from . import dickman as _dickman
+from . import gowers as _gowers
+from .config import DEFAULT_DICKMAN_TOL
 from .errors import ArgumentError
-from .gowers import gowers_norm_cyclic, gowers_norm_interval
 
 TERNARY = "x1; x2; x1+x2"
 RHO_ORACLE_TOL = 1e-8       # criterion 4: rho against an independent quadrature
 GOWERS_ORACLE_TOL = 1e-10   # criterion 6: FFT norms against the direct sums
 
 
-def hildebrand(N: int = 10**6, *, threads: int = 1):
+def _no_size(name: str, N) -> None:
+    if N is not None:
+        raise ArgumentError(f"suite {name!r} has no size to set with --N")
+
+
+def hildebrand(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     """Criterion 1: |Psi(N, N^(1/u)) / (N rho(u)) - 1| <= 3 u log(u+1) / log N."""
+    N = 10**6 if N is None else N
     header = ["u", "psi", "n_rho", "relative_deviation", "bound", "within"]
     rows = []
     for u in (1.5, 2.0, 2.5, 3.0):
         psi = sieve.psi_count(N, float(N) ** (1.0 / u), threads=threads)
-        target = N * float(rho(u))
+        target = N * float(_dickman.rho(u))
         rel = psi / target - 1.0
         bound = 3.0 * u * math.log(u + 1.0) / math.log(N)
         rows.append([u, psi, target, rel, bound, abs(rel) <= bound])
@@ -63,7 +74,7 @@ def ternary_local_density_sum(N: int, u) -> float:
     return math.fsum((inner[2:] * deltas[2][2:]).tolist())
 
 
-def theorem1(N: int = 2000, *, threads: int = 1):
+def theorem1(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     """Criterion 2: the paper's formula for (x1, x2, x1+x2) on the simplex,
     in the two steps of its proof.
 
@@ -72,6 +83,7 @@ def theorem1(N: int = 2000, *, threads: int = 1):
     log(u+1) / log y (criterion 1), so |count / (Vol prod rho) - 1| must
     shrink strictly over N // 4, N, 4 N rather than sit in the window.
     """
+    N = 2000 if N is None else N
     if N // 4 < 3:
         raise ArgumentError(f"theorem1 needs N >= 12 (its ladder starts at N // 4), got {N}")
     system = forms.parse_form_system(TERNARY)
@@ -115,8 +127,9 @@ def theorem1(N: int = 2000, *, threads: int = 1):
     return result, tables
 
 
-def product(N: int = 10**3, *, threads: int = 1):
+def product(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     """Criterion 3: the box count of (x1; x2) equals Psi(N, y)^2 exactly."""
+    N = 10**3 if N is None else N
     system = forms.parse_form_system("x1; x2")
     body = forms.ConvexBody.box([(1, N), (1, N)])
     header = ["u", "count", "psi", "exact_match"]
@@ -128,11 +141,12 @@ def product(N: int = 10**3, *, threads: int = 1):
     return {"N": N, "passed": all(row[-1] for row in rows)}, {"counts": (header, rows)}
 
 
-def dickman(*, tol: float = config.DEFAULT_DICKMAN_TOL):
+def dickman(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     """Criterion 4: rho(2) = 1 - log 2 and the delay-equation residual, both to 1e-9."""
-    table = build_rho_table(20.0, tol)
+    _no_size("dickman", N)
+    table = _dickman.build_rho_table(20.0, tol)
     closed = abs(table.eval(2.0) - (1.0 - math.log(2.0)))
-    _, residuals = dde_residual_grid(table, 1000, 1.0, 20.0)
+    _, residuals = _dickman.dde_residual_grid(table, 1000, 1.0, 20.0)
     max_res = float(np.max(residuals))
     result = {
         "closed_form_error_at_2": closed,
@@ -142,14 +156,15 @@ def dickman(*, tol: float = config.DEFAULT_DICKMAN_TOL):
     return result, {}
 
 
-def mertens():
+def mertens(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     """Criterion 5: |sum mu(k)/k - rho(2)| decays over N = 10^3..10^6.
 
     At most one step may grow, by no more than 10%, and the last error
     must be within 2 u log(u+1) / log N * rho(u).
     """
+    _no_size("mertens", N)
     u = 2.0
-    rho_u = float(rho(u))
+    rho_u = float(_dickman.rho(u))
     rows = []
     for N in (10**3, 10**4, 10**5, 10**6):
         s = analytic.sifted_mobius_sum(N, u)
@@ -178,19 +193,20 @@ def gowers_samples() -> list[np.ndarray]:
     return out
 
 
-def gowers():
+def gowers(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     """Criterion 6: U^2 <= U^3 on the samples, ||1|| = 1, and the U^2[N]
     norm of the balanced friable function decreasing over N = 2^10, 2^12, 2^14.
     """
+    _no_size("gowers", N)
     nested = all(
-        gowers_norm_cyclic(f, 2) <= gowers_norm_cyclic(f, 3) + 1e-10
+        _gowers.gowers_norm_cyclic(f, 2) <= _gowers.gowers_norm_cyclic(f, 3) + 1e-10
         for f in gowers_samples()
     )
-    ones = [gowers_norm_cyclic(np.ones(64), k) for k in (2, 3)]
+    ones = [_gowers.gowers_norm_cyclic(np.ones(64), k) for k in (2, 3)]
     rows = []
     for e in (10, 12, 14):
         h = correlate.balanced_friable(2**e, 2.0)
-        rows.append([2**e, gowers_norm_interval(h.sequence(), 2)])
+        rows.append([2**e, _gowers.gowers_norm_interval(h.sequence(), 2)])
     decreasing = rows[0][1] > rows[1][1] > rows[2][1]
     result = {
         "nested": nested,
@@ -202,16 +218,17 @@ def gowers():
     return result, {"norms": (["N", "u2_interval_norm"], rows)}
 
 
-def decompose():
+def decompose(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     """Criterion 7: Sigma_1 + Sigma_2 reproduces the correlation to 1e-8, and
     |Sigma_2| <= C u N (tau u + rho(u) log(u+1) / log N) with C <= 50."""
+    _no_size("decompose", N)
     header = ["N", "u", "phase", "rel_identity_error", "fitted_C"]
     rows = []
     for N in (10**3, 10**4, 10**5):
         tau = correlate.default_tau(N)
         table = sieve.build_factor_sieve(0, N)
         for u in (1.5, 2.0, 3.0):
-            rho_u = float(rho(u))
+            rho_u = float(_dickman.rho(u))
             scale = u * N * (tau * u + rho_u * math.log(u + 1.0) / math.log(N))
             for name in ("linear_golden", "quadratic_sqrt2", "bracket_golden"):
                 split = correlate.sigma_split(N, u, tau, correlate.phase_preset(name), table=table)
@@ -228,10 +245,11 @@ def decompose():
     return result, {"grid": (header, rows)}
 
 
-def harper(N: int = 10**4, *, threads: int = 1):
+def harper(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     """Criterion 8: the ternary count over S0 S1 Psi(N, y)^3 / N lies in
     [0.5, 2] at y = 100, with S1(1) = 1/2 and the saddle residual
     within 1e-10 log N."""
+    N = 10**4 if N is None else N
     y = 100.0
     u = math.log(N) / math.log(y)
     body = forms.ConvexBody.simplex(2, 1, N)
