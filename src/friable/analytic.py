@@ -46,14 +46,15 @@ def saddle_lhs(alpha, primes: np.ndarray) -> float:
 def solve_saddle_alpha(N: int, y: float) -> SaddlePoint:
     """Bisection to width 1e-12 on (1e-6, 8], then one Newton polish.
 
-    Raises NumericError (reporting the bracket) when log N is not spanned,
-    and when the polished root violates alpha in (0, 2] or the residual
-    bound 1e-10 * log N.
+    Raises ArgumentError unless N >= 2 and 2 <= y <= N, NumericError
+    (reporting the bracket) when log N is not spanned, and when the
+    polished root violates alpha in (0, 2] or the residual bound
+    1e-10 * log N.
     """
     if N < 2:
         raise ArgumentError(f"N must be >= 2, got {N}")
-    if y < 2:
-        raise ArgumentError(f"y must be >= 2, got {y}")
+    if not 2 <= y <= N:
+        raise ArgumentError(f"need 2 <= y <= N, got y={y}, N={N}")
     primes = sieve.primes_up_to(int(math.floor(y)))
     target = math.log(N)
     lo, hi = _SADDLE_LO, _SADDLE_HI
@@ -187,11 +188,8 @@ def harper_prediction(N: int, y: float, *, threads: int = 1) -> HarperPrediction
     returned with the terms it is built from.
 
     The S0 product is truncated at p_max = max(y, 10^6); Psi is exact.
+    ``solve_saddle_alpha`` refuses N < 2 and y outside [2, N].
     """
-    if N < 2:
-        raise ArgumentError(f"N must be >= 2, got {N}")
-    if not 2 <= y <= N:
-        raise ArgumentError(f"need 2 <= y <= N, got y={y}, N={N}")
     sp = solve_saddle_alpha(N, y)
     s0 = singular_series_s0(sp.alpha, y, p_max=max(int(y), 10**6))
     s1 = singular_series_s1(sp.alpha)

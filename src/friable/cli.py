@@ -246,11 +246,20 @@ def _cmd_sieve(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     return params, result, tables
 
 
+_MAX_TABLE_ROWS = 10**6  # largest `dickman --table` output
+
+
 def _cmd_dickman(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     tol = args.tol if args.tol is not None else cfg.dickman_tol
     tables = {}
     if args.table is not None:
         u_max, step = args.table
+        if not (math.isfinite(u_max) and u_max >= 0.0):
+            raise ArgumentError(f"--table U_MAX must be finite and >= 0, got {u_max}")
+        if not (math.isfinite(step) and step > 0.0):
+            raise ArgumentError(f"--table STEP must be finite and > 0, got {step}")
+        if (u_max + step / 2) / step > _MAX_TABLE_ROWS:
+            raise ResourceError(f"--table {u_max} {step} exceeds {_MAX_TABLE_ROWS} rows")
         tab = dickman.build_rho_table(max(u_max, 1.0), tol)
         grid = np.arange(0.0, u_max + step / 2, step)
         rows = [[float(u), float(tab.eval(min(u, u_max)))] for u in grid]

@@ -8,7 +8,9 @@ Geometry is exact: boxes and H-polytopes (A x <= b) carry Fraction
 entries, membership and slab bounds use rational arithmetic only, and
 lattice enumeration walks coordinate slabs obtained by Fourier-Motzkin
 elimination.  Friability lookups come from one shared factor table over
-[0, (d L + 1) N].
+[0, N], which holds every form value once ``validate_domain`` passes.
+Separable systems, such as (x1, x2, x1 + x2) on a simplex, are counted
+by one FFT convolution of friable masks instead of point by point.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import dickman, sieve
 from ._parallel import chunk_ranges, ordered_map
-from .errors import ArgumentError, PreconditionError
+from .errors import ArgumentError, NumericError, PreconditionError
 
 _INT64_MAX = 2**63 - 1
 
@@ -632,9 +634,20 @@ def iter_form_value_slabs(
 
 
 def shared_factor_table(system: FormSystem, N: int, **kwargs) -> sieve.FactorSieve:
-    """The factor table over [0, (d L + 1) N] that serves every form lookup."""
-    limit = (system.dimension * system.coefficient_bound + 1) * N
-    return sieve.build_factor_sieve(0, limit, **kwargs)
+    """The factor table over [0, N] that serves every form lookup of ``system``.
+
+    Callers first check ``validate_domain(system, body, N)``, which proves
+    that every form value on the body lies in [0, N], so the range does
+    not depend on the forms.
+    """
+    return sieve.build_factor_sieve(0, N, **kwargs)
+
+
+# The convolution runs only while every entry of the convolution stays far
+# below 2^53, so float64 FFT rounding cannot reach 1/2; the asserted bound
+# on the rounding error below catches what the headroom does not.
+_CONVOLUTION_MAX_ENTRY = 2**40
+_ROUNDING_TOL = 0.25
 
 
 def count_friable_values(
@@ -648,7 +661,9 @@ def count_friable_values(
 ) -> int:
     """#{n in K cap Z^d : P+(F_i(n)) <= N^(1/u_i) for every i}, exact.
 
-    Form values equal to 0 or 1 count as friable (P+ convention).
+    Form values equal to 0 or 1 count as friable (P+ convention).  A
+    separable system (see ``_separable_layout``) is counted by one FFT
+    convolution of friable masks; every other input by the slab walker.
     """
     if len(u) != system.count:
         raise ArgumentError(f"expected {system.count} friability exponents, got {len(u)}")
@@ -669,6 +684,22 @@ def count_friable_values(
             masks[y] = table.friable_mask(y)
     form_masks = [masks[y] for y in ys]
 
+    layout = _separable_layout(system, body)
+    if layout is not None:
+        count = _count_by_convolution(system, layout, body, form_masks)
+        if count is not None:
+            return count
+    return _count_by_slabs(system, body, form_masks, threads)
+
+
+def _count_by_slabs(
+    system: FormSystem, body: ConvexBody, form_masks: Sequence[np.ndarray], threads: int = 1
+) -> int:
+    """The slab walker: every lattice point, one innermost-coordinate run at a time.
+
+    ``form_masks[i]`` is the friability mask that form i's values index.
+    """
+
     def count_chunk(first: tuple[int, int]) -> int:
         total = 0
         for prefix, lo, hi in _iter_slabs(body, first):
@@ -684,6 +715,126 @@ def count_friable_values(
         return 0
     chunks = chunk_ranges(top[0], top[1], max(1, threads) * 4)
     return sum(ordered_map(count_chunk, chunks, threads))
+
+
+class _Layout(NamedTuple):
+    coordinate_forms: tuple[int, ...]  # index of the form x_j, for each j
+    other: int | None                  # index of the form L = a.x + c, if any
+
+
+def _separable_layout(system: FormSystem, body: ConvexBody) -> _Layout | None:
+    """The layout of a separable system and body, or None.
+
+    Separable: every coordinate x_j is one of the forms (coefficient 1,
+    constant 0); at most one other form L = a.x + c, with every a_j >= 1;
+    and the body is a box, or a nonempty H-polytope each of whose rows
+    bounds one coordinate or is a nonzero multiple of a.  Such a body is
+    its coordinate box cut by the range of a.x, so the count is a
+    convolution of the coordinate masks read against L's mask.
+    """
+    d = system.dimension
+    unit = {tuple(int(i == j) for i in range(d)): j for j in range(d)}
+    coordinate: dict[int, int] = {}
+    others = []
+    for i, f in enumerate(system.forms):
+        if f.constant == 0 and f.coeffs in unit:
+            coordinate[unit[f.coeffs]] = i
+        else:
+            others.append(i)
+    if len(coordinate) != d or len(others) > 1:
+        return None
+    other = others[0] if others else None
+    a = system.forms[other].coeffs if other is not None else None
+    if a is not None and min(a) < 1:
+        return None
+    if body.kind == "hpoly":
+        for coeffs, _ in body.rows:
+            if sum(c != 0 for c in coeffs) == 1:
+                continue
+            if a is None or coeffs[0] == 0:
+                return None
+            scale = coeffs[0] / a[0]
+            if any(c != scale * aj for c, aj in zip(coeffs, a)):
+                return None
+        if body.is_empty():
+            return None
+    return _Layout(tuple(coordinate[j] for j in range(d)), other)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length the FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Linear convolution of float64 arrays by one real FFT."""
+    size = sum(len(x) for x in arrays) - len(arrays) + 1
+    n = _fft_length(size)
+    spectrum = np.fft.rfft(arrays[0], n)
+    for x in arrays[1:]:
+        spectrum *= np.fft.rfft(x, n)
+    return np.fft.irfft(spectrum, n)[:size]
+
+
+def _count_by_convolution(
+    system: FormSystem, layout: _Layout, body: ConvexBody, form_masks: Sequence[np.ndarray]
+) -> int | None:
+    """Count a separable input as sum_n 1_L(n + c) * (conv of spread masks)(n).
+
+    Mask j is cut to x_j's integer range [l_j, h_j] and spread onto the
+    multiples of a_j, so the convolution at k counts the friable points
+    with a.x = k + sum a_j l_j.  Returns None, for the walker to count,
+    when an entry of the convolution could reach 2^40 or the number of
+    points 2^63; raises NumericError when the FFT result is not the exact
+    integer convolution.
+    """
+    ranges = []
+    for lo, hi in body.coordinate_bounds():
+        lo, hi = math.ceil(lo), math.floor(hi)
+        if lo > hi:
+            return 0
+        ranges.append((lo, hi))
+    cut = [form_masks[i][lo : hi + 1] for i, (lo, hi) in zip(layout.coordinate_forms, ranges)]
+    popcounts = [int(np.count_nonzero(m)) for m in cut]
+    if layout.other is None:
+        return math.prod(popcounts)
+    lengths = [len(m) for m in cut]
+    points = math.prod(lengths)
+    if points // max(lengths) >= _CONVOLUTION_MAX_ENTRY or points > _INT64_MAX:
+        return None
+
+    form = system.forms[layout.other]
+    spread = []
+    for m, aj in zip(cut, form.coeffs):
+        x = np.zeros(aj * (len(m) - 1) + 1)
+        x[::aj] = m
+        spread.append(x)
+    conv = _convolve(spread)
+    exact = np.rint(conv)
+    error = float(np.max(np.abs(conv - exact)))
+    if error >= _ROUNDING_TOL:
+        raise NumericError(f"FFT convolution is off an integer by {error:.3g}")
+    exact = exact.astype(np.int64)
+    if int(exact.sum()) != math.prod(popcounts):
+        raise NumericError("FFT convolution does not sum to the product of the masks")
+
+    base = sum(aj * lo for aj, (lo, _) in zip(form.coeffs, ranges))
+    lo, hi = _functional_range(body, form.coeffs)
+    k0 = max(math.ceil(lo) - base, 0)
+    k1 = min(math.floor(hi) - base, len(exact) - 1)
+    if k0 > k1:
+        return 0
+    shift = base + form.constant
+    values_ok = form_masks[layout.other][k0 + shift : k1 + shift + 1]
+    return int(exact[k0 : k1 + 1][values_ok].sum())
 
 
 def main_term(

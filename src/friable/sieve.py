@@ -34,11 +34,19 @@ _prime_cache: dict = {"limit": 0, "primes": np.zeros(0, dtype=np.int64)}
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (simple Eratosthenes, cached)."""
+    """All primes <= n as an int64 array (simple Eratosthenes, cached).
+
+    Raises ResourceError, before allocating, when n exceeds the table
+    budget ``config.DEFAULT_MAX_TABLE``; the cache never grows past it.
+    """
     if n < 2:
         return np.zeros(0, dtype=np.int64)
+    if n > config.DEFAULT_MAX_TABLE:
+        raise ResourceError(
+            f"primes up to {n} exceed the table budget of {config.DEFAULT_MAX_TABLE}"
+        )
     if n > _prime_cache["limit"]:
-        size = max(n, 2 * _prime_cache["limit"], 1 << 16)
+        size = min(max(n, 2 * _prime_cache["limit"], 1 << 16), config.DEFAULT_MAX_TABLE)
         flags = np.ones(size + 1, dtype=bool)
         flags[:2] = False
         for p in range(2, math.isqrt(size) + 1):

@@ -324,7 +324,10 @@ def gowers_norm_bruteforce(f, k: int) -> float:
     """Direct (k+1)-fold sum over all (n, h_1, ..., h_k); test oracle only.
 
     The grid is evaluated as blocks of shape (h_{k-1} chunk, h_k, n), with
-    any remaining h variables looped.  Cost is M^(k+1), guarded at 10^9.
+    any remaining h variables looped.  Every value comes from two tables
+    built once: R[t, n] = f((n + t) mod M) for t < 2M, and per h_{k-1}
+    chunk U[h, t, n] = f((n + h + t) mod M), so each cube vertex is a
+    slice or a broadcast of them.  Cost is M^(k+1), guarded at 10^9.
     """
     vals = _coerce(f)
     M = vals.size
@@ -334,26 +337,29 @@ def gowers_norm_bruteforce(f, k: int) -> float:
         raise ResourceError(f"brute force needs M^(k+1) = {M**(k+1)} > {_BRUTE_GUARDRAIL}")
     _check_bounded(vals)
     lead = k - 2
-    n = np.arange(M).reshape(1, 1, M)
-    h_b = np.arange(M).reshape(1, M, 1)
+    shift = np.add.outer(np.arange(2 * M), np.arange(M)) % M
+    R = vals[shift]
     rows = max(1, _BLOCK_ENTRIES // (M * M))
     total = 0.0
-
-    def block_sum(lead_hs: tuple[int, ...], h_a: np.ndarray) -> float:
-        prod = None
-        for bits in np.ndindex(*([2] * k)):
-            off = sum(b * h for b, h in zip(bits[:lead], lead_hs))
-            arr = off + (bits[lead] * h_a) + (bits[lead + 1] * h_b)
-            idx = (n + arr) % M
-            w = vals[idx]
-            if sum(bits) % 2 == 1:
-                w = np.conj(w)
-            prod = w if prod is None else prod * w
-        return float(np.sum(prod).real)
-
-    lead_iter = np.ndindex(*([M] * lead)) if lead else [()]
-    for lead_hs in lead_iter:
-        for start in range(0, M, rows):
-            h_a = np.arange(start, min(start + rows, M)).reshape(-1, 1, 1)
-            total += block_sum(tuple(lead_hs), h_a)
+    for start in range(0, M, rows):
+        h_a = np.arange(start, min(start + rows, M))
+        U = R[np.add.outer(h_a, np.arange(2 * M)) % M]  # U[h, t] = R[(h + t) mod M]
+        lead_iter = np.ndindex(*([M] * lead)) if lead else [()]
+        for lead_hs in lead_iter:
+            prod = None
+            for bits in np.ndindex(*([2] * k)):
+                t = sum(b * h for b, h in zip(bits[:lead], lead_hs)) % M
+                b_a, b_b = bits[lead], bits[lead + 1]
+                if b_a and b_b:
+                    w = U[:, t : t + M, :]  # f(n + t + h_a + h_b)
+                elif b_a:
+                    w = R[start + t : start + t + len(h_a)][:, None, :]  # f(n + t + h_a)
+                elif b_b:
+                    w = R[t : t + M][None, :, :]  # f(n + t + h_b)
+                else:
+                    w = R[t][None, None, :]  # f(n + t)
+                if sum(bits) % 2 == 1:
+                    w = np.conj(w)
+                prod = w if prod is None else prod * w
+            total += float(np.sum(prod).real)
     return _root(total / M ** (k + 1), k)

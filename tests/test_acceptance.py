@@ -91,21 +91,27 @@ def test_criterion_8_harper_soft_check():
 
 def test_criterion_9_thread_determinism():
     N = 800
-    body = forms.ConvexBody.simplex(2, 1, N)
     system = forms.parse_form_system(criteria.TERNARY)
+    # the simplex takes the convolution; cut by x1 - x2 <= N // 3 it takes
+    # the slab walker, whose work is chunked over the threads
+    simplex = forms.ConvexBody.simplex(2, 1, N)
+    cut = forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 1], [1, -1]], [-1, -1, N, N // 3])
     counts = {
-        t: forms.count_friable_values(system, body, N, (2.0, 2.0, 2.0), threads=t)
-        for t in (1, 4, 8)
+        name: {
+            forms.count_friable_values(system, body, N, (2.0, 2.0, 2.0), threads=t)
+            for t in (1, 4, 8)
+        }
+        for name, body in (("simplex", simplex), ("cut", cut))
     }
     psis = {t: sieve.psi_count(10**5, 316.0, segment_size=8191, threads=t) for t in (1, 4, 8)}
     preds = {
         t: analytic.harper_prediction(2000, 44.0, threads=t).prediction for t in (1, 4, 8)
     }
-    ints_ok = len(set(counts.values())) == 1 and len(set(psis.values())) == 1
+    ints_ok = all(len(c) == 1 for c in counts.values()) and len(set(psis.values())) == 1
     spread = max(preds.values()) - min(preds.values())
     ok = ints_ok and spread <= 1e-12 * max(preds.values())
     print(
-        f"[{'PASS' if ok else 'FAIL'}] criterion 9: counts={set(counts.values())}, "
+        f"[{'PASS' if ok else 'FAIL'}] criterion 9: counts={counts}, "
         f"psis={set(psis.values())}, float spread={spread:.2e}"
     )
     assert ints_ok

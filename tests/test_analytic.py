@@ -22,10 +22,11 @@ def test_saddle_closed_form_root():
 
 
 def test_saddle_definitional_residual():
-    # whenever N = round(exp(LHS(1))), the root sits near 1 by construction
+    # whenever N = round(exp(LHS(1/2))), the root sits near 1/2 by construction
+    # (LHS(1) gives N ~ 0.56 y, below the domain y <= N)
     primes = sieve.primes_up_to(50)
-    lhs1 = analytic.saddle_lhs(1.0, primes)
-    N = round(math.exp(lhs1))
+    lhs = analytic.saddle_lhs(0.5, primes)
+    N = round(math.exp(lhs))
     sp = analytic.solve_saddle_alpha(N, 50)
     assert abs(analytic.saddle_lhs(sp.alpha, primes) - math.log(N)) <= 1e-10 * math.log(N)
 
@@ -60,6 +61,8 @@ def test_saddle_argument_errors():
         analytic.solve_saddle_alpha(1, 10)
     with pytest.raises(ArgumentError):
         analytic.solve_saddle_alpha(10, 1.5)
+    with pytest.raises(ArgumentError):
+        analytic.solve_saddle_alpha(10, 11.0)  # y > N
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ def test_exit_codes(tmp_path):
     assert run_cli(tmp_path, "harper", "--N", "10", "--y", "20") == 2  # y > N
     assert run_cli(tmp_path, "correlate", "--N", "100", "--u", "2", "--phase", "linear:abc") == 2
     assert run_cli(tmp_path, "gowers", "--input", "balanced:x:2", "--k", "2") == 2
+    assert run_cli(tmp_path, "dickman", "--table", "20", "0") == 2
+    assert run_cli(tmp_path, "dickman", "--table", "2", "-0.5") == 2
+    assert run_cli(tmp_path, "dickman", "--table", "2", "nan") == 2
+    assert run_cli(tmp_path, "dickman", "--table", "-1", "0.5") == 2
+    assert run_cli(tmp_path, "dickman", "--table", "20", "1e-6") == 3  # 2e7 rows
+    assert run_cli(tmp_path, "saddle", "--N", "10", "--y", "1e9") == 2  # y > N
+    assert run_cli(tmp_path, "saddle", "--N", "10000000000", "--y", "1e9") == 3  # primes budget
 
 
 def test_gowers_csv_input(tmp_path):

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from friable import forms, sieve
-from friable.errors import ArgumentError, PreconditionError
+from friable.errors import ArgumentError, NumericError, PreconditionError
 
 HARPER = forms.parse_form_system("x1; x2; x1+x2")
 
@@ -234,13 +236,169 @@ def test_three_dimensional_counts():
     assert count == brute
 
 
+def _walker_triangle(N):
+    """The simplex {x1, x2 >= 1, x1 + x2 <= N} cut by x1 - x2 <= N // 3; the
+    last row is not a multiple of (1, 1), so the slab walker counts it."""
+    return forms.ConvexBody.halfspaces(
+        [[-1, 0], [0, -1], [1, 1], [1, -1]], [-1, -1, N, N // 3]
+    )
+
+
 def test_count_threads_deterministic():
-    body = forms.ConvexBody.simplex(2, 1, 400)
-    vals = {
-        forms.count_friable_values(HARPER, body, 400, (2.0, 2.0, 2.0), threads=t)
-        for t in (1, 4, 8)
-    }
-    assert len(vals) == 1
+    for body in (forms.ConvexBody.simplex(2, 1, 400), _walker_triangle(400)):
+        vals = {
+            forms.count_friable_values(HARPER, body, 400, (2.0, 2.0, 2.0), threads=t)
+            for t in (1, 4, 8)
+        }
+        assert len(vals) == 1
+
+
+# ---------------------------------------------------------------------------
+# convolution dispatch against the slab walker
+# ---------------------------------------------------------------------------
+
+U_CHOICES = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
+
+
+def slab_count(system, body, N, u, threads=1):
+    """The slab walker on the thresholds count_friable_values uses."""
+    table = forms.shared_factor_table(system, N)
+    masks = [table.friable_mask(float(N) ** (1.0 / ui)) for ui in u]
+    return forms._count_by_slabs(system, body, masks, threads)
+
+
+@st.composite
+def separable_inputs(draw):
+    """(system, body, N, u): coordinate forms, at most one L = a.x + c with
+    a_j >= 1, on a box or on an H-polytope of coordinate rows and multiples
+    of a; every form value lies in [0, N]."""
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(20, 300 if d < 3 else 60))  # a.x >= sum a_j l_j reaches 18
+    lows = [draw(st.integers(0, 2)) for _ in range(d)]
+    nudges = [Fraction(draw(st.integers(0, 2)), 3) for _ in range(d)]  # fractional lower ends
+    fs = [forms.AffineForm(tuple(int(i == j) for i in range(d))) for j in range(d)]
+    kind = draw(st.sampled_from(["box", "hpoly"]))
+    if d > 1 and draw(st.booleans()):
+        a = [draw(st.integers(1, 3)) for _ in range(d)]
+        floor_value = sum(aj * lo for aj, lo in zip(a, lows))
+        c = draw(st.integers(0, N - floor_value))
+        fs.append(forms.AffineForm(tuple(a), c))
+        room = N - c - floor_value  # a.x may grow this much above its floor
+        if kind == "box":
+            bounds = []
+            for aj, lo, nudge in zip(a, lows, nudges):
+                extra = Fraction(draw(st.integers(0, math.floor(3 * room / aj))), 3)
+                room -= aj * extra
+                bounds.append((lo + min(nudge, extra), lo + extra))
+            body = forms.ConvexBody.box(bounds)
+        else:
+            top = floor_value + Fraction(draw(st.integers(0, 3 * room)), 3)
+            scale = draw(st.integers(1, 2))
+            A = [[-int(i == j) for i in range(d)] for j in range(d)]
+            b = [-lo - nudge for lo, nudge in zip(lows, nudges)]
+            A.append([scale * aj for aj in a])
+            b.append(scale * top)
+            if draw(st.booleans()):  # a lower bound on a.x
+                A.append([-aj for aj in a])
+                b.append(-floor_value - draw(st.integers(0, room)))
+            for j in range(d):
+                if draw(st.booleans()):  # an upper bound on x_j
+                    A.append([int(i == j) for i in range(d)])
+                    b.append(lows[j] + Fraction(draw(st.integers(0, 3 * (N - lows[j]))), 3))
+            body = forms.ConvexBody.halfspaces(A, b)
+    else:
+        highs = [lo + draw(st.integers(0, N - lo)) for lo in lows]
+        if kind == "box":
+            body = forms.ConvexBody.box(
+                [(lo + min(nudge, hi - lo), hi) for lo, hi, nudge in zip(lows, highs, nudges)]
+            )
+        else:
+            A = [[s * int(i == j) for i in range(d)] for j in range(d) for s in (-1, 1)]
+            b = [v for lo, hi, nudge in zip(lows, highs, nudges) for v in (-lo - nudge, hi)]
+            body = forms.ConvexBody.halfspaces(A, b)
+    order = draw(st.permutations(range(len(fs))))
+    system = forms.FormSystem(tuple(fs[i] for i in order))
+    u = tuple(draw(st.sampled_from(U_CHOICES)) for _ in fs)
+    return system, body, N, u
+
+
+@settings(max_examples=150, deadline=None)
+@given(separable_inputs())
+def test_convolution_matches_slab_walker(case):
+    system, body, N, u = case
+    assert forms._separable_layout(system, body) is not None or body.is_empty()
+    assert forms.count_friable_values(system, body, N, u) == slab_count(system, body, N, u)
+
+
+BENCHMARK_SHAPES = [  # the count shapes of the benchmark, at small N
+    ("x1; x2; x1+x2", "simplex", 2000),
+    ("x1; x2; x1+2x2", "hpoly_x1_2x2", 1000),
+    ("x1; x2; x3; x1+x2+x3", "simplex", 60),
+    ("x1; x2", "box", 1000),
+]
+
+
+def _shape_body(kind, d, N):
+    if kind == "simplex":
+        return forms.ConvexBody.simplex(d, 1, N)
+    if kind == "box":
+        return forms.ConvexBody.box([(1, N)] * d)
+    return forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 2]], [-1, -1, N])
+
+
+@pytest.mark.parametrize("spec, kind, N", BENCHMARK_SHAPES)
+def test_benchmark_shapes_take_the_convolution(spec, kind, N):
+    system = forms.parse_form_system(spec)
+    body = _shape_body(kind, system.dimension, N)
+    assert forms._separable_layout(system, body) is not None
+    for u in [(2.0,) * system.count, (1.5, 2.5, 3.0, 2.0)[: system.count]]:
+        assert forms.count_friable_values(system, body, N, u) == slab_count(system, body, N, u)
+    if spec == "x1; x2; x1+x2":  # the count the FFT and the walker gave before the dispatch
+        assert forms.count_friable_values(system, body, N, (2.0, 2.0, 2.0)) == 174658
+
+
+def test_non_separable_inputs_take_the_walker():
+    # a row x1 - x2 <= b, and a form with a negative coefficient
+    N = 90
+    y = N**0.5
+    cases = [
+        (HARPER, _walker_triangle(N)),
+        (forms.parse_form_system(f"x1; x2; x1-x2+{N // 2}"), forms.ConvexBody.box([(1, N // 2)] * 2)),
+    ]
+    for system, body in cases:
+        assert forms._separable_layout(system, body) is None
+        brute = sum(
+            all(oracles.lpf(f(p)) <= y for f in system.forms)
+            for p in forms.enumerate_lattice_points(body, N)
+        )
+        assert forms.count_friable_values(system, body, N, (2.0,) * system.count) == brute
+
+
+def test_convolution_guard_falls_back_to_the_walker(monkeypatch):
+    body = forms.ConvexBody.simplex(2, 1, 300)
+    expected = forms.count_friable_values(HARPER, body, 300, (2.0, 2.0, 2.0))
+
+    def refuse(arrays):
+        raise AssertionError("the guard should have sent this count to the walker")
+
+    monkeypatch.setattr(forms, "_CONVOLUTION_MAX_ENTRY", 299)  # x1 and x2 take 299 values each
+    monkeypatch.setattr(forms, "_convolve", refuse)
+    assert forms.count_friable_values(HARPER, body, 300, (2.0, 2.0, 2.0)) == expected
+
+
+@pytest.mark.parametrize("offset", [0.3, 1.0])
+def test_convolution_rounding_is_checked(monkeypatch, offset):
+    # 0.3 is off an integer; 1.0 rounds cleanly but breaks the total
+    convolve = forms._convolve
+
+    def perturbed(arrays):
+        out = convolve(arrays)
+        out[len(out) // 2] += offset
+        return out
+
+    monkeypatch.setattr(forms, "_convolve", perturbed)
+    with pytest.raises(NumericError):
+        forms.count_friable_values(HARPER, forms.ConvexBody.simplex(2, 1, 300), 300, (2.0,) * 3)
 
 
 def test_count_argument_errors():
