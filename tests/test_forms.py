@@ -260,11 +260,11 @@ def test_count_threads_deterministic():
 U_CHOICES = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
 
 
-def slab_count(system, body, N, u, threads=1):
+def slab_count(system, body, N, u):
     """The slab walker on the thresholds count_friable_values uses."""
     table = forms.shared_factor_table(system, N)
     masks = [table.friable_mask(float(N) ** (1.0 / ui)) for ui in u]
-    return forms._count_by_slabs(system, body, masks, threads)
+    return forms._count_by_slabs(system, body, masks)
 
 
 @st.composite
