@@ -212,8 +212,7 @@ def _sifted_terms(N: int, u: float) -> tuple[np.ndarray, np.ndarray]:
         raise ArgumentError(f"u must be >= 1, got {u}")
     if N > _MERTENS_MAX_N:
         raise ResourceError(f"N = {N} exceeds enumeration budget {_MERTENS_MAX_N}")
-    y = float(N) ** (1.0 / u)
-    return sieve.sifted_squarefree_arrays(N, max(y, 1.0 + 1e-12))
+    return sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
 
 
 def sifted_mobius_sum(N: int, u: float) -> float:

@@ -203,7 +203,6 @@ def _write_outputs(
         "command": command,
         "params": params,
         "version": __version__,
-        "sieve_limits": {"segment_size": cfg.segment_size},
         "tolerances": {"dickman_tol": cfg.dickman_tol},
         "threads": cfg.threads,
         "wall_clock_s": elapsed,
@@ -221,9 +220,7 @@ def _write_outputs(
 
 
 def _cmd_sieve(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
-    table = sieve.build_factor_sieve(
-        args.lo, args.hi, segment_size=cfg.segment_size
-    )
+    table = sieve.build_factor_sieve(args.lo, args.hi)
     ns = np.arange(table.lo, table.hi + 1)
     result = {
         "lo": table.lo,
@@ -262,7 +259,8 @@ def _cmd_dickman(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
             raise ResourceError(f"--table {u_max} {step} exceeds {_MAX_TABLE_ROWS} rows")
         tab = dickman.build_rho_table(max(u_max, 1.0), tol)
         grid = np.arange(0.0, u_max + step / 2, step)
-        rows = [[float(u), float(tab.eval(min(u, u_max)))] for u in grid]
+        values = tab.eval(np.minimum(grid, u_max))
+        rows = [[float(u), float(r)] for u, r in zip(grid, values)]
         tables["table"] = (["u", "rho"], rows)
         params = {"table_u_max": u_max, "step": step, "tol": tol}
         result = {"rows": len(rows), "tol": tol}

@@ -1,4 +1,4 @@
-"""Runtime configuration (segment size, threads, Dickman tolerance) and the
+"""Runtime configuration (threads, Dickman tolerance) and the
 library's default budgets.
 
 Values come from (highest precedence first): explicit function arguments /
@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ArgumentError
 
-DEFAULT_SEGMENT_SIZE = 1 << 22   # entries per sieve segment (three parallel arrays)
+DEFAULT_SEGMENT_SIZE = 1 << 20   # entries per sieve segment
 DEFAULT_MAX_TABLE = 1 << 26      # largest in-memory factor table
 DEFAULT_MAX_SIEVE_N = 1 << 40    # largest supported sieve bound
 DEFAULT_DICKMAN_TOL = 1e-10
@@ -24,12 +24,11 @@ THREADS_ENV = "FRIABLE_THREADS"
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    segment_size: int = DEFAULT_SEGMENT_SIZE
     threads: int = 1
     dickman_tol: float = DEFAULT_DICKMAN_TOL
 
 
-_INT_KEYS = {"segment_size", "threads"}
+_INT_KEYS = {"threads"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -71,6 +70,4 @@ def resolve_config(config_path: str | None = None, **overrides) -> RuntimeConfig
         cfg = replace(cfg, **overrides)
     if cfg.threads < 1:
         raise ArgumentError("thread count must be >= 1")
-    if cfg.segment_size < 1024:
-        raise ArgumentError("segment_size must be >= 1024")
     return cfg

@@ -172,7 +172,7 @@ def balanced_friable(
         table = sieve.build_factor_sieve(0, N)
     elif not (table.lo == 0 and table.hi >= N):
         raise ArgumentError("factor table must cover [0, N]")
-    y = float(N) ** (1.0 / u)
+    y = sieve.friable_bound(N, u)
     rho_u = float(rho_table.eval(u) if rho_table is not None else dickman.rho(u))
     vals = table.friable_mask(y)[: N + 1].astype(np.float64) - rho_u
     return BalancedFriable(N=N, u=u, rho_u=rho_u, values=vals)
@@ -201,10 +201,8 @@ def _admissible_k(N: int, u: float, tau: float) -> tuple[np.ndarray, np.ndarray]
     """Sifted squarefree k <= N^(1-tau) with their Mobius values."""
     if not 1.0 / math.log(N) < tau < 1.0:
         raise ArgumentError(f"tau must lie in (1/log N, 1), got {tau}")
-    y = float(N) ** (1.0 / u)
     klim = int(math.floor(float(N) ** (1.0 - tau)))
-    ks, mus = sieve.sifted_squarefree_arrays(max(klim, 1), max(y, 1.0 + 1e-12))
-    return ks, mus
+    return sieve.sifted_squarefree_arrays(max(klim, 1), sieve.friable_bound(N, u))
 
 
 def h_tau(N: int, u: float, tau: float) -> SequenceFn:
@@ -283,9 +281,8 @@ def sigma_split(
         table = sieve.build_factor_sieve(0, N)
     h = balanced_friable(N, u, table=table)
     ht = h_tau(N, u, tau)
-    y = float(N) ** (1.0 / u)
     klim = int(math.floor(float(N) ** (1.0 - tau)))
-    ks, mus = sieve.sifted_squarefree_arrays(N, max(y, 1.0 + 1e-12))
+    ks, mus = sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
     tail_sel = ks > klim
     mean = math.fsum((mus[~tail_sel] / ks[~tail_sel]).tolist())
     rest = np.full(N + 1, mean - h.rho_u, dtype=np.float64)
@@ -347,7 +344,7 @@ def subset_decomposition_bound(
         raise ArgumentError(f"some form leaves [0, {N}] on this body")
     table = forms.shared_factor_table(system, N)
     t = system.count
-    ys = [float(N) ** (1.0 / ui) for ui in u]
+    ys = [sieve.friable_bound(N, ui) for ui in u]
     masks = [table.friable_mask(y) for y in ys]
     rhos = [float(dickman.rho(ui)) for ui in u]
 

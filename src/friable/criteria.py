@@ -41,7 +41,7 @@ def hildebrand(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     header = ["u", "psi", "n_rho", "relative_deviation", "bound", "within"]
     rows = []
     for u in (1.5, 2.0, 2.5, 3.0):
-        psi = sieve.psi_count(N, float(N) ** (1.0 / u), threads=threads)
+        psi = sieve.psi_count(N, sieve.friable_bound(N, u), threads=threads)
         target = N * float(_dickman.rho(u))
         rel = psi / target - 1.0
         bound = 3.0 * u * math.log(u + 1.0) / math.log(N)
@@ -66,7 +66,7 @@ def ternary_local_density_sum(N: int, u) -> float:
     table = sieve.build_factor_sieve(0, int(hi[-1]))
     deltas = []
     for ui in u:
-        prefix = np.concatenate(([0], np.cumsum(table.friable_mask(float(N) ** (1.0 / ui)))))
+        prefix = np.concatenate(([0], np.cumsum(table.friable_mask(sieve.friable_bound(N, ui)))))
         delta = np.zeros(N + 1)
         delta[1:] = (prefix[hi + 1] - prefix[lo]) / (hi - lo + 1)
         deltas.append(delta)
@@ -136,7 +136,7 @@ def product(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     rows = []
     for u in (2.0, 3.0):
         count = forms.count_friable_values(system, body, N, (u, u), threads=threads)
-        psi = sieve.psi_count(N, float(N) ** (1.0 / u), threads=threads)
+        psi = sieve.psi_count(N, sieve.friable_bound(N, u), threads=threads)
         rows.append([u, count, psi, count == psi * psi])
     return {"N": N, "passed": all(row[-1] for row in rows)}, {"counts": (header, rows)}
 

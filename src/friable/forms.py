@@ -677,8 +677,8 @@ def count_friable_values(
         table = shared_factor_table(system, N)
     elif table.lo != 0 or table.hi < N:
         raise ArgumentError(f"factor table [{table.lo}, {table.hi}] must cover [0, {N}]")
-    ys = [float(N) ** (1.0 / ui) for ui in u]
-    masks: dict[float, np.ndarray] = {}
+    ys = [sieve.friable_bound(N, ui) for ui in u]
+    masks: dict[int, np.ndarray] = {}
     for y in ys:
         if y not in masks:
             masks[y] = table.friable_mask(y)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,6 +57,34 @@ def primes_up_to(n: int) -> np.ndarray:
         _prime_cache["limit"] = size
     primes = _prime_cache["primes"]
     return primes[: int(np.searchsorted(primes, n, side="right"))]
+
+
+# ---------------------------------------------------------------------------
+# friability thresholds
+# ---------------------------------------------------------------------------
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for integers x >= 1, k >= 1: Newton's method from above."""
+    r = int(math.exp(math.log(x) / k) * (1.0 + 1e-9)) + 1
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def friable_bound(N: int, u: float) -> int:
+    """The largest integer y with y^u <= N: the threshold of N^(1/u)-friability.
+
+    ``u`` is read as the rational ``Fraction(u).limit_denominator(1000)``
+    = a/b, and y^a <= N^b is decided in integers, so N = p^u gives
+    exactly p where ``float(N) ** (1 / u)`` may round just below it.
+    """
+    q = Fraction(u).limit_denominator(1000)
+    if N < 1 or q <= 0:
+        raise ArgumentError(f"need N >= 1 and u > 0, got N = {N}, u = {u}")
+    return _iroot(N**q.denominator, q.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -104,39 +133,56 @@ class FactorSieve:
         return self.spf > y
 
 
+def _power_slices(lo: int, hi: int, p: int) -> list[slice]:
+    """Index slices of the segment [lo, hi] for the multiples of p, p^2, ...
+
+    Entry k selects the multiples of p^(k+1) in [max(lo, 1), hi]; the
+    list stops at the first power with no multiple there (0 is never
+    selected).
+    """
+    slices = []
+    q = p
+    while q <= hi:
+        first = -(-max(lo, 1) // q) * q
+        if first > hi:
+            break
+        slices.append(slice(first - lo, None, q))
+        q *= p
+    return slices
+
+
 def _sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> FactorSieve:
-    """Sieve one contiguous segment; pure integer arithmetic, no trial division."""
+    """Sieve one contiguous segment; pure integer arithmetic, no trial division.
+
+    Every prime p <= sqrt(hi) is divided out of ``rem`` through strided
+    slices, one per power of p.  The writes in ascending order of p leave
+    the largest small prime in ``lpf``, those in descending order the
+    smallest in ``spf``.  What stays in ``rem`` is 1 or a single prime
+    above sqrt(hi), which is then the largest prime factor.
+    """
     n = hi - lo + 1
     lpf = np.zeros(n, dtype=np.int64)
     spf = np.zeros(n, dtype=np.int64)
     mu = np.ones(n, dtype=np.int8)
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    if lo <= 0 <= hi:
-        rem[0 - lo] = 1  # keep 0 out of the division loops
-    for p in base_primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        first = max(p, ((lo + p - 1) // p) * p)
-        if first > hi:
-            continue
-        idx = np.arange(first - lo, n, p)
-        rem[idx] //= p
-        mu[idx] = -mu[idx]
-        hit = spf[idx]
-        spf[idx] = np.where(hit == 0, p, hit)
-        lpf[idx] = p
-        again = idx[rem[idx] % p == 0]
-        if again.size:
-            mu[again] = 0
-            while again.size:
-                rem[again] //= p
-                again = again[rem[again] % p == 0]
+    small = base_primes[: int(np.searchsorted(base_primes, math.isqrt(hi), side="right"))]
+    strides = [(p, _power_slices(lo, hi, p)) for p in small.tolist()]
+    for p, slices in strides:
+        for k, s in enumerate(slices):
+            rem[s] //= p
+            if k == 0:
+                lpf[s] = p
+                mu[s] *= -1
+            elif k == 1:
+                mu[s] = 0
+    for p, slices in reversed(strides):
+        if slices:
+            spf[slices[0]] = p
     big = rem > 1
     lpf[big] = rem[big]
-    hit = spf[big]
-    spf[big] = np.where(hit == 0, rem[big], hit)
-    mu[big] = -mu[big]
+    mu[big] *= -1
+    unset = spf == 0
+    spf[unset] = rem[unset]
     if lo <= 0 <= hi:
         i = 0 - lo
         lpf[i], spf[i], mu[i] = 0, 0, 0
@@ -211,21 +257,43 @@ def psi_count(
     threads: int = 1,
     max_n: int | None = None,
 ) -> int:
-    """Psi(N, y) = #{1 <= n <= N : P+(n) <= y}, exact by segmented sieving."""
+    """Psi(N, y) = #{1 <= n <= N : P+(n) <= y}, exact by segmented sieving.
+
+    Each segment keeps one array, ``rem``, starting as the integers
+    themselves.  Every prime p <= z = min(y, sqrt(N)) is divided out of
+    it, once per power of p, so ``rem[n]`` ends as n stripped of its
+    primes <= z; then n is y-friable iff ``rem[n] <= y``.  Proof, with
+    r = rem[n]:
+
+    * every prime <= y is <= sqrt(N): r is 1 or has only prime factors
+      above y, so r <= y iff r = 1 iff P+(n) <= y;
+    * some prime <= y exceeds sqrt(N): r has no prime factor <= sqrt(N)
+      and r <= n <= N, so r is 1 or a single prime q > sqrt(N); then
+      P+(n) <= y iff r = 1 or q <= y, iff r <= y.
+
+    ``y = 1`` divides nothing and counts n = 1 alone, the P+(1) = 1
+    convention.  No lpf, spf or Mobius table is built.
+    """
     if N < 1:
         raise ArgumentError(f"N must be >= 1, got {N}")
-    if y <= 1:
-        raise ArgumentError(f"friability bound must exceed 1, got {y}")
+    if not y >= 1:
+        raise ArgumentError(f"friability bound must be >= 1, got {y}")
     max_n = max_n or config.DEFAULT_MAX_SIEVE_N
     if N > max_n:
         raise ResourceError(f"N = {N} exceeds configured maximum {max_n}")
     segment_size = segment_size or config.DEFAULT_SEGMENT_SIZE
-    base = primes_up_to(math.isqrt(N))
+    bound = int(min(y, N))
+    base = primes_up_to(min(bound, math.isqrt(N))).tolist()
+    dtype = np.int32 if N < 2**31 else np.int64
     bounds = [(a, min(a + segment_size - 1, N)) for a in range(1, N + 1, segment_size)]
 
     def count_one(ab: tuple[int, int]) -> int:
-        seg = _sieve_segment(ab[0], ab[1], base)
-        return int(np.count_nonzero(seg.friable_mask(y)))
+        a, b = ab
+        rem = np.arange(a, b + 1, dtype=dtype)
+        for p in base:
+            for s in _power_slices(a, b, p):
+                rem[s] //= p
+        return int(np.count_nonzero(rem <= bound))
 
     return sum(ordered_map(count_one, bounds, threads))
 
@@ -233,11 +301,14 @@ def psi_count(
 def sifted_squarefree_arrays(
     limit: int, y: float, *, segment_size: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(k, mu(k)) arrays for squarefree k <= limit with P-(k) > y, ascending."""
+    """(k, mu(k)) arrays for squarefree k <= limit with P-(k) > y, ascending.
+
+    ``y = 1`` sifts nothing out: every squarefree k <= limit is kept.
+    """
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
-    if y <= 1:
-        raise ArgumentError(f"sifting bound must exceed 1, got {y}")
+    if not y >= 1:
+        raise ArgumentError(f"sifting bound must be >= 1, got {y}")
     ks: list[np.ndarray] = []
     mus: list[np.ndarray] = []
     for seg in iter_factor_segments(1, limit, segment_size):

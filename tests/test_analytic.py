@@ -200,6 +200,14 @@ def test_mobius_sum_hand_enumeration():
     assert got == pytest.approx(expected, abs=1e-15)
 
 
+def test_mobius_sum_at_prime_power_threshold():
+    # N = 5^3: the sifting bound N^(1/3) is exactly 5, so k = 5 is not sifted
+    got = analytic.sifted_mobius_sum(125, 3.0)
+    expected = math.fsum(m / k for k, m in oracles.sifted_squarefree(125, 5.0))
+    assert got == pytest.approx(expected, abs=1e-15)
+    assert got != pytest.approx(expected - 1.0 / 5.0, abs=1e-3)
+
+
 def test_mobius_sum_near_rho(rho_table):
     rho2 = rho_table.eval(2.0)
     got = analytic.sifted_mobius_sum(10**6, 2.0)

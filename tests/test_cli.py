@@ -184,9 +184,9 @@ def test_verify_harper_suite_small(tmp_path):
 
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfg_file = tmp_path / "friable.cfg"
-    cfg_file.write_text("segment_size = 8192\nthreads = 2\n# comment\n")
+    cfg_file.write_text("dickman_tol = 1e-12\nthreads = 2\n# comment\n")
     cfg = resolve_config(str(cfg_file))
-    assert cfg.segment_size == 8192 and cfg.threads == 2
+    assert cfg.dickman_tol == 1e-12 and cfg.threads == 2
     monkeypatch.setenv("FRIABLE_THREADS", "5")
     cfg = resolve_config(str(cfg_file))
     assert cfg.threads == 5  # env beats file
@@ -202,11 +202,11 @@ def test_config_file_errors(tmp_path):
     bad.write_text("nonsense_key = 3\n")
     with pytest.raises(ArgumentError):
         resolve_config(str(bad))
-    bad.write_text("segment_size\n")
+    bad.write_text("threads\n")
     with pytest.raises(ArgumentError):
         resolve_config(str(bad))
     # keys the library never read are gone, not silently recorded
-    for key in ("max_table_entries", "max_sieve_n", "dickman_umax"):
+    for key in ("max_table_entries", "max_sieve_n", "dickman_umax", "segment_size"):
         bad.write_text(f"{key} = 100\n")
         with pytest.raises(ArgumentError, match="unknown config key"):
             resolve_config(str(bad))

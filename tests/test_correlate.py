@@ -34,6 +34,13 @@ def test_balanced_indicator_structure():
     assert set(np.round(shifted, 12).tolist()) <= {0.0, 1.0}
 
 
+def test_balanced_at_prime_power_threshold():
+    # N = 7^3 at u = 3: the bound is exactly 7, where float(N) ** (1/3) < 7
+    h = correlate.balanced_friable(7**3, 3.0)
+    assert h.values[7] == h.values[49] == 1.0 - h.rho_u
+    assert h.values[11] == -h.rho_u
+
+
 def test_balanced_sum_identity():
     for N, u in [(100, 2.0), (1000, 2.0), (1000, 3.0)]:
         h = correlate.balanced_friable(N, u)

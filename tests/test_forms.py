@@ -168,6 +168,14 @@ def test_count_reduces_to_psi():
         )
 
 
+def test_count_at_prime_power_threshold():
+    # N = 97^3 at u = 3: the bound is exactly 97; float(N) ** (1/3) rounds below it
+    N = 97**3
+    body = forms.ConvexBody.box([(1, N)])
+    count = forms.count_friable_values(forms.parse_form_system("x1"), body, N, (3.0,))
+    assert count == sieve.psi_count(N, 97) == 68454
+
+
 def test_count_product_structure():
     N = 1000
     sys2 = forms.parse_form_system("x1; x2")

@@ -1,8 +1,12 @@
+import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from friable import sieve
@@ -87,6 +91,7 @@ def _sifted_pairs(limit: int, y: float) -> list[tuple[int, int]]:
 def test_enumerate_sifted_examples():
     assert _sifted_pairs(10, 2) == [(1, 1), (3, -1), (5, -1), (7, -1)]
     assert _sifted_pairs(7, 50) == [(1, 1)]
+    assert _sifted_pairs(10, 1) == [(1, 1), (2, -1), (3, -1), (5, -1), (6, 1), (7, -1), (10, 1)]
     expected = [
         (1, 1), (3, -1), (5, -1), (7, -1), (11, -1), (13, -1), (15, 1),
         (17, -1), (19, -1), (21, 1), (23, -1), (29, -1), (31, -1), (33, 1), (35, 1),
@@ -172,6 +177,125 @@ def test_threaded_psi_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# the two kernels against trial division (hypothesis)
+# ---------------------------------------------------------------------------
+
+_LIMIT = 3 * 10**4
+_PRIMES = [p for p in range(2, 2 * _LIMIT + 1) if oracles.lpf(p) == p]
+
+
+@functools.cache
+def _oracle_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """oracles.lpf / spf / mu for 0 <= n <= _LIMIT, spf(1) as SPF_INFINITY."""
+    ns = range(_LIMIT + 1)
+    spf = [oracles.spf(n) for n in ns]
+    return (
+        np.array([oracles.lpf(n) for n in ns], dtype=np.int64),
+        np.array([sieve.SPF_INFINITY if s == math.inf else s for s in spf], dtype=np.int64),
+        np.array([oracles.mu(n) for n in ns], dtype=np.int8),
+    )
+
+
+@st.composite
+def _psi_inputs(draw):
+    N = draw(st.integers(1, _LIMIT))
+    root = math.isqrt(N)
+    p = draw(st.sampled_from([p for p in _PRIMES if p <= 2 * N] or [2]))
+    y = draw(
+        st.one_of(
+            st.floats(1.0, 2.0 * N, exclude_min=True),
+            st.sampled_from([float(p), p - 1e-9, root + 0.5]),
+            st.integers(root, root + 3).map(float),
+        )
+    )
+    assume(1.0 < y <= 2.0 * N)
+    segment_size = draw(st.integers(1024, 8192).filter(lambda s: N % s != 0))
+    threads = draw(st.sampled_from([1, 2]))
+    return N, y, segment_size, threads
+
+
+@given(_psi_inputs())
+@settings(max_examples=60, deadline=None)
+def test_psi_count_matches_trial_division_and_factor_table(args):
+    N, y, segment_size, threads = args
+    psi = sieve.psi_count(N, y, segment_size=segment_size, threads=threads)
+    lpf = _oracle_tables()[0]
+    assert psi == int(np.count_nonzero(lpf[1 : N + 1] <= y))  # = oracles.psi_count(N, y)
+    table = sieve.build_factor_sieve(0, N, segment_size=segment_size)
+    assert psi == int(np.count_nonzero(table.friable_mask(y)[1:]))
+
+
+def test_psi_count_small_cases_direct_oracle():
+    for N, y in [(1, 1.0), (2, 1.0), (97, 7.0), (120, 10.999999999), (360, 19.0), (1000, 31.0)]:
+        assert sieve.psi_count(N, y, segment_size=1024) == oracles.psi_count(N, y), (N, y)
+
+
+@st.composite
+def _segments(draw):
+    p = draw(st.sampled_from([p for p in _PRIMES if p * p <= _LIMIT]))
+    powers = [p**k for k in range(2, 16) if p**k <= _LIMIT]
+    hi = draw(st.sampled_from(powers))
+    lo = draw(st.one_of(st.just(0), st.just(1), st.integers(max(2, hi - 3000), hi)))
+    return lo, hi
+
+
+@given(_segments())
+@settings(max_examples=60, deadline=None)
+def test_sieve_segment_matches_trial_division(bounds):
+    lo, hi = bounds
+    seg = sieve._sieve_segment(lo, hi, sieve.primes_up_to(math.isqrt(hi)))
+    lpf, spf, mu = (t[lo : hi + 1] for t in _oracle_tables())
+    assert np.array_equal(seg.lpf, lpf)
+    assert np.array_equal(seg.spf, spf)
+    assert np.array_equal(seg.mu, mu)
+
+
+def test_psi_count_keeps_no_factor_tables():
+    segment_size = 1 << 16
+    sieve.primes_up_to(1000)  # the shared prime cache is not part of the count
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        psi = sieve.psi_count(10**6, 100.0, segment_size=segment_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * segment_size, peak
+    table = sieve.build_factor_sieve(0, 10**6)
+    assert psi == int(np.count_nonzero(table.friable_mask(100.0)[1:]))
+
+
+# ---------------------------------------------------------------------------
+# integer friability thresholds
+# ---------------------------------------------------------------------------
+
+
+def test_friable_bound_at_prime_powers():
+    for p in [p for p in _PRIMES if p <= 2000]:
+        for u in (2, 3, 4, 5):
+            assert sieve.friable_bound(p**u, u) == p, (p, u)
+            assert sieve.friable_bound(p**u - 1, u) == p - 1, (p, u)
+        assert sieve.friable_bound(p**3, 1.5) == p * p
+    assert sieve.friable_bound(97**3, 3.0) == 97 > float(97**3) ** (1.0 / 3.0)
+    assert sieve.friable_bound(1, 3) == sieve.friable_bound(7, 3) == 1
+    with pytest.raises(ArgumentError):
+        sieve.friable_bound(10, 0.0)
+
+
+def test_psi_at_prime_power_threshold():
+    assert sieve.psi_count(97**3, sieve.friable_bound(97**3, 3)) == 68454
+    for p in (5, 7, 11):
+        N = p**3
+        assert sieve.psi_count(N, sieve.friable_bound(N, 3)) == oracles.psi_count(N, p)
+
+
+def test_psi_count_y_one():
+    for N in (1, 2, 10, 10**5):
+        assert sieve.psi_count(N, 1) == 1  # only n = 1, as P+(1) = 1
+    assert sieve.psi_count(10, 1.5) == 1
+
+
+# ---------------------------------------------------------------------------
 # errors
 # ---------------------------------------------------------------------------
 
@@ -186,7 +310,11 @@ def test_argument_errors():
     with pytest.raises(ArgumentError):
         sieve.psi_count(10, 0.5)
     with pytest.raises(ArgumentError):
+        sieve.psi_count(10, math.nan)
+    with pytest.raises(ArgumentError):
         sieve.sifted_squarefree_arrays(0, 2.0)
+    with pytest.raises(ArgumentError):
+        sieve.sifted_squarefree_arrays(10, 0.5)
 
 
 def test_resource_errors():
