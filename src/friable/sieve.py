@@ -66,7 +66,13 @@ def primes_up_to(n: int) -> np.ndarray:
 
 def _iroot(x: int, k: int) -> int:
     """floor(x^(1/k)) for integers x >= 1, k >= 1: Newton's method from above."""
-    r = int(math.exp(math.log(x) / k) * (1.0 + 1e-9)) + 1
+    if x.bit_length() <= k:  # x < 2^k, so the root is 1
+        return 1
+    log_root = math.log(x) / k
+    if log_root < 700.0:  # exp stays finite; its relative error is far below 1e-9
+        r = int(math.exp(log_root) * (1.0 + 1e-9)) + 1
+    else:
+        r = 1 << -(-x.bit_length() // k)  # 2^ceil(bits / k) > x^(1/k)
     while True:
         s = ((k - 1) * r + x // r ** (k - 1)) // k
         if s >= r:
@@ -80,10 +86,11 @@ def friable_bound(N: int, u: float) -> int:
     ``u`` is read as the rational ``Fraction(u).limit_denominator(1000)``
     = a/b, and y^a <= N^b is decided in integers, so N = p^u gives
     exactly p where ``float(N) ** (1 / u)`` may round just below it.
+    A finite ``u >= 1/1000`` is needed, so that a/b > 0.
     """
+    if N < 1 or not (math.isfinite(u) and u >= 1e-3):
+        raise ArgumentError(f"need N >= 1 and finite u >= 0.001, got N = {N}, u = {u}")
     q = Fraction(u).limit_denominator(1000)
-    if N < 1 or q <= 0:
-        raise ArgumentError(f"need N >= 1 and u > 0, got N = {N}, u = {u}")
     return _iroot(N**q.denominator, q.numerator)
 
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -271,7 +271,7 @@ U_CHOICES = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
 def slab_count(system, body, N, u):
     """The slab walker on the thresholds count_friable_values uses."""
     table = forms.shared_factor_table(system, N)
-    masks = [table.friable_mask(float(N) ** (1.0 / ui)) for ui in u]
+    masks = [table.friable_mask(sieve.friable_bound(N, ui)) for ui in u]
     return forms._count_by_slabs(system, body, masks)
 
 
@@ -332,6 +332,9 @@ def separable_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(separable_inputs())
+@example(  # N = 5^3: a float cube root of 125 falls just below 5
+    (forms.FormSystem((forms.AffineForm((1,)),)), forms.ConvexBody.box([(1, 125)]), 125, (3.0,))
+)
 def test_convolution_matches_slab_walker(case):
     system, body, N, u = case
     assert forms._separable_layout(system, body) is not None or body.is_empty()

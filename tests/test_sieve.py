@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -278,8 +279,19 @@ def test_friable_bound_at_prime_powers():
         assert sieve.friable_bound(p**3, 1.5) == p * p
     assert sieve.friable_bound(97**3, 3.0) == 97 > float(97**3) ** (1.0 / 3.0)
     assert sieve.friable_bound(1, 3) == sieve.friable_bound(7, 3) == 1
-    with pytest.raises(ArgumentError):
-        sieve.friable_bound(10, 0.0)
+    assert sieve.friable_bound(10**6, 0.001) == 10**6000  # past float range
+    assert sieve.friable_bound(10**6, 1.7320508) == 2911  # N^b past float range
+    for bad in (0.0, -1.0, 1e-4, math.nan, math.inf):
+        with pytest.raises(ArgumentError):
+            sieve.friable_bound(10, bad)
+
+
+def test_friable_bound_large_u_is_immediate():
+    # the root is 1 once N < 2^a; a Newton step from 2 would square a 10^12-bit integer
+    start = time.perf_counter()
+    assert sieve.friable_bound(10**7, 1e12) == 1
+    assert sieve.friable_bound(10**7, 1e9) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_psi_at_prime_power_threshold():
