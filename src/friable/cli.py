@@ -232,12 +232,7 @@ def _cmd_sieve(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     tables = {}
     if args.csv:
         spf = np.where(table.spf == sieve.SPF_INFINITY, -1, table.spf)
-        rows = [
-            [int(n), int(l), int(s), int(m)]
-            for n, l, s, m in zip(
-                range(table.lo, table.hi + 1), table.lpf, spf, table.mu
-            )
-        ]
+        rows = np.column_stack([ns, table.lpf, spf, table.mu]).tolist()
         tables["table"] = (["n", "lpf", "spf_or_minus1_for_inf", "mu"], rows)
     params = {"lo": args.lo, "hi": args.hi}
     return params, result, tables

@@ -56,6 +56,43 @@ def _frac_mod1(theta: float, k: int) -> float:
     return (a * k % b) / b if b > 1 else 0.0
 
 
+_U64 = 1 << 64
+
+
+def _frac_mod1_array(theta: float, k: np.ndarray) -> np.ndarray | None:
+    """``_frac_mod1(theta, k)`` for every entry of a uint64 array, bit for bit.
+
+    With theta = a / 2^s and s <= 64, a k mod 2^s is (a mod 2^64) k in
+    wrapping uint64 arithmetic, masked to s bits.  The uint64 -> float64
+    cast rounds correctly, as Python's int division does, and dividing by
+    2^s is exact.  None when s > 64 (|theta| below about 2^-11).
+    """
+    a, b = float(theta).as_integer_ratio()
+    if b == 1:
+        return np.zeros(k.size)
+    if b > _U64:
+        return None
+    x = k * np.uint64(a % _U64)
+    x &= np.uint64(b - 1)
+    return x.astype(np.float64) / b
+
+
+def _floor_mul(phi: float, n: np.ndarray) -> np.ndarray:
+    """floor(phi n), exactly, for 0 <= phi < 1 and a uint64 array n < 2^32.
+
+    phi = p / 2^q with p < 2^53; the product p n < 2^85 is held as
+    H 2^32 + L with L < 2^32, from the 32-bit limbs of p, and shifted right
+    by q.  For q < 32, p < 2^q, so p n < 2^64 needs no limbs.
+    """
+    p, b = phi.as_integer_ratio()
+    q = b.bit_length() - 1
+    if q < 32:
+        return (n * np.uint64(p)) >> np.uint64(q)
+    lo = n * np.uint64(p & 0xFFFFFFFF)
+    high = n * np.uint64(p >> 32) + (lo >> np.uint64(32))
+    return high >> np.uint64(min(q - 32, 63))  # H < 2^54: a shift of 63 gives 0
+
+
 @dataclass(frozen=True)
 class PhaseSequence:
     """Explicit phase sequence n -> e(phase(n)) of step 0, 1 or 2.
@@ -111,10 +148,38 @@ class PhaseSequence:
             raise ArgumentError("N must be >= 0")
         if self.kind == "constant":
             return np.full(N + 1, np.exp(2j * np.pi * (self.params[0] % 1.0)))
-        phases = np.fromiter(
-            (self.phase(n) for n in range(N + 1)), dtype=float, count=N + 1
-        )
+        phases = self._exact_phases(N)
+        if phases is None:
+            phases = np.fromiter(
+                (self.phase(n) for n in range(N + 1)), dtype=float, count=N + 1
+            )
         return np.exp(2j * np.pi * phases)
+
+    def _exact_phases(self, N: int) -> np.ndarray | None:
+        """phase(n) for n = 0..N, bit for bit, by uint64 arithmetic.
+
+        The integer steps are exact (see ``_frac_mod1_array``) and the float
+        steps are those of ``phase`` in the same order.  None where that
+        arithmetic does not cover the input: N >= 2^32, a theta with
+        denominator above 2^64, or a bracket phi outside [0, 1); ``phase``
+        then stays the route.
+        """
+        if N >= 1 << 32:
+            return None
+        n = np.arange(N + 1, dtype=np.uint64)
+        if self.kind == "linear":
+            theta, beta = self.params
+            fr = _frac_mod1_array(theta, n)
+            return None if fr is None else (fr + beta) % 1.0
+        if self.kind == "quadratic":
+            t2, t1, t0 = self.params
+            f2 = _frac_mod1_array(t2, n * n)
+            f1 = _frac_mod1_array(t1, n)
+            return None if f2 is None or f1 is None else (f2 + f1 + t0) % 1.0
+        theta, phi = self.params
+        if not 0.0 <= phi < 1.0:
+            return None
+        return _frac_mod1_array(theta, n * _floor_mul(phi, n))
 
     def sequence(self, N: int) -> SequenceFn:
         return SequenceFn(self.values(N), meta=f"{self.kind}{self.params}")

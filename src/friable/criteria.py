@@ -251,10 +251,9 @@ def harper(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     within 1e-10 log N."""
     N = 10**4 if N is None else N
     y = 100.0
-    u = math.log(N) / math.log(y)
     body = forms.ConvexBody.simplex(2, 1, N)
     count = forms.count_friable_values(
-        forms.parse_form_system(TERNARY), body, N, (u, u, u), threads=threads
+        forms.parse_form_system(TERNARY), body, N, ys=(int(y),) * 3, threads=threads
     )
     pred = analytic.harper_prediction(N, y, threads=threads)
     ratio = count / pred.prediction

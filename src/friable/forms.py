@@ -654,21 +654,29 @@ def count_friable_values(
     system: FormSystem,
     body: ConvexBody,
     N: int,
-    u: Sequence[float],
+    u: Sequence[float] | None = None,
     *,
+    ys: Sequence[int] | None = None,
     threads: int = 1,
     table: sieve.FactorSieve | None = None,
 ) -> int:
-    """#{n in K cap Z^d : P+(F_i(n)) <= N^(1/u_i) for every i}, exact.
+    """#{n in K cap Z^d : P+(F_i(n)) <= y_i for every i}, exact.
 
+    The thresholds are y_i = friable_bound(N, u_i), the largest integer y
+    with y^(u_i) <= N, or, given in place of ``u``, the integers ``ys``.
     Form values equal to 0 or 1 count as friable (P+ convention).  A
     separable system (see ``_separable_layout``) is counted by one FFT
     convolution of friable masks; every other input by the slab walker.
     """
-    if len(u) != system.count:
-        raise ArgumentError(f"expected {system.count} friability exponents, got {len(u)}")
-    if any(ui <= 0 for ui in u):
-        raise ArgumentError("friability exponents must be positive")
+    if (u is None) == (ys is None):
+        raise ArgumentError("give exactly one of the exponents u and the thresholds ys")
+    given = u if ys is None else ys
+    if len(given) != system.count:
+        raise ArgumentError(
+            f"expected {system.count} friability exponents or thresholds, got {len(given)}"
+        )
+    if any(g <= 0 for g in given):
+        raise ArgumentError("friability exponents and thresholds must be positive")
     if not check_pairwise_affine_independence(system):
         raise ArgumentError("two forms are affinely related")
     if not validate_domain(system, body, N):
@@ -677,7 +685,8 @@ def count_friable_values(
         table = shared_factor_table(system, N)
     elif table.lo != 0 or table.hi < N:
         raise ArgumentError(f"factor table [{table.lo}, {table.hi}] must cover [0, {N}]")
-    ys = [sieve.friable_bound(N, ui) for ui in u]
+    if ys is None:
+        ys = [sieve.friable_bound(N, ui) for ui in u]
     masks: dict[int, np.ndarray] = {}
     for y in ys:
         if y not in masks:

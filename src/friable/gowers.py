@@ -8,13 +8,23 @@ The cyclic norm is computed by the derivative recursion
 with the U^2 base case evaluated through the Fourier identity
 ||f||_{U^2}^4 = sum_xi |fhat(xi)|^4 (one FFT), giving O(M^(k-1) log M)
 instead of the O(M^(k+1)) direct sum, which the test suite keeps as its
-oracle.
+oracle.  Since Delta_{-h} f(n) = conj(Delta_h f(n - h)), and U^j norms do
+not change under shifts and conjugation, the terms at h and -h are equal
+(for complex f too): the sum runs over h = 0..floor(M/2), with weight 1 at
+h = 0 and h = M/2 (M even) and 2 elsewhere.
 
-The interval norm U^k[N] embeds f * 1_[0,N] into Z_M' with
-M' = 2^k (N + 1), the smallest modulus for which no wrap-around occurs,
-and normalizes by the embedded indicator:
+The interval norm U^k[N] embeds f * 1_[0,N] into Z_M with M the first
+5-smooth length >= 2N + 1, and normalizes by the embedded indicator:
 
-    ||f||_{U^k[N]} = ||f 1_[0,N]||_{U^k(Z_M')} / ||1_[0,N]||_{U^k(Z_M')}.
+    ||f||_{U^k[N]} = ||f 1_[0,N]||_{U^k(Z_M)} / ||1_[0,N]||_{U^k(Z_M)}.
+
+Any M >= 2N + 1 gives the integer sums.  A parallelepiped n + w.h whose
+2^k vertices all fall in [0, N] mod M lifts to one with n in [0, N] and
+each h_i in [-N, N] (the lift is unique, as M > 2N); every other vertex
+is v1 + v2 - v3 of three vertices of lower order already in [0, N], so it
+lies in [-N, 2N], and such an integer falls in [0, N] mod M only if it
+lies in [0, N].  So the configurations mod M that the embedded support
+sees are exactly the integer ones, for every k.
 """
 
 from __future__ import annotations
@@ -22,8 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, NumericError, ResourceError
+from .forms import _fft_length
 
 _CYCLIC_GUARDRAIL = {2: 1 << 22, 3: 1 << 14, 4: 1 << 9}
 _BLOCK_ENTRIES = 1 << 22  # complex entries per batched FFT block
@@ -69,38 +81,44 @@ def _check_bounded(vals: np.ndarray) -> None:
         )
 
 
+def _fourth_power_sum(fh: np.ndarray) -> np.ndarray:
+    """sum |fh|^4 along the last axis, with |fh|^4 formed in place."""
+    mag = np.abs(fh)
+    mag *= mag
+    mag *= mag
+    return np.sum(mag, axis=-1)
+
+
 def _u2_pow(vals: np.ndarray) -> float:
     """||f||_{U^2}^4 = sum_xi |fhat(xi)|^4 with fhat(xi) = E_n f(n) e(-xi n / M)."""
-    fh = np.fft.fft(vals) / vals.size
-    mag = np.abs(fh)
-    return float(np.sum(mag**4))
+    return float(_fourth_power_sum(np.fft.fft(vals, norm="forward")))
 
-
-def _derivative_rows(vals: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Rows Delta_h f for h in hs: row[h][n] = f(n+h) * conj(f(n))."""
-    M = vals.size
-    idx = (np.arange(M)[None, :] + hs[:, None]) % M
-    return vals[idx] * np.conj(vals)[None, :]
 
 def _uk_pow(vals: np.ndarray, k: int) -> float:
-    """||f||_{U^k}^(2^k) by the derivative recursion with FFT base case."""
+    """||f||_{U^k}^(2^k) by the derivative recursion with FFT base case,
+    summed over h = 0..floor(M/2) by the h <-> -h symmetry."""
     M = vals.size
     if k == 2:
         return _u2_pow(vals)
+    shifted = sliding_window_view(np.concatenate((vals, vals)), M)  # row h: f(n + h)
+    conj = np.conj(vals)
+    weights = np.full(M // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if M % 2 == 0:
+        weights[-1] = 1.0
     if k == 3:
         chunk = max(1, _BLOCK_ENTRIES // M)
         total = 0.0
-        for start in range(0, M, chunk):
-            hs = np.arange(start, min(start + chunk, M))
-            rows = _derivative_rows(vals, hs)
-            fh = np.fft.fft(rows, axis=1) / M
-            total += float(np.sum(np.abs(fh) ** 4))
+        for start in range(0, weights.size, chunk):
+            w = weights[start : start + chunk]
+            rows = shifted[start : start + w.size] * conj
+            np.fft.fft(rows, axis=1, norm="forward", out=rows)
+            total += float(w @ _fourth_power_sum(rows))
         return total / M
     # k == 4: average U^3 powers of the derivatives
     total = 0.0
-    for h in range(M):
-        row = vals[(np.arange(M) + h) % M] * np.conj(vals)
-        total += _uk_pow(row, 3)
+    for h, w in enumerate(weights.tolist()):
+        total += w * _uk_pow(shifted[h] * conj, 3)
     return total / M
 
 
@@ -133,12 +151,12 @@ def gowers_norm_cyclic(f, k: int) -> float:
 def gowers_norm_interval(f, k: int) -> float:
     """||f||_{U^k[N]} for f on {0, ..., N}, N = len(f) - 1.
 
-    The guardrail applies to the ambient modulus M' = 2^k (N + 1), which is
-    what the FFTs actually run on.
+    The guardrail applies to the ambient modulus M = _fft_length(2N + 1),
+    which is what the FFTs actually run on.
     """
     vals = _coerce(f)
     n0 = vals.size
-    M = 2**k * n0
+    M = _fft_length(2 * n0 - 1)
     _check_k_and_size(k, M)
     _check_bounded(vals)
     emb = np.zeros(M, dtype=np.complex128)

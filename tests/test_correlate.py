@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from friable import correlate, dickman, forms, sieve
@@ -175,6 +177,60 @@ def test_bracket_phase_definition():
     assert g.phase(3) == 0.0
     assert g.values(3)[3] == pytest.approx(1.0 + 0j)
     assert g.step == 2 and not g.lipschitz
+
+
+def _phase_loop(g, N):
+    """e(phase(n)) for n = 0..N, one exact Python step per n: the oracle."""
+    phases = np.fromiter((g.phase(n) for n in range(N + 1)), dtype=float, count=N + 1)
+    return np.exp(2j * np.pi * phases)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# negative values, values above 1, |x| < 2^-11 (the loop's domain), short
+# mantissas such as 0.75, integers, and values just below j/m, where a float
+# product phi * m rounds up to j
+PHASE_PARAMS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-(2.0**-11), 2.0**-11),
+    st.builds(lambda a, s: a / 2**s, st.integers(-96, 96), st.integers(0, 6)),
+    st.integers(2, 2000).flatmap(
+        lambda m: st.integers(1, m - 1).map(lambda j: math.nextafter(j / m, 0.0))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "quadratic", "bracket"]),
+    params=st.lists(PHASE_PARAMS, min_size=3, max_size=3),
+    N=st.integers(0, 2000),
+)
+def test_phase_values_match_the_phase_loop(kind, params, N):
+    g = {
+        "linear": lambda t, b, _: correlate.PhaseSequence.linear(t, b),
+        "quadratic": correlate.PhaseSequence.quadratic,
+        "bracket": lambda t, p, _: correlate.PhaseSequence.bracket(t, p),
+    }[kind](*params)
+    assert _same_bits(g.values(N), _phase_loop(g, N))
+
+
+def test_phase_values_take_the_integer_kernel():
+    # the presets, the benchmark's seed-1 bracket, and a phi just below 5/6
+    # (the float product phi * 6 rounds up to 5), bit for bit at N = 10^5
+    bench = correlate.PhaseSequence.bracket(0.07373202094529699, 0.13303531932366952)
+    below = correlate.PhaseSequence.bracket(correlate.GOLDEN_CONJUGATE, math.nextafter(5 / 6, 0))
+    cases = [g for g in correlate.PHASE_PRESETS.values() if g.kind != "constant"]
+    for g in cases + [bench, below]:
+        assert g._exact_phases(10**5) is not None, g
+        assert _same_bits(g.values(10**5), _phase_loop(g, 10**5)), g
+    # outside the integer kernel's domain the loop is the route
+    assert correlate.PhaseSequence.linear(2.0**-40 / 3)._exact_phases(5) is None
+    assert correlate.PhaseSequence.bracket(0.3, -0.2)._exact_phases(5) is None
+    assert correlate.PhaseSequence.bracket(0.3, 1.5)._exact_phases(5) is None
 
 
 def test_phase_preset_lookup():

@@ -1,7 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
 import oracles
-from friable import analytic, criteria, dickman
+from friable import analytic, criteria, dickman, sieve
 from friable.errors import ArgumentError
 
 
@@ -34,3 +37,26 @@ def test_mertens_accepts_one_mild_inversion(monkeypatch):
 def test_theorem1_refuses_a_ladder_below_three():
     with pytest.raises(ArgumentError):
         criteria.theorem1(11)
+
+
+def test_harper_counts_at_the_threshold_it_predicts_at(monkeypatch):
+    # at N = 10024 the exponent log N / log 100 gives the threshold 99, not
+    # 100; no prime lies in (97, 100], so only the threshold itself shows it
+    N = 10024
+    assert sieve.friable_bound(N, math.log(N) / math.log(100)) == 99
+    mask = sieve.build_factor_sieve(0, N).friable_mask(100)
+    expected = sum(  # x1, x2 >= 1, x1 + x2 <= N, all three values 100-friable
+        int(np.count_nonzero(mask[1 : N - x1 + 1] & mask[x1 + 1 : N + 1]))
+        for x1 in np.flatnonzero(mask[1:N]) + 1
+    )
+    thresholds = []
+    friable_mask = sieve.FactorSieve.friable_mask
+
+    def spy(table, y):
+        thresholds.append(y)
+        return friable_mask(table, y)
+
+    monkeypatch.setattr(sieve.FactorSieve, "friable_mask", spy)
+    result, _ = criteria.harper(N)
+    assert thresholds == [100]
+    assert result["y"] == 100 and result["count"] == expected

@@ -418,6 +418,12 @@ def test_count_argument_errors():
         forms.count_friable_values(HARPER, body, 50, (2.0, 2.0))
     with pytest.raises(ArgumentError):
         forms.count_friable_values(HARPER, body, 50, (2.0, -1.0, 2.0))
+    # integer thresholds in place of the exponents: friable_bound(50, 2) = 7
+    by_u = forms.count_friable_values(HARPER, body, 50, (2.0, 2.0, 2.0))
+    assert forms.count_friable_values(HARPER, body, 50, ys=(7, 7, 7)) == by_u
+    for kwargs in ({"u": (2.0,) * 3, "ys": (7,) * 3}, {}, {"ys": (7, 7)}, {"ys": (7, 0, 7)}):
+        with pytest.raises(ArgumentError):
+            forms.count_friable_values(HARPER, body, 50, **kwargs)
     related = forms.parse_form_system("x1; 2x1+1")
     with pytest.raises(ArgumentError):
         forms.count_friable_values(related, forms.ConvexBody.box([(1, 50), (1, 50)]), 50, (2.0, 2.0))

@@ -134,6 +134,47 @@ def test_embedding_stability():
             assert abs(bigger - base) <= 1e-10
 
 
+def _bruteforce_on_old_embedding(vals, k):
+    """U^k[N] by the direct sum on Z_M with M = 2^k (N + 1)."""
+    M = 2**k * len(vals)
+    emb = np.zeros(M, dtype=complex)
+    emb[: len(vals)] = vals
+    ind = np.zeros(M, dtype=complex)
+    ind[: len(vals)] = 1.0
+    return oracles.gowers_norm_bruteforce(emb, k) / oracles.gowers_norm_bruteforce(ind, k)
+
+
+@pytest.mark.parametrize(
+    "N, k",
+    [
+        (11, 2),  # 2N + 1 = 23 is prime: M = 24
+        (12, 2),  # 2N + 1 = 25: M = 25
+        (9, 3),  # 19 is prime: M = 20
+        (7, 3),  # 15: M = 15
+        (1, 4),  # 3: M = 3 (the direct sum on the old M = 32 takes 2 s; N = 2 takes 28 s)
+    ],
+)
+def test_interval_norm_matches_bruteforce_on_old_embedding(N, k):
+    rng = np.random.default_rng(100 * k + N)
+    f = _random_bounded(rng, N + 1)
+    assert gowers.gowers_norm_interval(f, k) == pytest.approx(
+        _bruteforce_on_old_embedding(f, k), abs=1e-10
+    )
+
+
+@pytest.mark.parametrize("M", [15, 16, 33, 34])
+def test_half_shift_sum_equals_full_sum(M):
+    f = _random_bounded(np.random.default_rng(M), M)
+
+    def full(vals, k):  # the recursion over every h in Z_M
+        if k == 2:
+            return gowers._u2_pow(vals)
+        return sum(full(np.roll(vals, -h) * np.conj(vals), k - 1) for h in range(M)) / M
+
+    for k in (3, 4):
+        assert gowers._uk_pow(f, k) == pytest.approx(full(f, k), rel=1e-12)
+
+
 def test_balanced_friable_regression_and_autocorrelation_oracle():
     h256 = correlate.balanced_friable(256, 2.0)
     fast = gowers.gowers_norm_interval(h256.sequence(), 2)
@@ -163,7 +204,8 @@ def test_cost_guardrails():
     with pytest.raises(ResourceError):
         gowers.gowers_norm_cyclic(np.ones(2**10), 4)
     with pytest.raises(ResourceError):
-        gowers.gowers_norm_interval(np.ones(2**13), 3)  # ambient 2^3 (N+1) too big
+        # ambient modulus _fft_length(2N + 1) = 16875 > 2^14; at N = 2^13 - 1 it is 2^14
+        gowers.gowers_norm_interval(np.ones(2**13 + 1), 3)
 
 
 def test_bruteforce_guardrail():
