@@ -225,7 +225,6 @@ def balanced_friable(
     N: int,
     u: float,
     *,
-    table: sieve.FactorSieve | None = None,
     rho_table: dickman.DickmanTable | None = None,
 ) -> BalancedFriable:
     """Exact friable indicator from the sieve minus rho(u) from the table."""
@@ -233,13 +232,10 @@ def balanced_friable(
         raise ArgumentError(f"N must be >= 2, got {N}")
     if not 1.0 <= u <= 20.0:
         raise ArgumentError(f"u must lie in [1, 20], got {u}")
-    if table is None:
-        table = sieve.build_factor_sieve(0, N)
-    elif not (table.lo == 0 and table.hi >= N):
-        raise ArgumentError("factor table must cover [0, N]")
     y = sieve.friable_bound(N, u)
+    friable = sieve.friable_masks(N, [y])[y]
     rho_u = float(rho_table.eval(u) if rho_table is not None else dickman.rho(u))
-    vals = table.friable_mask(y)[: N + 1].astype(np.float64) - rho_u
+    vals = friable.astype(np.float64) - rho_u
     return BalancedFriable(N=N, u=u, rho_u=rho_u, values=vals)
 
 
@@ -333,8 +329,6 @@ def sigma_split(
     u: float,
     tau: float,
     g: PhaseSequence,
-    *,
-    table: sieve.FactorSieve | None = None,
 ) -> SigmaSplit:
     """Sigma_1 = sum h_tau(n) conj(g(n)) and Sigma_2 = the tail remainder.
 
@@ -342,9 +336,7 @@ def sigma_split(
     the constant (truncated Mobius mean - rho(u)), so Sigma_1 + Sigma_2
     equals the full balanced correlation sum identically.
     """
-    if table is None:
-        table = sieve.build_factor_sieve(0, N)
-    h = balanced_friable(N, u, table=table)
+    h = balanced_friable(N, u)
     ht = h_tau(N, u, tau)
     klim = int(math.floor(float(N) ** (1.0 - tau)))
     ks, mus = sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
@@ -407,10 +399,10 @@ def subset_decomposition_bound(
         )
     if not forms.validate_domain(system, body, N):
         raise ArgumentError(f"some form leaves [0, {N}] on this body")
-    table = forms.shared_factor_table(system, N)
     t = system.count
     ys = [sieve.friable_bound(N, ui) for ui in u]
-    masks = [table.friable_mask(y) for y in ys]
+    by_y = sieve.friable_masks(N, ys)
+    masks = [by_y[y] for y in ys]
     rhos = [float(dickman.rho(ui)) for ui in u]
 
     subsets = []

@@ -63,10 +63,11 @@ def ternary_local_density_sum(N: int, u) -> float:
     h = np.maximum(m // 8, 1)
     lo = np.maximum(m - h, 1)
     hi = m + h
-    table = sieve.build_factor_sieve(0, int(hi[-1]))
+    ys = [sieve.friable_bound(N, ui) for ui in u]
+    masks = sieve.friable_masks(int(hi[-1]), ys)
     deltas = []
-    for ui in u:
-        prefix = np.concatenate(([0], np.cumsum(table.friable_mask(sieve.friable_bound(N, ui)))))
+    for y in ys:
+        prefix = np.concatenate(([0], np.cumsum(masks[y])))
         delta = np.zeros(N + 1)
         delta[1:] = (prefix[hi + 1] - prefix[lo]) / (hi - lo + 1)
         deltas.append(delta)
@@ -92,9 +93,8 @@ def theorem1(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     counts, main_ratios, ladder_rows = {}, {u: [] for u in triples}, []
     for M in ladder:
         body = forms.ConvexBody.simplex(2, 1, M)
-        table = forms.shared_factor_table(system, M)
         for u in triples:
-            count = forms.count_friable_values(system, body, M, u, threads=threads, table=table)
+            count = forms.count_friable_values(system, body, M, u, threads=threads)
             main = forms.main_term(system, body, M, u)
             counts[M, u] = count
             main_ratios[u].append(count / main)
@@ -226,12 +226,11 @@ def decompose(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     rows = []
     for N in (10**3, 10**4, 10**5):
         tau = correlate.default_tau(N)
-        table = sieve.build_factor_sieve(0, N)
         for u in (1.5, 2.0, 3.0):
             rho_u = float(_dickman.rho(u))
             scale = u * N * (tau * u + rho_u * math.log(u + 1.0) / math.log(N))
             for name in ("linear_golden", "quadratic_sqrt2", "bracket_golden"):
-                split = correlate.sigma_split(N, u, tau, correlate.phase_preset(name), table=table)
+                split = correlate.sigma_split(N, u, tau, correlate.phase_preset(name))
                 rel = split.reconstruction_error / max(abs(split.total), 1e-30)
                 rows.append([N, u, name, rel, abs(split.sigma2) / scale])
     worst_rel = max(row[3] for row in rows)

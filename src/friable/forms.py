@@ -7,7 +7,7 @@ with per-form bounds N^(1/u_i), compared against Vol(K) * prod rho(u_i).
 Geometry is exact: boxes and H-polytopes (A x <= b) carry Fraction
 entries, membership and slab bounds use rational arithmetic only, and
 lattice enumeration walks coordinate slabs obtained by Fourier-Motzkin
-elimination.  Friability lookups come from one shared factor table over
+elimination.  Friability lookups index ``sieve.friable_masks`` over
 [0, N], which holds every form value once ``validate_domain`` passes.
 Separable systems, such as (x1, x2, x1 + x2) on a simplex, are counted
 by one FFT convolution of friable masks instead of point by point.
@@ -251,19 +251,6 @@ class ConvexBody:
         return all(
             sum(c * x for c, x in zip(coeffs, pt)) <= rhs for coeffs, rhs in self.rows
         )
-
-    def translate(self, v: Sequence[int]) -> "ConvexBody":
-        """The body shifted by the integer vector v."""
-        vv = [_as_fraction(x) for x in v]
-        if self.kind == "box":
-            return ConvexBody.box(
-                [(lo + s, hi + s) for (lo, hi), s in zip(self.bounds, vv)]
-            )
-        rows = [
-            (coeffs, rhs + sum(c * s for c, s in zip(coeffs, vv)))
-            for coeffs, rhs in self.rows
-        ]
-        return ConvexBody.halfspaces([r[0] for r in rows], [r[1] for r in rows])
 
     # -- Fourier-Motzkin levels ---------------------------------------------
 
@@ -593,20 +580,6 @@ def _iter_slabs(body: ConvexBody, first: tuple[int, int] | None = None):
     yield from walk((), 1)
 
 
-def enumerate_lattice_points(body: ConvexBody, N: int) -> Iterator[tuple[int, ...]]:
-    """All integer points of the body, row-major by coordinate slabs."""
-    if body.kind == "hpoly" and body.is_empty():
-        return
-    for j, (lo, hi) in enumerate(body.coordinate_bounds()):
-        if lo < -N or hi > N:
-            raise PreconditionError(
-                f"body coordinate x{j + 1} range [{lo}, {hi}] leaves [-{N}, {N}]"
-            )
-    for prefix, lo, hi in _iter_slabs(body):
-        for x in range(lo, hi + 1):
-            yield prefix + (x,)
-
-
 def lattice_point_count(body: ConvexBody) -> int:
     """Exact number of integer points (no [-N, N] restriction)."""
     return sum(hi - lo + 1 for _, lo, hi in _iter_slabs(body))
@@ -633,16 +606,6 @@ def iter_form_value_slabs(
         yield _slab_form_values(system, prefix, lo, hi)
 
 
-def shared_factor_table(system: FormSystem, N: int, **kwargs) -> sieve.FactorSieve:
-    """The factor table over [0, N] that serves every form lookup of ``system``.
-
-    Callers first check ``validate_domain(system, body, N)``, which proves
-    that every form value on the body lies in [0, N], so the range does
-    not depend on the forms.
-    """
-    return sieve.build_factor_sieve(0, N, **kwargs)
-
-
 # The convolution runs only while every entry of the convolution stays far
 # below 2^53, so float64 FFT rounding cannot reach 1/2; the asserted bound
 # on the rounding error below catches what the headroom does not.
@@ -658,7 +621,6 @@ def count_friable_values(
     *,
     ys: Sequence[int] | None = None,
     threads: int = 1,
-    table: sieve.FactorSieve | None = None,
 ) -> int:
     """#{n in K cap Z^d : P+(F_i(n)) <= y_i for every i}, exact.
 
@@ -681,16 +643,9 @@ def count_friable_values(
         raise ArgumentError("two forms are affinely related")
     if not validate_domain(system, body, N):
         raise PreconditionError(f"some form leaves [0, {N}] on this body")
-    if table is None:
-        table = shared_factor_table(system, N)
-    elif table.lo != 0 or table.hi < N:
-        raise ArgumentError(f"factor table [{table.lo}, {table.hi}] must cover [0, {N}]")
     if ys is None:
         ys = [sieve.friable_bound(N, ui) for ui in u]
-    masks: dict[int, np.ndarray] = {}
-    for y in ys:
-        if y not in masks:
-            masks[y] = table.friable_mask(y)
+    masks = sieve.friable_masks(N, ys, threads=threads)
     form_masks = [masks[y] for y in ys]
 
     layout = _separable_layout(system, body)
@@ -863,15 +818,3 @@ def main_term(
     for ui in u:
         prod *= float(evaluate_rho(ui))
     return vol * prod
-
-
-def conjecture_prediction(degrees: Sequence[int], u: float, N: int, d: int) -> float:
-    """Independence-heuristic prediction N^d * prod_i rho(d_i * u)."""
-    if not degrees:
-        raise ArgumentError("need at least one degree")
-    if list(degrees) != sorted(degrees, reverse=True) or degrees[-1] < 1:
-        raise ArgumentError("degrees must satisfy d_1 >= ... >= d_t >= 1")
-    prod = 1.0
-    for deg in degrees:
-        prod *= float(dickman.rho(deg * u))
-    return float(N) ** d * prod

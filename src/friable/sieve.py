@@ -1,22 +1,27 @@
 """Exact factorization primitives over integer segments.
 
-Everything here is integer-exact: largest/smallest prime factor tables,
-Mobius values, friable counting, and enumeration of sifted squarefree
-integers.  Conventions for the degenerate inputs are fixed once and used
-package-wide:
+Everything here is integer-exact.  Friability is decided in one place: a
+segment kernel divides small primes out of a remainder array, and both
+``psi_count`` (by popcount) and ``friable_masks`` (one mask per threshold)
+read it.  The sifted squarefree sums get a slice pass of their own over a
+Mobius array, and the full largest/smallest prime factor and Mobius tables
+serve ``friable sieve``.  Conventions for the degenerate inputs are fixed
+once and used package-wide:
 
     P+(0) = 0,  P+(+-1) = 1          (so 0 and 1 are y-friable for every y)
     P-(0) = 0,  P-(+-1) = +infinity  (so 1 is y-sifted for every y)
 
 Inside tables the infinite value is stored as the int64 sentinel
-``SPF_INFINITY``; the scalar API surfaces it as ``math.inf``.
+``SPF_INFINITY``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -115,29 +120,6 @@ class FactorSieve:
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
-
-    def _index(self, n: int) -> int:
-        if not self.lo <= n <= self.hi:
-            raise ArgumentError(f"{n} outside sieve segment [{self.lo}, {self.hi}]")
-        return n - self.lo
-
-    def largest(self, n: int) -> int:
-        return int(self.lpf[self._index(n)])
-
-    def smallest(self, n: int) -> int | float:
-        v = self.spf[self._index(n)]
-        return math.inf if v == SPF_INFINITY else int(v)
-
-    def mobius(self, n: int) -> int:
-        return int(self.mu[self._index(n)])
-
-    def friable_mask(self, y: float) -> np.ndarray:
-        """Boolean mask over the segment: P+(n) <= y."""
-        return self.lpf <= y
-
-    def sifted_mask(self, y: float) -> np.ndarray:
-        """Boolean mask over the segment: P-(n) > y (n = 0 is never sifted)."""
-        return self.spf > y
 
 
 def _power_slices(lo: int, hi: int, p: int) -> list[slice]:
@@ -242,18 +224,43 @@ def build_factor_sieve(
     )
 
 
-def iter_factor_segments(lo: int, hi: int, segment_size: int | None = None):
-    """Yield FactorSieve segments covering [lo, hi] in order (streaming)."""
-    segment_size = segment_size or config.DEFAULT_SEGMENT_SIZE
-    _check_bounds(lo, hi, config.DEFAULT_MAX_SIEVE_N)
-    base = primes_up_to(math.isqrt(hi))
-    for a in range(lo, hi + 1, segment_size):
-        yield _sieve_segment(a, min(a + segment_size - 1, hi), base)
-
-
 # ---------------------------------------------------------------------------
 # counts and enumerations
 # ---------------------------------------------------------------------------
+
+
+def _remainder_kernel(
+    a: int, b: int, primes: list[int], levels: list[tuple[int, int]], outs: list[np.ndarray]
+) -> None:
+    """The friability kernel on the segment [a, b]: writes outs[i] = (rem <= bound_i).
+
+    ``rem`` starts as the integers a..b.  ``levels`` is ascending: for
+    level i = (k_i, bound_i), the first k_i of ``primes`` are divided out
+    of ``rem``, once per power, before ``outs[i]`` is written.
+    """
+    rem = np.arange(a, b + 1, dtype=np.int32 if b < 2**31 else np.int64)
+    done = 0
+    for (k, bound), out in zip(levels, outs):
+        for p in primes[done:k]:
+            for s in _power_slices(a, b, p):
+                rem[s] //= p
+        done = k
+        np.less_equal(rem, bound, out=out)
+
+
+def _remainder_plan(N: int, ys: Sequence[float]) -> tuple[list[int], list[tuple[int, int]]]:
+    """(primes, levels) of the kernel over a range ending at N, thresholds ``ys``.
+
+    One level (k, bound) per distinct bound = floor(min(y, N)), ascending;
+    k counts the primes <= min(bound, sqrt(N)).
+    """
+    for y in ys:
+        if not y >= 1:
+            raise ArgumentError(f"friability bound must be >= 1, got {y}")
+    root = math.isqrt(N)
+    bounds = sorted({math.floor(min(y, N)) for y in ys})
+    primes = primes_up_to(min(max(bounds, default=1), root)).tolist()
+    return primes, [(bisect.bisect_right(primes, min(bound, root)), bound) for bound in bounds]
 
 
 def psi_count(
@@ -279,30 +286,55 @@ def psi_count(
       P+(n) <= y iff r = 1 or q <= y, iff r <= y.
 
     ``y = 1`` divides nothing and counts n = 1 alone, the P+(1) = 1
-    convention.  No lpf, spf or Mobius table is built.
+    convention.  No lpf, spf or Mobius table is built: each segment is
+    ``_remainder_kernel``'s mask, counted and dropped.
     """
     if N < 1:
         raise ArgumentError(f"N must be >= 1, got {N}")
-    if not y >= 1:
-        raise ArgumentError(f"friability bound must be >= 1, got {y}")
     max_n = max_n or config.DEFAULT_MAX_SIEVE_N
     if N > max_n:
         raise ResourceError(f"N = {N} exceeds configured maximum {max_n}")
+    primes, levels = _remainder_plan(N, [y])
     segment_size = segment_size or config.DEFAULT_SEGMENT_SIZE
-    bound = int(min(y, N))
-    base = primes_up_to(min(bound, math.isqrt(N))).tolist()
-    dtype = np.int32 if N < 2**31 else np.int64
     bounds = [(a, min(a + segment_size - 1, N)) for a in range(1, N + 1, segment_size)]
 
     def count_one(ab: tuple[int, int]) -> int:
         a, b = ab
-        rem = np.arange(a, b + 1, dtype=dtype)
-        for p in base:
-            for s in _power_slices(a, b, p):
-                rem[s] //= p
-        return int(np.count_nonzero(rem <= bound))
+        mask = np.empty(b - a + 1, dtype=bool)
+        _remainder_kernel(a, b, primes, levels, [mask])
+        return int(np.count_nonzero(mask))
 
     return sum(ordered_map(count_one, bounds, threads))
+
+
+def friable_masks(N: int, ys: Sequence[float], *, threads: int = 1) -> dict[float, np.ndarray]:
+    """{y: mask} for each distinct y in ``ys``, mask[n] = (P+(n) <= y) on 0 <= n <= N.
+
+    One pass of ``_remainder_kernel`` over [0, N]: the primes are divided
+    out in ascending order, and the mask of y is the snapshot
+    ``rem <= y`` taken once every prime <= min(y, sqrt(N)) is out, so
+    ``psi_count``'s proof covers each mask; rem[0] = 0 makes n = 0
+    friable, as P+(0) = 0.  Thresholds with the same floor(min(y, N))
+    share one array.  Raises ResourceError, before allocating, when N + 1
+    entries exceed the table budget ``config.DEFAULT_MAX_TABLE``.
+    """
+    if N < 1:
+        raise ArgumentError(f"N must be >= 1, got {N}")
+    if N + 1 > config.DEFAULT_MAX_TABLE:
+        raise ResourceError(
+            f"masks of {N + 1} entries exceed the table budget of {config.DEFAULT_MAX_TABLE}"
+        )
+    primes, levels = _remainder_plan(N, ys)
+    masks = [np.empty(N + 1, dtype=bool) for _ in levels]
+    segment_size = config.DEFAULT_SEGMENT_SIZE
+
+    def fill(a: int) -> None:
+        b = min(a + segment_size - 1, N)
+        _remainder_kernel(a, b, primes, levels, [m[a : b + 1] for m in masks])
+
+    ordered_map(fill, range(0, N + 1, segment_size), threads)
+    by_bound = {bound: m for (_, bound), m in zip(levels, masks)}
+    return {y: by_bound[math.floor(min(y, N))] for y in ys}
 
 
 def sifted_squarefree_arrays(
@@ -310,16 +342,44 @@ def sifted_squarefree_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(k, mu(k)) arrays for squarefree k <= limit with P-(k) > y, ascending.
 
+    Each segment keeps a Mobius array ``mu`` and a remainder ``rem``, and
+    every prime p <= sqrt(limit) writes slices: p <= y zeroes mu on its
+    multiples; p > y flips mu and divides rem on its multiples and zeroes
+    mu on the multiples of p^2.  A k whose mu is still nonzero is then
+    squarefree over the primes <= sqrt(limit), none of them <= y, and
+    rem[k] <= limit is 1 or a single prime q > sqrt(limit): q flips mu,
+    and zeroes it when q <= y too.
+
     ``y = 1`` sifts nothing out: every squarefree k <= limit is kept.
     """
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
     if not y >= 1:
         raise ArgumentError(f"sifting bound must be >= 1, got {y}")
+    _check_bounds(1, limit, config.DEFAULT_MAX_SIEVE_N)
+    segment_size = segment_size or config.DEFAULT_SEGMENT_SIZE
+    primes = primes_up_to(math.isqrt(limit)).tolist()
     ks: list[np.ndarray] = []
     mus: list[np.ndarray] = []
-    for seg in iter_factor_segments(1, limit, segment_size):
-        keep = (seg.mu != 0) & seg.sifted_mask(y)
-        ks.append(np.arange(seg.lo, seg.hi + 1, dtype=np.int64)[keep])
-        mus.append(seg.mu[keep].astype(np.int64))
+    for a in range(1, limit + 1, segment_size):
+        b = min(a + segment_size - 1, limit)
+        mu = np.ones(b - a + 1, dtype=np.int8)
+        rem = np.arange(a, b + 1, dtype=np.int32 if b < 2**31 else np.int64)
+        for p in primes:
+            slices = _power_slices(a, b, p)[:2]
+            if not slices:
+                continue
+            if p <= y:
+                mu[slices[0]] = 0
+                continue
+            mu[slices[0]] *= -1
+            rem[slices[0]] //= p
+            if len(slices) == 2:
+                mu[slices[1]] = 0
+        big = rem > 1
+        mu[big] *= -1
+        mu[big & (rem <= y)] = 0
+        keep = np.flatnonzero(mu)
+        ks.append(keep + a)
+        mus.append(mu[keep].astype(np.int64))
     return np.concatenate(ks), np.concatenate(mus)

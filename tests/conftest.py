@@ -2,14 +2,9 @@
 
 import pytest
 
-from friable import dickman, sieve
+from friable import dickman
 
 
 @pytest.fixture(scope="session")
 def rho_table():
     return dickman.build_rho_table(20.0, 1e-10)
-
-
-@pytest.fixture(scope="session")
-def table_1e5():
-    return sieve.build_factor_sieve(0, 10**5)

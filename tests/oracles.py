@@ -5,12 +5,14 @@ implementation it checks: trial division instead of sieving, 150-point
 Gauss-Legendre steps with barycentric interpolation instead of Chebyshev
 collocation, Monte Carlo instead of exact geometry, long-double bisection
 instead of double bisection + Newton, per-n divisor scans instead of
-sieve passes, and O(M^2) autocorrelation sums and direct (k+1)-fold
-Gowers sums instead of FFTs.
+sieve passes, membership tests of every bounding-box point instead of
+slab walks, and O(M^2) autocorrelation sums and direct (k+1)-fold Gowers
+sums instead of FFTs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,7 +20,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BarycentricInterpolator
 
-from friable.errors import ArgumentError, ResourceError
+from friable.errors import ArgumentError, PreconditionError, ResourceError
+from friable.forms import ConvexBody
 from friable.gowers import _BLOCK_ENTRIES, _check_bounded, _coerce, _root
 
 
@@ -127,6 +130,46 @@ def sifted_squarefree(limit: int, y: float) -> list[tuple[int, int]]:
         if m != 0 and spf(k) > y:
             out.append((k, m))
     return out
+
+
+# ---------------------------------------------------------------------------
+# lattice points by membership tests
+# ---------------------------------------------------------------------------
+
+
+def enumerate_lattice_points(body: ConvexBody, N: int) -> list[tuple[int, ...]]:
+    """The integer points of the body in lexicographic order: every point of
+    its integer bounding box, kept when it meets each constraint row, the
+    row scaled to integers.  Raises PreconditionError when the body leaves
+    [-N, N]^d."""
+    if body.kind == "hpoly" and body.is_empty():
+        return []
+    bounds = body.coordinate_bounds()
+    for j, (lo, hi) in enumerate(bounds):
+        if lo < -N or hi > N:
+            raise PreconditionError(
+                f"body coordinate x{j + 1} range [{lo}, {hi}] leaves [-{N}, {N}]"
+            )
+    points = itertools.product(*(range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in bounds))
+    if body.kind == "box":
+        return list(points)
+    rows = []
+    for coeffs, rhs in body.rows:
+        scale = math.lcm(*(Fraction(c).denominator for c in (*coeffs, rhs)))
+        rows.append(([int(c * scale) for c in coeffs], int(rhs * scale)))
+    return [
+        p for p in points if all(sum(c * x for c, x in zip(cs, p)) <= r for cs, r in rows)
+    ]
+
+
+def translate(body: ConvexBody, v) -> ConvexBody:
+    """The body shifted by the integer vector v."""
+    if body.kind == "box":
+        return ConvexBody.box([(lo + s, hi + s) for (lo, hi), s in zip(body.bounds, v)])
+    return ConvexBody.halfspaces(
+        [coeffs for coeffs, _ in body.rows],
+        [rhs + sum(c * s for c, s in zip(coeffs, v)) for coeffs, rhs in body.rows],
+    )
 
 
 # ---------------------------------------------------------------------------

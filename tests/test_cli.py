@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -236,3 +237,19 @@ def test_dump_json_formats():
     parsed = json.loads(text)
     assert parsed["a"] == 1 and parsed["c"][0] is True and parsed["c"][2] == 'x"y'
     assert "0.10000000000000001" in text  # 17 significant digits
+
+
+def test_fixed_outputs_are_unchanged(tmp_path):
+    # refactor oracle: exact outputs of fast commands, pinned from the CLI itself
+    assert run_cli(tmp_path, "sieve", "--lo", "0", "--hi", "100000", "--csv") == 0
+    csv_bytes = (tmp_path / "out" / "sieve_table.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == (
+        "4183960ed260f9f841032f8c5cec794c284ec56cd19f33f792c6c0ea17d7aabc"
+    )
+    count = ("count", "--forms", "x1; x2; x1+x2", "--body", "simplex:1,N", "--N", "2000")
+    assert run_cli(tmp_path, *count, "--u", "2,2,2") == 0
+    assert read_result(tmp_path, "count")["result"]["count"] == 174658
+    assert run_cli(tmp_path, "mertens", "--N", "1000000", "--u", "2", "--tau", "0.2") == 0
+    result = read_result(tmp_path, "mertens")["result"]
+    assert result["sum"] == 0.31075202760741483
+    assert result["mu2_tail"] == 0.22286461551045639

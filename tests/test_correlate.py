@@ -250,13 +250,10 @@ def test_sigma_split_trivial_case():
 
 def test_sigma_split_identity_grid():
     for N in (10**3, 10**4):
-        table = sieve.build_factor_sieve(0, N)
         tau = correlate.default_tau(N)
         for u in (1.5, 2.0, 3.0):
             for name in ("linear_golden", "quadratic_sqrt2", "bracket_golden"):
-                split = correlate.sigma_split(
-                    N, u, tau, correlate.phase_preset(name), table=table
-                )
+                split = correlate.sigma_split(N, u, tau, correlate.phase_preset(name))
                 scale = max(abs(split.total), 1e-12)
                 assert split.reconstruction_error <= 1e-8 * scale
 

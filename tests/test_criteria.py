@@ -44,19 +44,19 @@ def test_harper_counts_at_the_threshold_it_predicts_at(monkeypatch):
     # 100; no prime lies in (97, 100], so only the threshold itself shows it
     N = 10024
     assert sieve.friable_bound(N, math.log(N) / math.log(100)) == 99
-    mask = sieve.build_factor_sieve(0, N).friable_mask(100)
+    mask = sieve.build_factor_sieve(0, N).lpf <= 100
     expected = sum(  # x1, x2 >= 1, x1 + x2 <= N, all three values 100-friable
         int(np.count_nonzero(mask[1 : N - x1 + 1] & mask[x1 + 1 : N + 1]))
         for x1 in np.flatnonzero(mask[1:N]) + 1
     )
     thresholds = []
-    friable_mask = sieve.FactorSieve.friable_mask
+    friable_masks = sieve.friable_masks
 
-    def spy(table, y):
-        thresholds.append(y)
-        return friable_mask(table, y)
+    def spy(N, ys, **kwargs):
+        thresholds.extend(sorted(set(ys)))
+        return friable_masks(N, ys, **kwargs)
 
-    monkeypatch.setattr(sieve.FactorSieve, "friable_mask", spy)
+    monkeypatch.setattr(sieve, "friable_masks", spy)
     result, _ = criteria.harper(N)
     assert thresholds == [100]
     assert result["y"] == 100 and result["count"] == expected

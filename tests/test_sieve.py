@@ -1,16 +1,17 @@
 import functools
 import math
 import random
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from friable import sieve
+from friable import config, sieve
 from friable.errors import ArgumentError, ResourceError
 
 
@@ -21,24 +22,25 @@ from friable.errors import ArgumentError, ResourceError
 
 def test_build_conventions_small_segment():
     t = sieve.build_factor_sieve(0, 12)
-    assert t.largest(12) == 3 and t.smallest(12) == 2 and t.mobius(12) == 0
-    assert t.largest(1) == 1 and t.largest(0) == 0
-    assert t.smallest(1) == math.inf and t.smallest(0) == 0
-    assert t.mobius(0) == 0 and t.mobius(1) == 1
+    assert t.lpf[12] == 3 and t.spf[12] == 2 and t.mu[12] == 0
+    assert t.lpf[1] == 1 and t.lpf[0] == 0
+    assert t.spf[1] == sieve.SPF_INFINITY and t.spf[0] == 0
+    assert t.mu[0] == 0 and t.mu[1] == 1
 
 
 def test_build_prime_in_offset_segment():
     t = sieve.build_factor_sieve(90, 100)
-    assert t.largest(97) == t.smallest(97) == 97
-    assert t.mobius(97) == -1
+    assert t.lpf[97 - 90] == t.spf[97 - 90] == 97
+    assert t.mu[97 - 90] == -1
 
 
 def test_tables_match_trial_division():
     t = sieve.build_factor_sieve(0, 2000)
     for n in range(0, 2001):
-        assert t.largest(n) == oracles.lpf(n), n
-        assert t.smallest(n) == oracles.spf(n), n
-        assert t.mobius(n) == oracles.mu(n), n
+        spf = oracles.spf(n)
+        assert t.lpf[n] == oracles.lpf(n), n
+        assert t.spf[n] == (sieve.SPF_INFINITY if spf == math.inf else spf), n
+        assert t.mu[n] == oracles.mu(n), n
 
 
 def test_prime_invariants_in_segment():
@@ -70,12 +72,12 @@ def test_smallest_prime_factor_scalars():
 
 
 def test_is_friable():
-    mask = sieve.build_factor_sieve(0, 12).friable_mask
-    assert mask(2)[8]
-    assert not mask(3)[10]
-    assert mask(2)[0]  # P+(0) = 0
-    assert mask(1.5)[1]
-    assert np.array_equal(mask(3), [oracles.lpf(n) <= 3 for n in range(13)])
+    mask = sieve.friable_masks(12, [2, 3, 1.5])
+    assert mask[2][8]
+    assert not mask[3][10]
+    assert mask[2][0]  # P+(0) = 0
+    assert mask[1.5][1]
+    assert np.array_equal(mask[3], [oracles.lpf(n) <= 3 for n in range(13)])
 
 
 def test_psi_examples():
@@ -117,7 +119,7 @@ def test_lpf_multiplicativity():
         m = rng.randint(1, 10**4)
         n = rng.randint(1, 10**4)
         mn = sieve.build_factor_sieve(m * n, m * n)  # a one-entry segment far from 0
-        assert mn.largest(m * n) == max(t.largest(m), t.largest(n))
+        assert mn.lpf[0] == max(t.lpf[m], t.lpf[n])
 
 
 def test_psi_monotonicity():
@@ -164,10 +166,11 @@ def test_segment_independence():
 
 
 def test_streaming_matches_block_build():
-    whole = sieve.build_factor_sieve(0, 5000)
-    parts = list(sieve.iter_factor_segments(0, 5000, segment_size=600))
-    lpf = np.concatenate([p.lpf for p in parts])
-    assert np.array_equal(lpf, whole.lpf)
+    # psi_count streams 600-entry segments; friable_masks holds [0, 5000] whole
+    ys = [2, 7, 70, 71, 5000]
+    masks = sieve.friable_masks(5000, ys)
+    for y in ys:
+        assert sieve.psi_count(5000, y, segment_size=600) == int(np.count_nonzero(masks[y][1:]))
 
 
 def test_threaded_psi_deterministic():
@@ -223,7 +226,7 @@ def test_psi_count_matches_trial_division_and_factor_table(args):
     lpf = _oracle_tables()[0]
     assert psi == int(np.count_nonzero(lpf[1 : N + 1] <= y))  # = oracles.psi_count(N, y)
     table = sieve.build_factor_sieve(0, N, segment_size=segment_size)
-    assert psi == int(np.count_nonzero(table.friable_mask(y)[1:]))
+    assert psi == int(np.count_nonzero(table.lpf[1:] <= y))
 
 
 def test_psi_count_small_cases_direct_oracle():
@@ -263,7 +266,112 @@ def test_psi_count_keeps_no_factor_tables():
         tracemalloc.stop()
     assert peak < 16 * segment_size, peak
     table = sieve.build_factor_sieve(0, 10**6)
-    assert psi == int(np.count_nonzero(table.friable_mask(100.0)[1:]))
+    assert psi == int(np.count_nonzero(table.lpf[1:] <= 100))
+
+
+# ---------------------------------------------------------------------------
+# friability masks and the sifted kernel against trial division (hypothesis)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _mask_inputs(draw):
+    N = draw(st.integers(1, _LIMIT))
+    root = math.isqrt(N)
+    threshold = st.one_of(
+        st.just(1),
+        st.integers(max(1, root - 2), root + 2),
+        st.integers(N, 2 * N),
+        st.integers(1, N),
+        st.floats(1.0, 2.0 * N),
+    )
+    ys = draw(st.lists(threshold, min_size=1, max_size=3))
+    ys += draw(st.lists(st.sampled_from(ys), max_size=1))  # a duplicate, sometimes
+    return N, draw(st.permutations(ys))
+
+
+@given(_mask_inputs())
+@settings(max_examples=60, deadline=None)
+def test_friable_masks_match_trial_division(args):
+    N, ys = args
+    masks = sieve.friable_masks(N, ys)
+    lpf = _oracle_tables()[0][: N + 1]
+    assert set(masks) == set(ys)
+    for y in ys:
+        assert masks[y].dtype == bool
+        assert np.array_equal(masks[y], lpf <= y), y
+
+
+def test_friable_masks_across_segments_and_threads(monkeypatch):
+    N = config.DEFAULT_SEGMENT_SIZE + 12345
+    root = math.isqrt(N)
+    ys = [2, 1000, root, root + 1, 2 * 10**5, N]
+    lpf = sieve.build_factor_sieve(0, N).lpf
+    runs = [sieve.friable_masks(N, ys, threads=t) for t in (1, 2, 4)]
+    # many small segments on more threads than cores, switching often
+    monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 4099)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs.append(sieve.friable_masks(N, ys, threads=8))
+    finally:
+        sys.setswitchinterval(interval)
+    for y in ys:
+        assert np.array_equal(runs[0][y], lpf <= y), y
+        for other in runs[1:]:
+            assert np.array_equal(other[y], runs[0][y]), y
+
+
+def test_friable_masks_keep_no_factor_tables():
+    N = 10**6
+    sieve.primes_up_to(1000)  # the shared prime cache is not part of the masks
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        masks = sieve.friable_masks(N, [1000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the mask (1 byte) and one int32 remainder per entry; the factor table takes 17
+    assert peak < 6 * (N + 1), peak
+    assert int(np.count_nonzero(masks[1000][1:])) == sieve.psi_count(N, 1000)
+
+
+def _sifted_oracle(limit: int, y: float) -> list[tuple[int, int]]:
+    """oracles.sifted_squarefree(limit, y), read off the trial-division tables."""
+    _, spf, mu = (t[1 : limit + 1] for t in _oracle_tables())
+    ks = np.flatnonzero((mu != 0) & (spf > y)) + 1
+    return list(zip(ks.tolist(), mu[ks - 1].tolist()))
+
+
+@st.composite
+def _sifted_inputs(draw):
+    limit = draw(st.integers(2, 2 * 10**4))
+    root = math.isqrt(limit)
+    y = draw(
+        st.one_of(
+            st.floats(1.0, 2.0 * limit, exclude_min=True),
+            st.integers(root - 1, root + 2).map(float),
+            st.floats(root + 1.0, float(limit)),  # leftover primes q in (sqrt(limit), y]
+            st.sampled_from([p for p in _PRIMES if p <= 2 * limit]).map(float),
+        )
+    )
+    assume(1.0 < y <= 2.0 * limit)
+    segment_size = draw(st.integers(256, 4096).filter(lambda s: limit % s != 0))
+    return limit, y, segment_size
+
+
+@given(_sifted_inputs())
+@example((1000, 100.0, 300))  # sqrt(limit) < y < limit
+@settings(max_examples=60, deadline=None)
+def test_sifted_squarefree_matches_trial_division(args):
+    limit, y, segment_size = args
+    ks, mus = sieve.sifted_squarefree_arrays(limit, y, segment_size=segment_size)
+    assert ks.dtype == mus.dtype == np.int64
+    pairs = list(zip(ks.tolist(), mus.tolist()))
+    assert pairs == _sifted_oracle(limit, y)
+    if limit <= 2000:
+        assert pairs == oracles.sifted_squarefree(limit, y)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +435,9 @@ def test_argument_errors():
         sieve.sifted_squarefree_arrays(0, 2.0)
     with pytest.raises(ArgumentError):
         sieve.sifted_squarefree_arrays(10, 0.5)
+    for N, ys in [(0, [2]), (10, [0.5]), (10, [2, math.nan])]:
+        with pytest.raises(ArgumentError):
+            sieve.friable_masks(N, ys)
 
 
 def test_resource_errors():
@@ -334,11 +445,5 @@ def test_resource_errors():
         sieve.build_factor_sieve(0, 10**7, max_entries=10**6)
     with pytest.raises(ResourceError):
         sieve.psi_count(2**41, 10.0)
-
-
-def test_segment_index_errors():
-    t = sieve.build_factor_sieve(10, 20)
-    with pytest.raises(ArgumentError):
-        t.largest(9)
-    with pytest.raises(ArgumentError):
-        t.mobius(21)
+    with pytest.raises(ResourceError):
+        sieve.friable_masks(config.DEFAULT_MAX_TABLE, [2])  # 2^26 + 1 entries
