@@ -20,13 +20,3 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> l
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def chunk_ranges(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """Split the inclusive integer range [lo, hi] into <= parts contiguous pieces."""
-    n = hi - lo + 1
-    if n <= 0:
-        return []
-    parts = max(1, min(parts, n))
-    step = (n + parts - 1) // parts
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]

@@ -321,13 +321,18 @@ def _cmd_mertens(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     return params, result, {}
 
 
-def _load_gowers_input(spec: str) -> gowers.SequenceFn:
+def _load_gowers_input(spec: str, k: int, interval: bool) -> gowers.SequenceFn:
+    """The sequence of ``--input``; a preset's size is checked against the
+    U^k guardrail before the sequence is built."""
     parts = spec.split(":")
     if parts[0] == "balanced" and len(parts) == 3:
         N, u = _parse_number(int, parts[1], spec), _parse_number(float, parts[2], spec)
+        gowers._check_k_and_size(k, N + 1, interval=interval)
         return correlate.balanced_friable(N, u).sequence()
     if parts[0] in correlate.PHASE_PRESETS and len(parts) == 2:
-        return correlate.phase_preset(parts[0]).sequence(_parse_number(int, parts[1], spec))
+        N = _parse_number(int, parts[1], spec)
+        gowers._check_k_and_size(k, N + 1, interval=interval)
+        return correlate.phase_preset(parts[0]).sequence(N)
     path = Path(spec)
     if not path.exists():
         raise ArgumentError(
@@ -348,7 +353,7 @@ def _load_gowers_input(spec: str) -> gowers.SequenceFn:
 
 
 def _cmd_gowers(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
-    seq = _load_gowers_input(args.input)
+    seq = _load_gowers_input(args.input, args.k, args.mode == "interval")
     if args.mode == "cyclic":
         norm = gowers.gowers_norm_cyclic(seq, args.k)
     else:

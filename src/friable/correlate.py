@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dickman, forms, sieve
+from . import config, dickman, forms, sieve
 from .errors import ArgumentError, ResourceError
 from .gowers import SequenceFn
 
@@ -143,9 +143,15 @@ class PhaseSequence:
         return _frac_mod1(theta, n * m)
 
     def values(self, N: int) -> np.ndarray:
-        """e(phase(n)) for n = 0..N as a complex array."""
+        """e(phase(n)) for n = 0..N as a complex array.
+
+        Raises ResourceError, before allocating, when N + 1 entries exceed
+        the table budget ``config.DEFAULT_MAX_TABLE``.
+        """
         if N < 0:
             raise ArgumentError("N must be >= 0")
+        if N + 1 > config.DEFAULT_MAX_TABLE:
+            raise ResourceError(f"{N + 1} phases exceed the budget of {config.DEFAULT_MAX_TABLE}")
         if self.kind == "constant":
             return np.full(N + 1, np.exp(2j * np.pi * (self.params[0] % 1.0)))
         phases = self._exact_phases(N)
@@ -221,20 +227,15 @@ class BalancedFriable:
         return SequenceFn(self.values, meta=f"balanced_friable(N={self.N}, u={self.u})")
 
 
-def balanced_friable(
-    N: int,
-    u: float,
-    *,
-    rho_table: dickman.DickmanTable | None = None,
-) -> BalancedFriable:
-    """Exact friable indicator from the sieve minus rho(u) from the table."""
+def balanced_friable(N: int, u: float) -> BalancedFriable:
+    """Exact friable indicator from the sieve minus rho(u)."""
     if N < 2:
         raise ArgumentError(f"N must be >= 2, got {N}")
     if not 1.0 <= u <= 20.0:
         raise ArgumentError(f"u must lie in [1, 20], got {u}")
     y = sieve.friable_bound(N, u)
     friable = sieve.friable_masks(N, [y])[y]
-    rho_u = float(rho_table.eval(u) if rho_table is not None else dickman.rho(u))
+    rho_u = float(dickman.rho(u))
     vals = friable.astype(np.float64) - rho_u
     return BalancedFriable(N=N, u=u, rho_u=rho_u, values=vals)
 
@@ -258,12 +259,36 @@ def default_tau(N: int, epsilon: float = 0.5) -> float:
     return min(max(raw, lo), hi)
 
 
-def _admissible_k(N: int, u: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sifted squarefree k <= N^(1-tau) with their Mobius values."""
+def _cutoff(N: int, tau: float) -> int:
+    """The truncation point floor(N^(1-tau)) of the Mobius split."""
     if not 1.0 / math.log(N) < tau < 1.0:
         raise ArgumentError(f"tau must lie in (1/log N, 1), got {tau}")
-    klim = int(math.floor(float(N) ** (1.0 - tau)))
-    return sieve.sifted_squarefree_arrays(max(klim, 1), sieve.friable_bound(N, u))
+    return int(math.floor(float(N) ** (1.0 - tau)))
+
+
+def _admissible_k(N: int, u: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sifted squarefree k <= N^(1-tau) with their Mobius values."""
+    return sieve.sifted_squarefree_arrays(max(_cutoff(N, tau), 1), sieve.friable_bound(N, u))
+
+
+def _divisor_pass(N: int, ks: np.ndarray, mus: np.ndarray, start: float) -> np.ndarray:
+    """start + sum_k mu(k) 1[k | n] for n = 0..N by one strided pass per k; index 0 is 0."""
+    out = np.full(N + 1, start, dtype=np.float64)
+    for k, m in zip(ks.tolist(), mus.tolist()):
+        out[::k] += m
+    out[0] = 0.0
+    return out
+
+
+def _truncated_mobius(N: int, ks: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, float]:
+    """(h_tau on 0..N, its mean sum mu(k)/k) from the admissible k and mu(k)."""
+    work = int(np.sum(N // ks))
+    if work > _HTAU_TERM_BUDGET:
+        raise ResourceError(
+            f"h_tau sieve pass needs {work} updates, over budget {_HTAU_TERM_BUDGET}"
+        )
+    mean = math.fsum((mus / ks).tolist())
+    return _divisor_pass(N, ks, mus, -mean), mean
 
 
 def h_tau(N: int, u: float, tau: float) -> SequenceFn:
@@ -275,18 +300,8 @@ def h_tau(N: int, u: float, tau: float) -> SequenceFn:
     """
     if N < 2:
         raise ArgumentError(f"N must be >= 2, got {N}")
-    ks, mus = _admissible_k(N, u, tau)
-    work = int(np.sum(N // ks))
-    if work > _HTAU_TERM_BUDGET:
-        raise ResourceError(
-            f"h_tau sieve pass needs {work} updates, over budget {_HTAU_TERM_BUDGET}"
-        )
-    mean = math.fsum((mus / ks).tolist())
-    out = np.full(N + 1, -mean, dtype=np.float64)
-    for k, m in zip(ks.tolist(), mus.tolist()):
-        out[::k] += m
-    out[0] = 0.0
-    return SequenceFn(out, meta=f"h_tau(N={N}, u={u}, tau={tau})")
+    values, _ = _truncated_mobius(N, *_admissible_k(N, u, tau))
+    return SequenceFn(values, meta=f"h_tau(N={N}, u={u}, tau={tau})")
 
 
 def correlation(f, g) -> complex:
@@ -337,18 +352,14 @@ def sigma_split(
     equals the full balanced correlation sum identically.
     """
     h = balanced_friable(N, u)
-    ht = h_tau(N, u, tau)
-    klim = int(math.floor(float(N) ** (1.0 - tau)))
+    klim = _cutoff(N, tau)
     ks, mus = sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
-    tail_sel = ks > klim
-    mean = math.fsum((mus[~tail_sel] / ks[~tail_sel]).tolist())
-    rest = np.full(N + 1, mean - h.rho_u, dtype=np.float64)
-    for k, m in zip(ks[tail_sel].tolist(), mus[tail_sel].tolist()):
-        rest[::k] += m
-    rest[0] = 0.0
+    head = int(np.searchsorted(ks, klim, side="right"))
+    ht, mean = _truncated_mobius(N, ks[:head], mus[:head])
+    rest = _divisor_pass(N, ks[head:], mus[head:], mean - h.rho_u)
     gv = g.values(N)
     cg = np.conj(gv[1:])
-    sigma1 = complex(np.sum(ht.values[1:] * cg))
+    sigma1 = complex(np.sum(ht[1:] * cg))
     sigma2 = complex(np.sum(rest[1:] * cg))
     total = complex(np.sum(h.values[1:].astype(np.complex128) * cg))
     return SigmaSplit(sigma1=sigma1, sigma2=sigma2, total=total)
@@ -410,11 +421,16 @@ def subset_decomposition_bound(
         subsets.extend(itertools.combinations(range(t), size))
     sums = {s: 0.0 for s in subsets}
     count = 0
-    for vals in forms.iter_form_value_slabs(system, body):
-        hs = [masks[i][vals[i]].astype(np.float64) - rhos[i] for i in range(t)]
-        friable_all = masks[0][vals[0]]
-        for i in range(1, t):
-            friable_all = friable_all & masks[i][vals[i]]
+    for prefix, lo, hi in forms._iter_slabs(body):
+        # a constant form is broadcast: h = -rho(u) is not 0 on a non-friable run
+        flags = [
+            np.full(hi - lo + 1, flag) if isinstance(flag, bool) else flag
+            for flag in forms._slab_flags(system, masks, prefix, lo, hi)
+        ]
+        hs = [flags[i].astype(np.float64) - rhos[i] for i in range(t)]
+        friable_all = flags[0]
+        for flag in flags[1:]:
+            friable_all = friable_all & flag
         count += int(np.count_nonzero(friable_all))
         for s in subsets:
             prod = hs[s[0]]

@@ -9,8 +9,12 @@ entries, membership and slab bounds use rational arithmetic only, and
 lattice enumeration walks coordinate slabs obtained by Fourier-Motzkin
 elimination.  Friability lookups index ``sieve.friable_masks`` over
 [0, N], which holds every form value once ``validate_domain`` passes.
-Separable systems, such as (x1, x2, x1 + x2) on a simplex, are counted
-by one FFT convolution of friable masks instead of point by point.
+Along one slab a form's values are an arithmetic progression, so its
+flags are a strided view of its mask, or a single flag when the form does
+not depend on the innermost coordinate; a non-friable single flag skips
+the whole slab.  Separable systems, such as (x1, x2, x1 + x2) on a
+simplex, are counted by one FFT convolution of friable masks instead of
+slab by slab.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import dickman, sieve
-from ._parallel import chunk_ranges, ordered_map
 from .errors import ArgumentError, NumericError, PreconditionError
 
 _INT64_MAX = 2**63 - 1
@@ -460,12 +463,16 @@ class VolumeResult(NamedTuple):
     exact: bool
 
 
-def volume(body: ConvexBody, *, max_grid_points: int = 20_000_000) -> VolumeResult:
+_VOLUME_MAX_GRID_POINTS = 20_000_000
+
+
+def volume(body: ConvexBody) -> VolumeResult:
     """Continuous volume: exact for boxes and simplices, grid surrogate otherwise.
 
     The surrogate counts K intersected with (eps Z)^d starting at eps =
     (shortest bounding-box edge)/8 and halving until the estimate moves by
-    <= 0.1% (flagged approximate).
+    <= 0.1%, or until the next grid would pass ``_VOLUME_MAX_GRID_POINTS``
+    points (flagged approximate).
     """
     if body.kind == "box":
         prod = Fraction(1)
@@ -494,7 +501,7 @@ def volume(body: ConvexBody, *, max_grid_points: int = 20_000_000) -> VolumeResu
         if est is not None and cnt > 0 and abs(new - est) <= 1e-3 * new:
             return VolumeResult(new, False)
         est = new
-        if cnt * 2**d > max_grid_points:
+        if cnt * 2**d > _VOLUME_MAX_GRID_POINTS:
             return VolumeResult(est, False)
         eps = eps / 2
 
@@ -545,34 +552,19 @@ def _determinant(mat: list[list[Fraction]]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _iter_slabs(body: ConvexBody, first: tuple[int, int] | None = None):
-    """Yield (prefix, lo, hi): innermost-coordinate runs, lexicographic.
-
-    ``first`` optionally restricts the first coordinate (thread chunking).
-    """
-    d = body.dimension
+def _iter_slabs(body: ConvexBody):
+    """Yield (prefix, lo, hi): innermost-coordinate runs, lexicographic."""
     if body.kind == "hpoly" and body.is_empty():
         return
-    if d == 1:
-        rng = body.integer_slab(1, ())
-        if rng is not None:
-            lo, hi = rng
-            if first is not None:
-                lo, hi = max(lo, first[0]), min(hi, first[1])
-            if lo <= hi:
-                yield (), lo, hi
-        return
+    d = body.dimension
 
     def walk(prefix: tuple[int, ...], level: int):
         rng = body.integer_slab(level, prefix)
         if rng is None:
             return
         lo, hi = rng
-        if level == 1 and first is not None:
-            lo, hi = max(lo, first[0]), min(hi, first[1])
         if level == d:
-            if lo <= hi:
-                yield prefix, lo, hi
+            yield prefix, lo, hi
             return
         for x in range(lo, hi + 1):
             yield from walk(prefix + (x,), level + 1)
@@ -585,25 +577,24 @@ def lattice_point_count(body: ConvexBody) -> int:
     return sum(hi - lo + 1 for _, lo, hi in _iter_slabs(body))
 
 
-def _slab_form_values(
-    system: FormSystem, prefix: tuple[int, ...], lo: int, hi: int
-) -> list[np.ndarray]:
-    """Per-form int64 value arrays along one innermost-coordinate run."""
-    xs = np.arange(lo, hi + 1, dtype=np.int64)
-    out = []
-    for f in system.forms:
+def _slab_flags(
+    system: FormSystem, form_masks: Sequence[np.ndarray], prefix: tuple[int, ...], lo: int, hi: int
+) -> list[np.ndarray | bool]:
+    """Per form, the friability of its values along one run x_d = lo..hi.
+
+    With innermost coefficient a != 0 the values base + a x form an
+    arithmetic progression, so the flags are the strided view
+    ``mask[base + a lo :: a][:hi - lo + 1]`` (either sign of a; no gather,
+    no index array); with a = 0 the value is constant on the run and the
+    flag is the scalar ``mask[base]``.  Every value lies in [0, N] once
+    ``validate_domain`` holds, so no index wraps.
+    """
+    flags: list[np.ndarray | bool] = []
+    for f, mask in zip(system.forms, form_masks):
         base = f.constant + sum(c * p for c, p in zip(f.coeffs[:-1], prefix))
         a = f.coeffs[-1]
-        out.append(a * xs + base if a else np.full(xs.shape, base, dtype=np.int64))
-    return out
-
-
-def iter_form_value_slabs(
-    system: FormSystem, body: ConvexBody
-) -> Iterator[list[np.ndarray]]:
-    """Stream per-form value arrays slab by slab (deterministic order)."""
-    for prefix, lo, hi in _iter_slabs(body):
-        yield _slab_form_values(system, prefix, lo, hi)
+        flags.append(mask[base + a * lo :: a][: hi - lo + 1] if a else bool(mask[base]))
+    return flags
 
 
 # The convolution runs only while every entry of the convolution stays far
@@ -629,6 +620,8 @@ def count_friable_values(
     Form values equal to 0 or 1 count as friable (P+ convention).  A
     separable system (see ``_separable_layout``) is counted by one FFT
     convolution of friable masks; every other input by the slab walker.
+    ``threads`` splits the segments of the mask sieve; both counts run in
+    the calling thread.
     """
     if (u is None) == (ys is None):
         raise ArgumentError("give exactly one of the exponents u and the thresholds ys")
@@ -653,32 +646,32 @@ def count_friable_values(
         count = _count_by_convolution(system, layout, body, form_masks)
         if count is not None:
             return count
-    return _count_by_slabs(system, body, form_masks, threads)
+    return _count_by_slabs(system, body, form_masks)
 
 
 def _count_by_slabs(
-    system: FormSystem, body: ConvexBody, form_masks: Sequence[np.ndarray], threads: int = 1
+    system: FormSystem, body: ConvexBody, form_masks: Sequence[np.ndarray]
 ) -> int:
     """The slab walker: every lattice point, one innermost-coordinate run at a time.
 
-    ``form_masks[i]`` is the friability mask that form i's values index.
+    ``form_masks[i]`` is the friability mask that form i's values index.  A
+    run on which some form is constant at a non-friable value is skipped
+    whole; the others count the AND of their forms' views.
     """
-
-    def count_chunk(first: tuple[int, int]) -> int:
-        total = 0
-        for prefix, lo, hi in _iter_slabs(body, first):
-            vals = _slab_form_values(system, prefix, lo, hi)
-            ok = form_masks[0][vals[0]]
-            for mask, v in zip(form_masks[1:], vals[1:]):
-                ok &= mask[v]
-            total += int(np.count_nonzero(ok))
-        return total
-
-    top = body.integer_slab(1, ())
-    if top is None:
-        return 0
-    chunks = chunk_ranges(top[0], top[1], max(1, threads) * 4)
-    return sum(ordered_map(count_chunk, chunks, threads))
+    total = 0
+    for prefix, lo, hi in _iter_slabs(body):
+        flags = _slab_flags(system, form_masks, prefix, lo, hi)
+        if not all(flag for flag in flags if isinstance(flag, bool)):
+            continue
+        views = [flag for flag in flags if not isinstance(flag, bool)]
+        if not views:
+            total += hi - lo + 1
+            continue
+        ok = views[0]
+        for view in views[1:]:
+            ok = ok & view
+        total += int(np.count_nonzero(ok))
+    return total
 
 
 class _Layout(NamedTuple):
@@ -801,20 +794,12 @@ def _count_by_convolution(
     return int(exact[k0 : k1 + 1][values_ok].sum())
 
 
-def main_term(
-    system: FormSystem,
-    body: ConvexBody,
-    N: int,
-    u: Sequence[float],
-    *,
-    table: dickman.DickmanTable | None = None,
-) -> float:
+def main_term(system: FormSystem, body: ConvexBody, N: int, u: Sequence[float]) -> float:
     """Vol(K) * prod_i rho(u_i)."""
     if len(u) != system.count:
         raise ArgumentError(f"expected {system.count} friability exponents, got {len(u)}")
     vol = volume(body).value
-    evaluate_rho = table.eval if table is not None else dickman.rho
     prod = 1.0
     for ui in u:
-        prod *= float(evaluate_rho(ui))
+        prod *= float(dickman.rho(ui))
     return vol * prod

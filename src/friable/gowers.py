@@ -131,19 +131,26 @@ def _root(power: float, k: int) -> float:
     return power ** (1.0 / 2.0**k)
 
 
-def _check_k_and_size(k: int, M: int) -> None:
+def _check_k_and_size(k: int, length: int, *, interval: bool) -> int:
+    """The modulus M of the U^k norm of ``length`` entries: ``length`` on Z_M,
+    _fft_length(2N + 1) on an interval {0, ..., N}.  Raises ArgumentError
+    for k outside 2..4 and ResourceError over the guardrail; a caller that
+    builds its sequence checks first, so a refused input allocates nothing.
+    """
     if k not in (2, 3, 4):
         raise ArgumentError(f"only U^2..U^4 are supported, got k = {k}")
+    M = _fft_length(2 * length - 1) if interval else length
     if M > _CYCLIC_GUARDRAIL[k]:
         raise ResourceError(
             f"modulus {M} exceeds the U^{k} cost guardrail {_CYCLIC_GUARDRAIL[k]}"
         )
+    return M
 
 
 def gowers_norm_cyclic(f, k: int) -> float:
     """||f||_{U^k(Z_M)} for f on Z_M, M = len(f)."""
     vals = _coerce(f)
-    _check_k_and_size(k, vals.size)
+    _check_k_and_size(k, vals.size, interval=False)
     _check_bounded(vals)
     return _root(_uk_pow(vals, k), k)
 
@@ -156,8 +163,7 @@ def gowers_norm_interval(f, k: int) -> float:
     """
     vals = _coerce(f)
     n0 = vals.size
-    M = _fft_length(2 * n0 - 1)
-    _check_k_and_size(k, M)
+    M = _check_k_and_size(k, n0, interval=True)
     _check_bounded(vals)
     emb = np.zeros(M, dtype=np.complex128)
     emb[:n0] = vals

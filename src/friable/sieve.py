@@ -188,25 +188,19 @@ def _check_bounds(lo: int, hi: int, max_n: int) -> None:
         raise ResourceError(f"hi = {hi} exceeds configured maximum {max_n}")
 
 
-def build_factor_sieve(
-    lo: int,
-    hi: int,
-    *,
-    segment_size: int | None = None,
-    max_entries: int | None = None,
-) -> FactorSieve:
+def build_factor_sieve(lo: int, hi: int, *, segment_size: int | None = None) -> FactorSieve:
     """Build lpf/spf/mu tables for [lo, hi], sieving in cache-sized segments.
 
-    Raises ResourceError when the table would exceed ``max_entries``
-    (default 2**26) and ArgumentError for an empty or negative range.
+    Raises ResourceError, before allocating, when the table would exceed
+    the budget ``config.DEFAULT_MAX_TABLE`` entries, and ArgumentError for
+    an empty or negative range.
     """
     segment_size = segment_size or config.DEFAULT_SEGMENT_SIZE
-    max_entries = max_entries or config.DEFAULT_MAX_TABLE
     _check_bounds(lo, hi, config.DEFAULT_MAX_SIEVE_N)
     total = hi - lo + 1
-    if total > max_entries:
+    if total > config.DEFAULT_MAX_TABLE:
         raise ResourceError(
-            f"segment of {total} entries exceeds memory budget of {max_entries}"
+            f"segment of {total} entries exceeds memory budget of {config.DEFAULT_MAX_TABLE}"
         )
     base = primes_up_to(math.isqrt(hi))
     parts = [
@@ -269,7 +263,6 @@ def psi_count(
     *,
     segment_size: int | None = None,
     threads: int = 1,
-    max_n: int | None = None,
 ) -> int:
     """Psi(N, y) = #{1 <= n <= N : P+(n) <= y}, exact by segmented sieving.
 
@@ -291,9 +284,8 @@ def psi_count(
     """
     if N < 1:
         raise ArgumentError(f"N must be >= 1, got {N}")
-    max_n = max_n or config.DEFAULT_MAX_SIEVE_N
-    if N > max_n:
-        raise ResourceError(f"N = {N} exceeds configured maximum {max_n}")
+    if N > config.DEFAULT_MAX_SIEVE_N:
+        raise ResourceError(f"N = {N} exceeds configured maximum {config.DEFAULT_MAX_SIEVE_N}")
     primes, levels = _remainder_plan(N, [y])
     segment_size = segment_size or config.DEFAULT_SEGMENT_SIZE
     bounds = [(a, min(a + segment_size - 1, N)) for a in range(1, N + 1, segment_size)]

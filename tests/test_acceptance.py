@@ -93,7 +93,7 @@ def test_criterion_9_thread_determinism():
     N = 800
     system = forms.parse_form_system(criteria.TERNARY)
     # the simplex takes the convolution; cut by x1 - x2 <= N // 3 it takes
-    # the slab walker, whose work is chunked over the threads
+    # the slab walker; the threads split only the sieve behind the masks
     simplex = forms.ConvexBody.simplex(2, 1, N)
     cut = forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 1], [1, -1]], [-1, -1, N, N // 3])
     counts = {

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -253,3 +255,39 @@ def test_fixed_outputs_are_unchanged(tmp_path):
     result = read_result(tmp_path, "mertens")["result"]
     assert result["sum"] == 0.31075202760741483
     assert result["mu2_tail"] == 0.22286461551045639
+    # through the library: slab-walker counts (the cut triangle and a 4-term
+    # progression x1 + j x2) and the subset audit's exact sums
+    harper = forms.parse_form_system("x1; x2; x1+x2")
+    cut = forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 1], [1, -1]], [-1, -1, 20000, 6666])
+    assert forms.count_friable_values(harper, cut, 20000, (2.0, 2.5, 3.0)) == 1443284
+    ap4 = forms.parse_form_system("x1; x1+x2; x1+2x2; x1+3x2")
+    ap_body = forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 3]], [-1, -1, 4000])
+    assert forms.count_friable_values(ap4, ap_body, 4000, (2.0,) * 4) == 104205
+    audit = correlate.subset_decomposition_bound(
+        harper, forms.ConvexBody.simplex(2, 1, 1200), 1200, (2.0, 2.0, 2.0)
+    )
+    assert audit.count == 63476
+    assert list(audit.subset_sums.values()) == [
+        127542.081694826, 127542.081694826, 18468.08169482603, 15808.970446274207,
+        7263.634873878529, 7263.63487387853, 7624.413385191269,
+    ]
+
+
+def test_gowers_refuses_before_building(tmp_path):
+    # the modulus is checked before the input sequence exists
+    for spec, mode in [
+        ("linear_golden:16000000", "interval"),
+        ("linear_golden:16000000", "cyclic"),
+        ("balanced:16000000:2", "interval"),
+    ]:
+        tracemalloc.start()
+        try:
+            code = run_cli(tmp_path, "gowers", "--input", spec, "--k", "2", "--mode", mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3, spec
+        assert peak < 2 * 2**20, (spec, mode, peak)  # the sequences are 256 MB and 128 MB
+    start = time.perf_counter()
+    assert run_cli(tmp_path, "gowers", "--input", "linear_golden:1000000000", "--k", "2") == 3
+    assert time.perf_counter() - start < 0.5

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from friable import correlate, dickman, forms, sieve
+from friable import config, correlate, dickman, forms, sieve
 from friable.errors import ArgumentError, ResourceError
 
 HARPER = forms.parse_form_system("x1; x2; x1+x2")
@@ -102,6 +104,16 @@ def test_h_tau_divisor_count_bound():
     for n in range(1, N + 1, 37):
         worst = max(worst, sum(1 for k in kl if n % k == 0))
     assert worst <= 2 ** math.ceil(u)
+
+
+def test_h_tau_budget_bounds_the_head(monkeypatch):
+    N, u, tau = 1000, 2.0, 0.3
+    ks, _ = correlate._admissible_k(N, u, tau)
+    monkeypatch.setattr(correlate, "_HTAU_TERM_BUDGET", int(np.sum(N // ks)) - 1)
+    with pytest.raises(ResourceError):
+        correlate.h_tau(N, u, tau)
+    with pytest.raises(ResourceError):
+        correlate.sigma_split(N, u, tau, correlate.PhaseSequence.constant())
 
 
 def test_h_tau_tau_validation():
@@ -233,6 +245,18 @@ def test_phase_values_take_the_integer_kernel():
     assert correlate.PhaseSequence.bracket(0.3, 1.5)._exact_phases(5) is None
 
 
+def test_phase_values_refuse_over_the_table_budget():
+    for g in (correlate.PhaseSequence.constant(), correlate.PhaseSequence.linear(0.3)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):  # 2^26 + 1 entries
+                g.values(config.DEFAULT_MAX_TABLE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (g, peak)
+
+
 def test_phase_preset_lookup():
     with pytest.raises(ArgumentError):
         correlate.phase_preset("nope")
@@ -306,6 +330,28 @@ def test_subset_decomposition_harper_instance():
     assert rep.slack >= 0.0
     assert len(rep.subset_sums) == 7
     assert rep.count > 0 and rep.lattice_points == forms.lattice_point_count(body)
+
+
+def test_subset_sums_match_a_pointwise_sum():
+    # x1 is constant along each run of x2, so the walk broadcasts its flag;
+    # x1 - 2x2 + 120 runs downwards
+    system = forms.parse_form_system("x1; x1+x2; x1-2x2+120")
+    body = forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 1], [0, 1]], [-1, -1, 150, 40])
+    N, u = 300, (2.0, 2.5, 1.5)
+    rep = correlate.subset_decomposition_bound(system, body, N, u)
+    rhos = [float(dickman.rho(ui)) for ui in u]
+    exps = [Fraction(ui) for ui in u]
+    hs = [
+        [
+            float(oracles.lpf(f(p)) ** q.numerator <= N**q.denominator) - r
+            for f, q, r in zip(system.forms, exps, rhos)
+        ]
+        for p in oracles.enumerate_lattice_points(body, N)
+    ]
+    assert rep.count == sum(all(h > 0 for h in row) for row in hs)
+    for subset, value in rep.subset_sums.items():
+        expected = math.fsum(math.prod(row[i] for i in subset) for row in hs)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-9), subset
 
 
 def test_subset_decomposition_budget():

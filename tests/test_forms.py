@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -248,6 +248,7 @@ def _walker_triangle(N):
 
 
 def test_count_threads_deterministic():
+    # threads split the mask sieve's segments; both counts then run in one thread
     for body in (forms.ConvexBody.simplex(2, 1, 400), _walker_triangle(400)):
         vals = {
             forms.count_friable_values(HARPER, body, 400, (2.0, 2.0, 2.0), threads=t)
@@ -378,6 +379,74 @@ def test_non_separable_inputs_take_the_walker():
             for p in oracles.enumerate_lattice_points(body, N)
         )
         assert forms.count_friable_values(system, body, N, (2.0,) * system.count) == brute
+
+
+@st.composite
+def walker_inputs(draw):
+    """(system, body, N, u) that only the slab walker counts: d <= 3, form
+    coefficients in [-3, 3] (an innermost 0 and negative magnitudes above 1
+    included), a box with rational ends or an H-polytope with rational rows,
+    and constants that keep every form value in [0, N], N <= 300."""
+    d = draw(st.integers(1, 3))
+    half = (12, 12, 5)[d - 1]  # coordinates in [-half, half]
+    bounds = [
+        (Fraction(draw(st.integers(-3 * half, 0)), 3), Fraction(draw(st.integers(0, 3 * half)), 3))
+        for _ in range(d)
+    ]
+    if draw(st.booleans()):
+        body = forms.ConvexBody.box(bounds)
+    else:
+        A = [[s * int(i == j) for i in range(d)] for j in range(d) for s in (-1, 1)]
+        b = [v for lo, hi in bounds for v in (-lo, hi)]
+        rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        for _ in range(draw(st.integers(1, 2))):
+            A.append(draw(st.lists(rational, min_size=d, max_size=d).filter(any)))
+            b.append(Fraction(draw(st.integers(-half, 6 * half)), draw(st.integers(1, 3))))
+        body = forms.ConvexBody.halfspaces(A, b)
+    vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    t = draw(st.integers(1, 3))
+    vectors = draw(st.lists(vector, min_size=t, max_size=t, unique_by=tuple))
+    empty = body.kind == "hpoly" and body.is_empty()
+    ranges = [(0, 0) if empty else forms._functional_range(body, v) for v in vectors]
+    N = draw(st.integers(max(12, max(math.ceil(hi - lo) for lo, hi in ranges) + 1), 300))
+    system = forms.FormSystem(tuple(
+        forms.AffineForm(tuple(v), draw(st.integers(math.ceil(-lo), math.floor(N - hi))))
+        for v, (lo, hi) in zip(vectors, ranges)
+    ))
+    assume(forms.check_pairwise_affine_independence(system))
+    assume(forms._separable_layout(system, body) is None)
+    u = tuple(draw(st.sampled_from(U_CHOICES)) for _ in vectors)
+    return system, body, N, u
+
+
+@settings(max_examples=100, deadline=None)
+@given(walker_inputs())
+@example(  # x1 - 3x2 + 40 runs downwards along x2; 2x1 + 5 is constant on each run
+    (forms.parse_form_system("x1-3x2+40; 2x1+5"), forms.ConvexBody.box([(0, 10), (1, 10)]), 80,
+     (2.0, 1.5))
+)
+@example(  # 3-D, a rational row, and x1 + x2 constant on each run of x3
+    (
+        forms.parse_form_system("x1+x2; 3x2-x3+4; -2x1+x3+11"),
+        forms.ConvexBody.halfspaces(
+            [[-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, 0], [0, 0, -1], [0, 0, 1],
+             [Fraction(1, 2), 1, Fraction(-2, 3)]],
+            [0, 5, 0, Fraction(9, 2), Fraction(1, 3), 4, Fraction(7, 3)],
+        ),
+        40,
+        (2.0, 1.5, 3.0),
+    )
+)
+def test_walker_matches_trial_division(case):
+    system, body, N, u = case
+    assert forms._separable_layout(system, body) is None
+    largest = [oracles.lpf(n) for n in range(N + 1)]
+    exponents = [Fraction(ui) for ui in u]
+    brute = sum(
+        all(largest[f(p)] ** q.numerator <= N**q.denominator for f, q in zip(system.forms, exponents))
+        for p in oracles.enumerate_lattice_points(body, N)
+    )
+    assert forms.count_friable_values(system, body, N, u) == brute
 
 
 def test_convolution_guard_falls_back_to_the_walker(monkeypatch):

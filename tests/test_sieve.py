@@ -442,7 +442,7 @@ def test_argument_errors():
 
 def test_resource_errors():
     with pytest.raises(ResourceError):
-        sieve.build_factor_sieve(0, 10**7, max_entries=10**6)
+        sieve.build_factor_sieve(0, config.DEFAULT_MAX_TABLE)  # 2^26 + 1 entries
     with pytest.raises(ResourceError):
         sieve.psi_count(2**41, 10.0)
     with pytest.raises(ResourceError):
