@@ -13,9 +13,9 @@ Exit codes: 0 success, 2 argument/precondition/numeric error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -168,6 +168,67 @@ def parse_phase_spec(text: str) -> correlate.PhaseSequence:
 # ---------------------------------------------------------------------------
 
 
+_QUOTED = re.compile(r'[,"\r\n\x00]')  # what csv would quote, and the pad byte
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _int_matrix(col: np.ndarray) -> np.ndarray:
+    """Decimal digits of an integer column as a ``(rows, width)`` uint8
+    matrix: right-aligned, zero bytes before the number, ``-`` before the
+    first digit of a negative.  The magnitude is taken as ``uint64``, so
+    ``-2^63`` and ``uint64`` values above ``2^63`` need no special case."""
+    neg = col < 0
+    mag = col.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # wraps to |x| for every int64
+    digits = 1 + np.searchsorted(_POWERS_OF_TEN, mag, side="right")
+    width = int(digits.max(initial=1)) + 1  # one more for a sign
+    mat = np.empty((width, mag.size), dtype=np.uint8)  # digit-major: rows contiguous
+    for j in range(width - 1, 0, -1):
+        mat[j] = mag % np.uint64(10)
+        mag //= np.uint64(10)
+    mat += ord("0")
+    mat[np.arange(width)[:, None] < width - digits] = 0
+    rows = np.flatnonzero(neg)
+    mat[width - 1 - digits[rows], rows] = ord("-")
+    return mat.T
+
+
+def _texts(cells) -> list[str]:
+    """Cells as csv writes them unquoted: 17 significant digits for a float,
+    ``str`` for the rest.  A cell that csv would quote raises ValueError."""
+    texts = [format(x, ".17g") if isinstance(x, float) else str(x) for x in cells]
+    if not all(texts) or _QUOTED.search("".join(texts)):
+        bad = next(t for t in texts if not t or _QUOTED.search(t))
+        raise ValueError(f"CSV cell {bad!r} would need quoting")
+    return texts
+
+
+def csv_bytes(header: list[str], columns: list) -> bytes:
+    """The CSV bytes of a table given column by column, one ``\\r\\n`` line
+    per row.  A numpy integer column is rendered by the digit kernel; every
+    other column cell by cell into an ``S``-dtype byte matrix.  The matrices
+    are joined with ``,`` and ``\\r\\n`` columns and the pad bytes dropped."""
+    if not header or len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    lengths = {len(col) for col in columns}
+    if len(lengths) != 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    n = lengths.pop()
+    parts = []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+            parts.append(_int_matrix(col))
+        else:
+            cells = col.tolist() if isinstance(col, np.ndarray) else col
+            data = np.array([t.encode("utf-8") for t in _texts(cells)], dtype=bytes)
+            parts.append(data.view(np.uint8).reshape(n, data.itemsize))
+        parts.append(np.full((n, 1), ord(","), dtype=np.uint8))
+    parts[-1] = np.tile(np.frombuffer(b"\r\n", dtype=np.uint8), (n, 1))
+    mat = np.hstack(parts)
+    head = ",".join(_texts(header)) + "\r\n"
+    return head.encode("utf-8") + mat[mat != 0].tobytes()
+
+
 def _write_outputs(
     outdir: Path,
     command: str,
@@ -175,7 +236,7 @@ def _write_outputs(
     result: dict,
     cfg: RuntimeConfig,
     elapsed: float,
-    tables: dict[str, tuple[list[str], list[list]]] | None = None,
+    tables: dict[str, tuple[list[str], list]] | None = None,
 ) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -186,18 +247,9 @@ def _write_outputs(
     # wall-clock fields are excluded from the digest so reruns reproduce it
     stable = {k: v for k, v in result.items() if k != "elapsed"}
     digest_text = dump_json({"command": command, "params": params, "result": stable})
-    for name, (header, rows) in (tables or {}).items():
+    for name, (header, columns) in (tables or {}).items():
         csv_path = outdir / f"{command}_{name}.csv"
-        with csv_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [
-                        format(float(x), ".17g") if isinstance(x, float) else x
-                        for x in row
-                    ]
-                )
+        csv_path.write_bytes(csv_bytes(header, columns))
         files.append(csv_path.name)
     manifest = {
         "command": command,
@@ -232,8 +284,8 @@ def _cmd_sieve(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     tables = {}
     if args.csv:
         spf = np.where(table.spf == sieve.SPF_INFINITY, -1, table.spf)
-        rows = np.column_stack([ns, table.lpf, spf, table.mu]).tolist()
-        tables["table"] = (["n", "lpf", "spf_or_minus1_for_inf", "mu"], rows)
+        header = ["n", "lpf", "spf_or_minus1_for_inf", "mu"]
+        tables["table"] = (header, [ns, table.lpf, spf, table.mu])
     params = {"lo": args.lo, "hi": args.hi}
     return params, result, tables
 
@@ -252,17 +304,16 @@ def _cmd_dickman(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
             raise ArgumentError(f"--table STEP must be finite and > 0, got {step}")
         if (u_max + step / 2) / step > _MAX_TABLE_ROWS:
             raise ResourceError(f"--table {u_max} {step} exceeds {_MAX_TABLE_ROWS} rows")
-        tab = dickman.build_rho_table(max(u_max, 1.0), tol)
+        tab = dickman.rho_table(max(u_max, 1.0), tol)
         grid = np.arange(0.0, u_max + step / 2, step)
         values = tab.eval(np.minimum(grid, u_max))
-        rows = [[float(u), float(r)] for u, r in zip(grid, values)]
-        tables["table"] = (["u", "rho"], rows)
+        tables["table"] = (["u", "rho"], [grid, values])
         params = {"table_u_max": u_max, "step": step, "tol": tol}
-        result = {"rows": len(rows), "tol": tol}
+        result = {"rows": grid.size, "tol": tol}
     else:
         if args.u is None:
             raise ArgumentError("dickman needs --u or --table")
-        tab = dickman.build_rho_table(max(math.ceil(max(args.u, 1.0)), 1), tol)
+        tab = dickman.rho_table(max(math.ceil(max(args.u, 1.0)), 1), tol)
         value = float(tab.eval(args.u))
         print(format(value, ".17g"))
         params = {"u": args.u, "tol": tol}

@@ -2,7 +2,7 @@
 
 Every function runs one criterion and returns ``(result, tables)``: the
 JSON-ready summary, whose ``passed`` entry is the verdict, and a map from
-CSV name to ``(header, rows)``.  ``friable verify --suite NAME`` writes
+CSV name to ``(header, columns)``.  ``friable verify --suite NAME`` writes
 both; the acceptance tests assert ``passed`` and add the comparisons with
 independent oracles (trial division, quadrature, direct Gowers sums),
 which stay out of the library.  The thresholds of those comparisons are
@@ -30,6 +30,11 @@ RHO_ORACLE_TOL = 1e-8       # criterion 4: rho against an independent quadrature
 GOWERS_ORACLE_TOL = 1e-10   # criterion 6: FFT norms against the direct sums
 
 
+def _table(header: list[str], rows: list[list]) -> tuple[list[str], list[list]]:
+    """The CSV table ``(header, columns)`` of a list of rows."""
+    return header, [[row[i] for row in rows] for i in range(len(header))]
+
+
 def _no_size(name: str, N) -> None:
     if N is not None:
         raise ArgumentError(f"suite {name!r} has no size to set with --N")
@@ -46,7 +51,7 @@ def hildebrand(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
         rel = psi / target - 1.0
         bound = 3.0 * u * math.log(u + 1.0) / math.log(N)
         rows.append([u, psi, target, rel, bound, abs(rel) <= bound])
-    return {"N": N, "passed": all(row[-1] for row in rows)}, {"ratios": (header, rows)}
+    return {"N": N, "passed": all(row[-1] for row in rows)}, {"ratios": _table(header, rows)}
 
 
 def ternary_local_density_sum(N: int, u) -> float:
@@ -118,11 +123,11 @@ def theorem1(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
         "passed": in_window and shrinking,
     }
     tables = {
-        "ratios": (
+        "ratios": _table(
             ["u1", "u2", "u3", "count", "local_density_sum", "count_over_D", "in_window"],
             ratio_rows,
         ),
-        "ladder": (["u1", "u2", "u3", "N", "count", "main_term", "main_ratio"], ladder_rows),
+        "ladder": _table(["u1", "u2", "u3", "N", "count", "main_term", "main_ratio"], ladder_rows),
     }
     return result, tables
 
@@ -138,13 +143,13 @@ def product(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
         count = forms.count_friable_values(system, body, N, (u, u), threads=threads)
         psi = sieve.psi_count(N, sieve.friable_bound(N, u), threads=threads)
         rows.append([u, count, psi, count == psi * psi])
-    return {"N": N, "passed": all(row[-1] for row in rows)}, {"counts": (header, rows)}
+    return {"N": N, "passed": all(row[-1] for row in rows)}, {"counts": _table(header, rows)}
 
 
 def dickman(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     """Criterion 4: rho(2) = 1 - log 2 and the delay-equation residual, both to 1e-9."""
     _no_size("dickman", N)
-    table = _dickman.build_rho_table(20.0, tol)
+    table = _dickman.rho_table(20.0, tol)
     closed = abs(table.eval(2.0) - (1.0 - math.log(2.0)))
     _, residuals = _dickman.dde_residual_grid(table, 1000, 1.0, 20.0)
     max_res = float(np.max(residuals))
@@ -179,7 +184,7 @@ def mertens(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     )
     return (
         {"u": u, "final_bound": final_bound, "passed": ok},
-        {"errors": (["N", "sum", "abs_error"], rows)},
+        {"errors": _table(["N", "sum", "abs_error"], rows)},
     )
 
 
@@ -215,7 +220,7 @@ def gowers(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
         "norm_of_one_u3": ones[1],
         "passed": nested and decreasing and ones == [1.0, 1.0],
     }
-    return result, {"norms": (["N", "u2_interval_norm"], rows)}
+    return result, {"norms": _table(["N", "u2_interval_norm"], rows)}
 
 
 def decompose(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
@@ -241,7 +246,7 @@ def decompose(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
         "max_fitted_C": worst_c,
         "passed": bool(worst_rel <= 1e-8 and worst_c <= 50.0),
     }
-    return result, {"grid": (header, rows)}
+    return result, {"grid": _table(header, rows)}
 
 
 def harper(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):

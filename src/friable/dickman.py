@@ -65,11 +65,10 @@ class DickmanTable:
         if self.pieces:
             above = arr > 1.0
             idx = np.clip(np.floor(arr).astype(int) - 1, 0, len(self.pieces) - 1)
-            for k in range(len(self.pieces)):
+            for k in np.unique(idx[above]).tolist():
                 sel = above & (idx == k)
-                if np.any(sel):
-                    s = 2.0 * (arr[sel] - (k + 1.5))
-                    out[sel] = chebyshev.chebval(s, self.pieces[k])
+                s = 2.0 * (arr[sel] - (k + 1.5))
+                out[sel] = chebyshev.chebval(s, self.pieces[k])
         return float(out) if np.isscalar(u) else out
 
     __call__ = eval
@@ -138,6 +137,20 @@ def default_table() -> DickmanTable:
 
         _default_table = build_rho_table(config.DEFAULT_DICKMAN_UMAX, config.DEFAULT_DICKMAN_TOL)
     return _default_table
+
+
+def rho_table(u_max: float, tol: float) -> DickmanTable:
+    """The table on [0, u_max] at ``tol``: the shared default table when both
+    match it exactly, else a new build.  A table that merely covers u_max is
+    not the same: at an integer end point ``eval`` reads the next piece."""
+    from . import config
+
+    if (u_max, tol) == (config.DEFAULT_DICKMAN_UMAX, config.DEFAULT_DICKMAN_TOL):
+        default_table()  # built once per process, for rho() too
+    table = _default_table
+    if table is not None and (table.u_max, table.tol) == (u_max, tol):
+        return table
+    return build_rho_table(u_max, tol)
 
 
 def rho(u):

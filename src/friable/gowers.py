@@ -25,10 +25,20 @@ is v1 + v2 - v3 of three vertices of lower order already in [0, N], so it
 lies in [-N, 2N], and such an integer falls in [0, N] mod M only if it
 lies in [0, N].  So the configurations mod M that the embedded support
 sees are exactly the integer ones, for every k.
+
+The denominator is therefore a count.  An integer configuration (n, h)
+has all its vertices in [0, N] iff n runs over N + 1 - ||h||_1 > 0
+values (the vertices span max - min = ||h||_1), and the h in Z^k with
+exactly j nonzero entries and ||h||_1 = s number 2^j binom(k, j)
+binom(s - 1, j - 1).  Summing N + 1 - s over s gives
+
+    ||1_[0,N]||_{U^k(Z_M)}^(2^k) = C_k(N) / M^(k+1),
+    C_k(N) = sum_{j=0..k} 2^j binom(k, j) binom(N + 1, j + 1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +157,13 @@ def _check_k_and_size(k: int, length: int, *, interval: bool) -> int:
     return M
 
 
+def _indicator_pow(length: int, k: int, M: int) -> float:
+    """||1_[0,N]||_{U^k(Z_M)}^(2^k) for N = length - 1 and M >= 2N + 1: the
+    count C_k(N) of the module docstring over M^(k+1), both exact integers."""
+    count = sum(2**j * math.comb(k, j) * math.comb(length, j + 1) for j in range(k + 1))
+    return count / M ** (k + 1)
+
+
 def gowers_norm_cyclic(f, k: int) -> float:
     """||f||_{U^k(Z_M)} for f on Z_M, M = len(f)."""
     vals = _coerce(f)
@@ -167,8 +184,4 @@ def gowers_norm_interval(f, k: int) -> float:
     _check_bounded(vals)
     emb = np.zeros(M, dtype=np.complex128)
     emb[:n0] = vals
-    ind = np.zeros(M, dtype=np.complex128)
-    ind[:n0] = 1.0
-    num = _uk_pow(emb, k)
-    den = _uk_pow(ind, k)
-    return _root(num, k) / _root(den, k)
+    return _root(_uk_pow(emb, k), k) / _root(_indicator_pow(n0, k, M), k)

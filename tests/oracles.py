@@ -7,11 +7,14 @@ collocation, Monte Carlo instead of exact geometry, long-double bisection
 instead of double bisection + Newton, per-n divisor scans instead of
 sieve passes, membership tests of every bounding-box point instead of
 slab walks, and O(M^2) autocorrelation sums and direct (k+1)-fold Gowers
-sums instead of FFTs.
+sums instead of FFTs, and Python's csv module row by row instead of the
+columnar CSV writer.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -406,3 +409,20 @@ def gowers_norm_bruteforce(f, k: int) -> float:
                 prod = w if prod is None else prod * w
             total += float(np.sum(prod).real)
     return _root(total / M ** (k + 1), k)
+
+
+# ---------------------------------------------------------------------------
+# CSV tables row by row
+# ---------------------------------------------------------------------------
+
+
+def csv_table_bytes(header: list[str], columns: list) -> bytes:
+    """A table of columns written row by row through ``csv.writer``, each
+    float cell with 17 significant digits: the reference bytes of
+    ``friable.cli.csv_bytes``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([format(float(x), ".17g") if isinstance(x, float) else x for x in row])
+    return buf.getvalue().encode("utf-8")

@@ -29,7 +29,8 @@ def _check(num: int, run, *, budget: float | None = None, extra: str = ""):
     result, tables = run()
     elapsed = time.perf_counter() - start
     detail = ", ".join(f"{k}={_fmt(v)}" for k, v in result.items() if k != "passed")
-    for name, (header, rows) in tables.items():
+    for name, (header, columns) in tables.items():
+        rows = list(zip(*columns))
         if len(rows) > 6:  # keep the status line to one screen
             detail += f"; {name}: {len(rows)} rows"
             continue

@@ -4,9 +4,13 @@ import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from friable import cli, correlate, forms
+import oracles
+from friable import cli, correlate, criteria, dickman, forms
 from friable.config import resolve_config
 from friable.errors import ArgumentError
 
@@ -241,13 +245,30 @@ def test_dump_json_formats():
     assert "0.10000000000000001" in text  # 17 significant digits
 
 
+def _csv_sha256(tmp_path, name):
+    return hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+
+
 def test_fixed_outputs_are_unchanged(tmp_path):
     # refactor oracle: exact outputs of fast commands, pinned from the CLI itself
     assert run_cli(tmp_path, "sieve", "--lo", "0", "--hi", "100000", "--csv") == 0
-    csv_bytes = (tmp_path / "out" / "sieve_table.csv").read_bytes()
-    assert hashlib.sha256(csv_bytes).hexdigest() == (
+    assert _csv_sha256(tmp_path, "sieve_table.csv") == (
         "4183960ed260f9f841032f8c5cec794c284ec56cd19f33f792c6c0ea17d7aabc"
     )
+    # every other table producer: float columns, the knot row u = 3 of a
+    # table built to u_max = 3, and the suites' mixed int/float/bool/text rows
+    for argv, name, digest in [
+        (("dickman", "--table", "20", "0.002"), "dickman_table.csv",
+         "b3c90b4ea77c1223f2402a46f2db8b25b0457f68ccf80ddc56e30b984a385e08"),
+        (("dickman", "--table", "3", "0.01"), "dickman_table.csv",
+         "bb6245f437adb9fb1ebf9ae9b3419d4359bd5aeaef9ebdfa87f39db50855f895"),
+        (("verify", "--suite", "hildebrand"), "verify_ratios.csv",
+         "e8cd57cf8a712043414393f91248e54d55a257324761f6fbcb54f3c531af3683"),
+        (("verify", "--suite", "decompose"), "verify_grid.csv",
+         "c923d072871f234b1bb6778d71e8bfb643db4a3554dbbba2b45c7d5dd7f78748"),
+    ]:
+        assert run_cli(tmp_path, *argv) == 0
+        assert _csv_sha256(tmp_path, name) == digest, argv
     count = ("count", "--forms", "x1; x2; x1+x2", "--body", "simplex:1,N", "--N", "2000")
     assert run_cli(tmp_path, *count, "--u", "2,2,2") == 0
     assert read_result(tmp_path, "count")["result"]["count"] == 174658
@@ -291,3 +312,78 @@ def test_gowers_refuses_before_building(tmp_path):
     start = time.perf_counter()
     assert run_cli(tmp_path, "gowers", "--input", "linear_golden:1000000000", "--k", "2") == 3
     assert time.perf_counter() - start < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the columnar CSV writer against csv.writer row by row
+# ---------------------------------------------------------------------------
+
+_CELLS = {  # kind: (cells, numpy dtype of the column or None for a list)
+    "int64": (st.integers(-(2**63), 2**63 - 1), np.int64),
+    "uint64": (st.integers(0, 2**64 - 1), np.uint64),
+    "float64": (st.floats(), np.float64),  # nan, +-inf, -0.0 and subnormals included
+    "bool_": (st.booleans(), np.bool_),
+    "float": (st.floats(), None),
+    "bool": (st.booleans(), None),
+    "int": (st.integers(), None),
+    "text": (st.text(st.characters(blacklist_characters=',"\r\n\x00'), min_size=1), None),
+}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+    rows = draw(st.lists(st.tuples(*(_CELLS[k][0] for k in kinds)), max_size=20))
+    columns = []
+    for i, kind in enumerate(kinds):
+        cells = [row[i] for row in rows]
+        dtype = _CELLS[kind][1]
+        columns.append(cells if dtype is None else np.array(cells, dtype=dtype))
+    return [f"c{i}" for i in range(len(kinds))], columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+@example((["n"], [np.array([], dtype=np.int64)]))
+@example((["x"], [np.array([0, -1, 9, -10, 2**63 - 1, -(2**63)], dtype=np.int64)]))
+@example((["x"], [np.array([0, 2**63, 2**64 - 1, 10**19, 10**19 - 1], dtype=np.uint64)]))
+@example((["f", "g"], [
+    [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 2.2250738585072014e-308],
+    np.array([1e300, -1.5, 0.1, 1 / 3, 2.0**-1074, -0.0, 1e16]),
+]))
+@example((["b", "t"], [np.array([True, False]), [True, "bracket_golden"]]))
+def test_csv_writer_matches_csv_module(table):
+    header, columns = table
+    assert cli.csv_bytes(header, columns) == oracles.csv_table_bytes(header, columns)
+
+
+def test_csv_writer_refuses_cells_csv_would_quote():
+    for bad in ("a,b", 'say "x"', "line\r", "line\n", ""):
+        with pytest.raises(ValueError):
+            cli.csv_bytes(["name"], [["ok", bad]])
+        with pytest.raises(ValueError):
+            cli.csv_bytes(["ok", bad], [[1], [2]])
+    with pytest.raises(ValueError):
+        cli.csv_bytes(["a", "b"], [np.arange(3), np.arange(4)])
+    with pytest.raises(ValueError):
+        cli.csv_bytes(["a", "b"], [np.arange(3)])
+
+
+def test_dickman_reuses_the_default_table_only_on_an_exact_match(tmp_path, monkeypatch):
+    monkeypatch.setattr(dickman, "_default_table", None)
+    dickman.default_table()
+    builds = []
+    build = dickman.build_rho_table
+
+    def spy(u_max, tol):
+        builds.append((u_max, tol))
+        return build(u_max, tol)
+
+    monkeypatch.setattr(dickman, "build_rho_table", spy)
+    assert criteria.dickman()[0]["passed"] is True
+    assert run_cli(tmp_path, "dickman", "--table", "20", "0.002") == 0
+    assert run_cli(tmp_path, "dickman", "--u", "19.5") == 0
+    assert builds == []
+    assert run_cli(tmp_path, "dickman", "--table", "20", "0.002", "--tol", "1e-8") == 0
+    assert run_cli(tmp_path, "dickman", "--table", "3", "0.01") == 0  # covered is not enough
+    assert builds == [(20.0, 1e-8), (3.0, 1e-10)]

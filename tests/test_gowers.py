@@ -162,6 +162,20 @@ def test_interval_norm_matches_bruteforce_on_old_embedding(N, k):
     )
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_indicator_denominator_is_the_configuration_count(k):
+    # C_k(N) / M^(k+1) against the FFT recursion and the direct sum on the
+    # indicator of [0, N] in Z_M, M = _fft_length(2N + 1)
+    for N in range(0, 7 if k == 4 else 13):
+        M = gowers._check_k_and_size(k, N + 1, interval=True)
+        ind = np.zeros(M)
+        ind[: N + 1] = 1.0
+        exact = gowers._indicator_pow(N + 1, k, M)
+        assert exact == pytest.approx(gowers._uk_pow(ind.astype(complex), k), rel=1e-14)
+        assert exact == pytest.approx(oracles.gowers_norm_bruteforce(ind, k) ** 2**k, rel=1e-12)
+    assert gowers._indicator_pow(1, k, 1) == 1.0  # N = 0: the single point
+
+
 @pytest.mark.parametrize("M", [15, 16, 33, 34])
 def test_half_shift_sum_equals_full_sum(M):
     f = _random_bounded(np.random.default_rng(M), M)
