@@ -225,13 +225,18 @@ def sifted_mobius_sum(N: int, u: float) -> float:
     return math.fsum((mus / ks).tolist())
 
 
-def sifted_mu2_tail(N: int, u: float, tau: float) -> float:
-    """sum mu(k)^2 / k over N^(1-tau) < k <= N with P-(k) > N^(1/u)."""
+def _cutoff(N: int, tau: float) -> int:
+    """The truncation point floor(N^(1-tau)) of the Mobius split."""
     if not 1.0 / math.log(N) < tau < 1.0:
         raise ArgumentError(f"tau must lie in (1/log N, 1), got {tau}")
+    return int(math.floor(float(N) ** (1.0 - tau)))
+
+
+def sifted_mu2_tail(N: int, u: float, tau: float) -> float:
+    """sum mu(k)^2 / k over N^(1-tau) < k <= N with P-(k) > N^(1/u)."""
+    cutoff = _cutoff(N, tau)
     if tau * u >= 1.0:
         raise ArgumentError(f"need tau * u < 1, got tau * u = {tau * u}")
     ks, _ = _sifted_terms(N, u)
-    cutoff = float(N) ** (1.0 - tau)
     ks = ks[ks > cutoff]
     return math.fsum((1.0 / ks).tolist())

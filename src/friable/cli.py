@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, analytic, correlate, criteria, dickman, forms, gowers, sieve
 from .config import RuntimeConfig, resolve_config
-from .errors import ArgumentError, FriableError, NumericError, PreconditionError, ResourceError
+from .errors import ArgumentError, FriableError, ResourceError
 
 
 class _UsageError(Exception):
@@ -572,10 +572,7 @@ def run(argv: list[str]) -> int:
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    except (ArgumentError, PreconditionError, NumericError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FriableError as exc:
+    except (FriableError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import config, dickman, forms, sieve
+from . import analytic, config, dickman, forms, sieve
 from .errors import ArgumentError, ResourceError
 from .gowers import SequenceFn
 
@@ -259,16 +259,10 @@ def default_tau(N: int, epsilon: float = 0.5) -> float:
     return min(max(raw, lo), hi)
 
 
-def _cutoff(N: int, tau: float) -> int:
-    """The truncation point floor(N^(1-tau)) of the Mobius split."""
-    if not 1.0 / math.log(N) < tau < 1.0:
-        raise ArgumentError(f"tau must lie in (1/log N, 1), got {tau}")
-    return int(math.floor(float(N) ** (1.0 - tau)))
-
-
 def _admissible_k(N: int, u: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Sifted squarefree k <= N^(1-tau) with their Mobius values."""
-    return sieve.sifted_squarefree_arrays(max(_cutoff(N, tau), 1), sieve.friable_bound(N, u))
+    limit = max(analytic._cutoff(N, tau), 1)
+    return sieve.sifted_squarefree_arrays(limit, sieve.friable_bound(N, u))
 
 
 def _divisor_pass(N: int, ks: np.ndarray, mus: np.ndarray, start: float) -> np.ndarray:
@@ -352,7 +346,7 @@ def sigma_split(
     equals the full balanced correlation sum identically.
     """
     h = balanced_friable(N, u)
-    klim = _cutoff(N, tau)
+    klim = analytic._cutoff(N, tau)
     ks, mus = sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
     head = int(np.searchsorted(ks, klim, side="right"))
     ht, mean = _truncated_mobius(N, ks[:head], mus[:head])

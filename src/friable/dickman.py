@@ -128,6 +128,7 @@ def build_rho_table(u_max: float = 20.0, tol: float = 1e-10) -> DickmanTable:
 # ---------------------------------------------------------------------------
 
 _default_table: DickmanTable | None = None
+_extension: DickmanTable | None = None  # covers the u beyond the default u_max
 
 
 def default_table() -> DickmanTable:
@@ -146,27 +147,28 @@ def rho_table(u_max: float, tol: float) -> DickmanTable:
     from . import config
 
     if (u_max, tol) == (config.DEFAULT_DICKMAN_UMAX, config.DEFAULT_DICKMAN_TOL):
-        default_table()  # built once per process, for rho() too
-    table = _default_table
-    if table is not None and (table.u_max, table.tol) == (u_max, tol):
-        return table
+        return default_table()
     return build_rho_table(u_max, tol)
 
 
 def rho(u):
-    """rho(u) via the shared default table, extending it if u exceeds u_max."""
-    global _default_table
+    """rho(u) via the shared default table; only the u beyond its u_max read
+    a cached extension, so a value never depends on earlier calls."""
+    global _extension
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0):
         raise ArgumentError("rho is only defined for u >= 0")
     top = float(np.max(arr)) if arr.size else 0.0
     table = default_table()
-    if top > table.u_max:
-        if top > 50.0:
-            raise ArgumentError(f"u = {top} beyond the supported range [0, 50]")
-        _default_table = build_rho_table(float(math.ceil(top)), table.tol)
-        table = _default_table
-    return table.eval(u)
+    if top <= table.u_max:
+        return table.eval(u)
+    if top > 50.0:
+        raise ArgumentError(f"u = {top} beyond the supported range [0, 50]")
+    if _extension is None or _extension.u_max < top:
+        _extension = build_rho_table(float(math.ceil(top)), table.tol)
+    low = table.eval(np.minimum(arr, table.u_max))
+    out = np.where(arr > table.u_max, _extension.eval(arr), low)
+    return float(out) if np.isscalar(u) else out
 
 
 def dde_residual_grid(

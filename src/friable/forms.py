@@ -4,11 +4,14 @@ The headline quantity is the number of lattice points n of a convex body
 K inside [-N, N]^d whose form values F_1(n), ..., F_t(n) are all friable
 with per-form bounds N^(1/u_i), compared against Vol(K) * prod rho(u_i).
 
-Geometry is exact: boxes and H-polytopes (A x <= b) carry Fraction
-entries, membership and slab bounds use rational arithmetic only, and
-lattice enumeration walks coordinate slabs obtained by Fourier-Motzkin
-elimination.  Friability lookups index ``sieve.friable_masks`` over
-[0, N], which holds every form value once ``validate_domain`` passes.
+Geometry is exact: every body is an H-polytope whose rational rows are
+scaled to integers once, when it is built.  One Fourier-Motzkin
+elimination in integer arithmetic gives the slab bounds of the lattice
+walk (integer floor and ceiling divisions), decides emptiness and gives
+the exact range of any linear functional; after construction rationals
+appear only in those ranges and in the vertex solves of simplex volumes.  Friability lookups index
+``sieve.friable_masks`` over [0, N], which holds every form value once
+``validate_domain`` passes.
 Along one slab a form's values are an arithmetic progression, so its
 flags are a strided view of its mask, or a single flag when the form does
 not depend on the innermost coordinate; a non-friable single flag skips
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -182,220 +186,183 @@ def parse_form_system(text: str) -> FormSystem:
 # convex bodies
 # ---------------------------------------------------------------------------
 
-_Row = tuple[tuple[Fraction, ...], Fraction]  # <coeffs, x> <= rhs
+_Row = tuple[tuple[int, ...], int]  # <coeffs, x> <= rhs, integer entries
 
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _integer_row(coeffs: Iterable, rhs) -> _Row:
+    """A rational row scaled by the lcm of its denominators."""
+    entries = [Fraction(x) for x in (*coeffs, rhs)]
+    scale = math.lcm(*(e.denominator for e in entries))
+    ints = [int(e * scale) for e in entries]
+    return tuple(ints[:-1]), ints[-1]
 
 
 class ConvexBody:
-    """Axis-aligned box or H-polytope {x : A x <= b} with rational data."""
+    """The polytope {x : <a, x> <= b for every row (a, b)}, rows in integers.
 
-    def __init__(self, kind: str, *, bounds=None, rows=None):
+    Every constructor scales its rational rows to integers once, without
+    tightening them to the lattice, so the continuous body is the one
+    given.  ``kind`` ("box" or "hpoly") names the constructor, and a box
+    also keeps its rational ``bounds``; no computation reads either.
+    """
+
+    def __init__(self, kind: str, rows: Iterable[tuple[Iterable, object]], bounds=None):
         self.kind = kind
-        if kind == "box":
-            self.bounds: tuple[tuple[Fraction, Fraction], ...] = bounds
-            for lo, hi in bounds:
-                if lo > hi:
-                    raise ArgumentError(f"box bound {lo} > {hi}")
-        elif kind == "hpoly":
-            self.rows: tuple[_Row, ...] = rows
-            if not rows:
-                raise ArgumentError("an H-polytope needs at least one constraint")
-        else:
-            raise ArgumentError(f"unknown body kind {kind!r}")
-        self._levels: list[list[_Row]] | None = None
+        self.rows: tuple[_Row, ...] = tuple(_integer_row(a, b) for a, b in rows)
+        self.bounds: tuple[tuple[Fraction, Fraction], ...] | None = bounds
+        if not self.rows:
+            raise ArgumentError("an H-polytope needs at least one constraint")
+        if len({len(a) for a, _ in self.rows}) != 1:
+            raise ArgumentError("constraint rows mix dimensions")
+        self._slabs: list | None = None
         self._empty: bool | None = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def box(bounds: Iterable[tuple]) -> "ConvexBody":
-        bs = tuple((_as_fraction(lo), _as_fraction(hi)) for lo, hi in bounds)
+        bs = tuple((Fraction(lo), Fraction(hi)) for lo, hi in bounds)
         if not bs:
             raise ArgumentError("a box needs at least one coordinate")
-        return ConvexBody("box", bounds=bs)
+        rows = []
+        for j, (lo, hi) in enumerate(bs):
+            if lo > hi:
+                raise ArgumentError(f"box bound {lo} > {hi}")
+            unit = [int(i == j) for i in range(len(bs))]
+            rows += [([-c for c in unit], -lo), (unit, hi)]
+        return ConvexBody("box", rows, bs)
 
     @staticmethod
     def halfspaces(A: Iterable[Iterable], b: Iterable) -> "ConvexBody":
-        rows = tuple(
-            (tuple(_as_fraction(c) for c in row), _as_fraction(rhs))
-            for row, rhs in zip(A, b)
-        )
-        dims = {len(r[0]) for r in rows}
-        if len(dims) != 1:
-            raise ArgumentError("constraint rows mix dimensions")
-        return ConvexBody("hpoly", rows=rows)
+        return ConvexBody("hpoly", zip(A, b))
 
     @staticmethod
     def simplex(dimension: int, lower, total) -> "ConvexBody":
         """{x : x_j >= lower for all j, sum x_j <= total}."""
-        lo, tot = _as_fraction(lower), _as_fraction(total)
-        A = [[Fraction(0)] * dimension for _ in range(dimension)]
-        for j in range(dimension):
-            A[j][j] = Fraction(-1)
-        A.append([Fraction(1)] * dimension)
-        b = [-lo] * dimension + [tot]
-        return ConvexBody.halfspaces(A, b)
+        A = [[-int(i == j) for i in range(dimension)] for j in range(dimension)]
+        b = [-Fraction(lower)] * dimension + [total]
+        return ConvexBody.halfspaces(A + [[1] * dimension], b)
 
     # -- basics ------------------------------------------------------------
 
     @property
     def dimension(self) -> int:
-        return len(self.bounds) if self.kind == "box" else len(self.rows[0][0])
+        return len(self.rows[0][0])
 
     def contains(self, point: Sequence) -> bool:
-        pt = [_as_fraction(x) for x in point]
+        pt = [Fraction(x) for x in point]
         if len(pt) != self.dimension:
             raise ArgumentError("point dimension mismatch")
-        if self.kind == "box":
-            return all(lo <= x <= hi for (lo, hi), x in zip(self.bounds, pt))
-        return all(
-            sum(c * x for c, x in zip(coeffs, pt)) <= rhs for coeffs, rhs in self.rows
-        )
+        return all(sum(c * x for c, x in zip(a, pt)) <= b for a, b in self.rows)
 
     # -- Fourier-Motzkin levels ---------------------------------------------
 
-    def _elimination_levels(self) -> list[list[_Row]]:
-        """levels[k] constrains (x_1..x_k); levels[d] is the full system.
-
-        Built by Fourier-Motzkin elimination of the last variable, repeated.
-        Raises ArgumentError when some variable lacks a two-sided bound
-        (unbounded polytope); detected infeasibility is recorded in
-        self._empty instead.  Boxes never come through here.
-        """
-        if self._levels is not None:
-            return self._levels
-        d = self.dimension
-        empty = False
-        current: list[_Row] = []
-        for r in self.rows:
-            nr = self._normalize_row(r)
-            if all(c == 0 for c in nr[0]):
-                if nr[1] < 0:
-                    empty = True
-                continue
-            current.append(nr)
-        levels: list[list[_Row]] = [[] for _ in range(d + 1)]
-        levels[d] = current
-        for v in range(d - 1, 0, -1):
-            pos = [r for r in current if r[0][v] > 0]
-            neg = [r for r in current if r[0][v] < 0]
-            zero = [r for r in current if r[0][v] == 0]
-            if not empty and (not pos or not neg):
-                raise ArgumentError(f"polytope is unbounded in x{v + 1}")
-            combined = list(zero)
-            for p in pos:
-                for q in neg:
-                    a = p[0][v]
-                    bq = -q[0][v]
-                    coeffs = tuple(bq * cp + a * cq for cp, cq in zip(p[0], q[0]))
-                    rhs = bq * p[1] + a * q[1]
-                    if all(c == 0 for c in coeffs):
-                        if rhs < 0:
-                            empty = True
-                        continue
-                    combined.append(self._normalize_row((coeffs, rhs)))
-            nxt: dict[tuple, Fraction] = {}
-            for coeffs, rhs in combined:
-                if coeffs not in nxt or rhs < nxt[coeffs]:
-                    nxt[coeffs] = rhs
-            current = list(nxt.items())
-            levels[v] = current
-        top = levels[1] if d >= 1 else []
-        if not empty:
-            if not any(r[0][0] > 0 for r in top) or not any(r[0][0] < 0 for r in top):
-                raise ArgumentError("polytope is unbounded in x1")
-        self._levels = levels
-        self._empty = empty
-        return levels
-
-    @staticmethod
-    def _normalize_row(row: _Row) -> _Row:
-        coeffs, rhs = row
-        scale = max(abs(c) for c in coeffs) or Fraction(1)
-        return (tuple(c / scale for c in coeffs), rhs / scale)
-
-    def _slab_interval(
-        self, level: int, prefix: Sequence[int]
-    ) -> tuple[Fraction, Fraction] | None:
-        """Rational range of x_level given x_1..x_{level-1} = prefix, or None."""
-        if self.kind == "box":
-            return self.bounds[level - 1]
-        rows = self._elimination_levels()[level]
-        v = level - 1
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for coeffs, rhs in rows:
-            c = coeffs[v]
-            if c == 0:
-                if sum(cc * p for cc, p in zip(coeffs[:v], prefix)) > rhs:
-                    return None
-                continue
-            bound = (rhs - sum(cc * p for cc, p in zip(coeffs[:v], prefix))) / c
-            if c > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is None or hi is None or lo > hi:
-            return None
-        return lo, hi
+    def _slab_rows(self) -> list:
+        """slabs[k] = (uppers, lowers) for k = 1..d: the rows of x_1..x_k
+        with a positive / negative x_k coefficient, each as (head, |a_k|, b)
+        with head = a_1..a_{k-1}.  Built once by ``_eliminate``, which also
+        decides emptiness; raises ArgumentError when the body is nonempty
+        and unbounded."""
+        if self._slabs is None:
+            d = self.dimension
+            levels, unbounded = _eliminate(self.rows, d)
+            empty = any(b < 0 for _, b in levels[0])
+            if unbounded is not None and not empty:
+                raise ArgumentError(f"polytope is unbounded in x{unbounded + 1}")
+            self._empty = empty
+            self._slabs = [None]
+            for k in range(1, d + 1):
+                rows = [(a[: k - 1], a[k - 1], b) for a, b in levels[k] if a[k - 1]]
+                self._slabs.append((
+                    [(head, c, b) for head, c, b in rows if c > 0],
+                    [(head, -c, b) for head, c, b in rows if c < 0],
+                ))
+        return self._slabs
 
     def integer_slab(self, level: int, prefix: Sequence[int]) -> tuple[int, int] | None:
-        """Integer range [lo, hi] of x_level over the slab, or None if empty."""
-        iv = self._slab_interval(level, prefix)
-        if iv is None:
-            return None
-        lo = math.ceil(iv[0])
-        hi = math.floor(iv[1])
+        """Integer range [lo, hi] of x_level given x_1..x_{level-1} = prefix, or None.
+
+        The body is nonempty and the prefix lies in its projection, as in
+        the slab walk.  Each row gives a floor (upper) or ceiling (lower)
+        by integer division of its slack b - <head, prefix>.
+        """
+        uppers, lowers = self._slab_rows()[level]
+        hi = min((b - sum(map(operator.mul, head, prefix))) // c for head, c, b in uppers)
+        lo = max(-((b - sum(map(operator.mul, head, prefix))) // c) for head, c, b in lowers)
         return (lo, hi) if lo <= hi else None
 
     def is_empty(self) -> bool:
         """No interior test: True iff the continuous body is infeasible."""
-        if self.kind == "box":
-            return False  # box constructor enforces lo <= hi
-        self._elimination_levels()
-        if self._empty:
-            return True
-        return self._slab_interval(1, ()) is None
+        self._slab_rows()
+        return self._empty
 
     def coordinate_bounds(self) -> list[tuple[Fraction, Fraction]]:
         """Exact [min, max] of each coordinate over the body (bounded check)."""
-        if self.kind == "box":
-            return list(self.bounds)
-        self._elimination_levels()
-        if self.is_empty():
-            raise ArgumentError("empty body has no coordinate bounds")
-        verts = self._vertices()
-        if not verts:
-            raise ArgumentError("degenerate polytope: no vertices found")
         d = self.dimension
-        return [
-            (min(v[j] for v in verts), max(v[j] for v in verts)) for j in range(d)
-        ]
-
-    # -- vertices (bounded polytopes only) -----------------------------------
-
-    def _vertices(self) -> list[tuple[Fraction, ...]]:
-        self._elimination_levels()  # raises if unbounded
-        d = self.dimension
-        verts: set[tuple[Fraction, ...]] = set()
-        for subset in itertools.combinations(range(len(self.rows)), d):
-            mat = [list(self.rows[i][0]) for i in subset]
-            rhs = [self.rows[i][1] for i in subset]
-            sol = _solve_square(mat, rhs)
-            if sol is None:
-                continue
-            if self.contains(sol):
-                verts.add(tuple(sol))
-        return sorted(verts)
+        return [_functional_range(self, [int(i == j) for i in range(d)]) for j in range(d)]
 
 
-def _solve_square(mat: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve a square rational system by Gaussian elimination; None if singular."""
+def _eliminate(rows: Sequence[_Row], d: int) -> tuple[list[list[_Row]], int | None]:
+    """Fourier-Motzkin elimination of x_d, ..., x_1 in integer arithmetic.
+
+    levels[k] holds rows over x_1..x_k (coefficient vectors keep length d)
+    and levels[0] rows 0 <= b, so the rows are infeasible iff some b there
+    is negative.  Each pair of rows with opposite signs in x_k combines
+    with positive integer weights into one row without x_k, so levels[k]
+    is exactly the projection onto x_1..x_k.  Chernikov's rule bounds the
+    growth: after s eliminations a combination of more than s + 1 given
+    rows is a nonnegative combination of the others, and is dropped.  The
+    rule counts given rows, so the rows fed on are not reduced; only the
+    levels handed out are, by ``_tightest``.  The second result is the
+    first variable eliminated without a row on each side, or None.
+    """
+    levels: list[list[_Row]] = [[] for _ in range(d + 1)]
+    levels[d] = _tightest(rows)
+    current = [(a, b, 1 << i) for i, (a, b) in enumerate(rows)]  # bit i: given row i used
+    unbounded = None
+    for v in range(d - 1, -1, -1):
+        if v == 0:  # the last step feeds nothing on, so it may start reduced
+            current = [(a, b, 0) for a, b in levels[1]]
+        pos = [r for r in current if r[0][v] > 0]
+        neg = [r for r in current if r[0][v] < 0]
+        if unbounded is None and not (pos and neg):
+            unbounded = v
+        current = [r for r in current if r[0][v] == 0]
+        for p, bp, up in pos:
+            for q, bq, uq in neg:
+                if (up | uq).bit_count() > d - v + 1:
+                    continue
+                a = tuple(-q[v] * x + p[v] * y for x, y in zip(p, q))
+                b = -q[v] * bp + p[v] * bq
+                g = math.gcd(*a, b) or 1
+                current.append((tuple(x // g for x in a), b // g, up | uq))
+        levels[v] = _tightest([(a, b) for a, b, _ in current])
+    return levels, unbounded
+
+
+def _tightest(rows: Iterable[_Row]) -> list[_Row]:
+    """The rows divided by the gcd of their entries, keeping of each set of
+    rows with positively parallel coefficients only the tightest."""
+    best: dict[tuple[int, ...], tuple[int, int]] = {}  # a / g -> (b, g)
+    for a, b in rows:
+        g = math.gcd(*a) or 1
+        key = tuple(x // g for x in a)
+        if key not in best or b * best[key][1] < best[key][0] * g:
+            best[key] = (b, g)
+    out = []
+    for key, (b, g) in best.items():
+        h = math.gcd(g, b)
+        out.append((tuple(x * (g // h) for x in key), b // h))
+    return out
+
+
+def _solve_square(mat: list[list], rhs: list):
+    """Solve a square rational system by Gaussian elimination; None if singular.
+
+    The entries are taken as Fractions, so every division stays exact.
+    """
     d = len(rhs)
-    m = [row[:] + [r] for row, r in zip(mat, rhs)]
+    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(mat, rhs)]
     for col in range(d):
         pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
         if pivot is None:
@@ -416,19 +383,17 @@ def _solve_square(mat: list[list[Fraction]], rhs: list[Fraction]):
 
 
 def _functional_range(body: ConvexBody, coeffs: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """Exact [min, max] of <coeffs, x> over a bounded nonempty body."""
-    if body.kind == "box":
-        lo = hi = Fraction(0)
-        for c, (a, b) in zip(coeffs, body.bounds):
-            c = _as_fraction(c)
-            lo += c * (a if c >= 0 else b)
-            hi += c * (b if c >= 0 else a)
-        return lo, hi
-    verts = body._vertices()
-    if not verts:
+    """Exact [min, max] of <coeffs, x> over a bounded nonempty body: the
+    range of x_0 once x_1..x_d are eliminated from the body's rows and the
+    pair x_0 = <coeffs, x>."""
+    if body.is_empty():
         raise ArgumentError("cannot bound a functional over an empty polytope")
-    vals = [sum(_as_fraction(c) * x for c, x in zip(coeffs, v)) for v in verts]
-    return min(vals), max(vals)
+    rows = [((0, *a), b) for a, b in body.rows]
+    rows += [((1, *(-c for c in coeffs)), 0), ((-1, *coeffs), 0)]
+    top = _eliminate(rows, body.dimension + 1)[0][1]
+    lo = max(Fraction(b, a[0]) for a, b in top if a[0] < 0)
+    hi = min(Fraction(b, a[0]) for a, b in top if a[0] > 0)
+    return lo, hi
 
 
 def validate_domain(system: FormSystem, body: ConvexBody, N: int) -> bool:
@@ -442,7 +407,7 @@ def validate_domain(system: FormSystem, body: ConvexBody, N: int) -> bool:
         raise ArgumentError(f"N must be >= 1, got {N}")
     if system.dimension != body.dimension:
         raise ArgumentError("system and body dimensions differ")
-    if body.kind == "hpoly" and body.is_empty():
+    if body.is_empty():
         return True  # vacuous: no points to violate the range
     for j, (lo, hi) in enumerate(body.coordinate_bounds()):
         if lo < -N or hi > N:
@@ -467,20 +432,19 @@ _VOLUME_MAX_GRID_POINTS = 20_000_000
 
 
 def volume(body: ConvexBody) -> VolumeResult:
-    """Continuous volume: exact for boxes and simplices, grid surrogate otherwise.
+    """Continuous volume: exact when every row bounds one coordinate (a box,
+    however written) and for simplices, grid surrogate otherwise.
 
     The surrogate counts K intersected with (eps Z)^d starting at eps =
     (shortest bounding-box edge)/8 and halving until the estimate moves by
     <= 0.1%, or until the next grid would pass ``_VOLUME_MAX_GRID_POINTS``
     points (flagged approximate).
     """
-    if body.kind == "box":
-        prod = Fraction(1)
-        for lo, hi in body.bounds:
-            prod *= hi - lo
-        return VolumeResult(float(prod), True)
     if body.is_empty():
         return VolumeResult(0.0, True)
+    if all(sum(c != 0 for c in a) == 1 for a, _ in body.rows):
+        edges = (hi - lo for lo, hi in body.coordinate_bounds())
+        return VolumeResult(float(math.prod(edges)), True)
     simplex_vol = _simplex_volume(body)
     if simplex_vol is not None:
         return VolumeResult(float(simplex_vol), True)
@@ -554,7 +518,7 @@ def _determinant(mat: list[list[Fraction]]) -> Fraction:
 
 def _iter_slabs(body: ConvexBody):
     """Yield (prefix, lo, hi): innermost-coordinate runs, lexicographic."""
-    if body.kind == "hpoly" and body.is_empty():
+    if body.is_empty():
         return
     d = body.dimension
 
@@ -684,8 +648,8 @@ def _separable_layout(system: FormSystem, body: ConvexBody) -> _Layout | None:
 
     Separable: every coordinate x_j is one of the forms (coefficient 1,
     constant 0); at most one other form L = a.x + c, with every a_j >= 1;
-    and the body is a box, or a nonempty H-polytope each of whose rows
-    bounds one coordinate or is a nonzero multiple of a.  Such a body is
+    and the body is nonempty, each of its rows bounding one coordinate
+    or a nonzero multiple of a.  Such a body is
     its coordinate box cut by the range of a.x, so the count is a
     convolution of the coordinate masks read against L's mask.
     """
@@ -704,17 +668,15 @@ def _separable_layout(system: FormSystem, body: ConvexBody) -> _Layout | None:
     a = system.forms[other].coeffs if other is not None else None
     if a is not None and min(a) < 1:
         return None
-    if body.kind == "hpoly":
-        for coeffs, _ in body.rows:
-            if sum(c != 0 for c in coeffs) == 1:
-                continue
-            if a is None or coeffs[0] == 0:
-                return None
-            scale = coeffs[0] / a[0]
-            if any(c != scale * aj for c, aj in zip(coeffs, a)):
-                return None
-        if body.is_empty():
+    for coeffs, _ in body.rows:
+        if sum(c != 0 for c in coeffs) == 1:
+            continue
+        if a is None or coeffs[0] == 0:
             return None
+        if any(c * a[0] != coeffs[0] * aj for c, aj in zip(coeffs, a)):  # not parallel to a
+            return None
+    if body.is_empty():
+        return None
     return _Layout(tuple(coordinate[j] for j in range(d)), other)
 
 

@@ -25,7 +25,7 @@ from scipy.interpolate import BarycentricInterpolator
 
 from friable.errors import ArgumentError, PreconditionError, ResourceError
 from friable.forms import ConvexBody
-from friable.gowers import _BLOCK_ENTRIES, _check_bounded, _coerce, _root
+from friable.gowers import _check_bounded, _coerce, _root
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +142,9 @@ def sifted_squarefree(limit: int, y: float) -> list[tuple[int, int]]:
 
 def enumerate_lattice_points(body: ConvexBody, N: int) -> list[tuple[int, ...]]:
     """The integer points of the body in lexicographic order: every point of
-    its integer bounding box, kept when it meets each constraint row, the
-    row scaled to integers.  Raises PreconditionError when the body leaves
-    [-N, N]^d."""
-    if body.kind == "hpoly" and body.is_empty():
+    its integer bounding box, kept when it meets each integer constraint
+    row.  Raises PreconditionError when the body leaves [-N, N]^d."""
+    if body.is_empty():
         return []
     bounds = body.coordinate_bounds()
     for j, (lo, hi) in enumerate(bounds):
@@ -154,21 +153,13 @@ def enumerate_lattice_points(body: ConvexBody, N: int) -> list[tuple[int, ...]]:
                 f"body coordinate x{j + 1} range [{lo}, {hi}] leaves [-{N}, {N}]"
             )
     points = itertools.product(*(range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in bounds))
-    if body.kind == "box":
-        return list(points)
-    rows = []
-    for coeffs, rhs in body.rows:
-        scale = math.lcm(*(Fraction(c).denominator for c in (*coeffs, rhs)))
-        rows.append(([int(c * scale) for c in coeffs], int(rhs * scale)))
     return [
-        p for p in points if all(sum(c * x for c, x in zip(cs, p)) <= r for cs, r in rows)
+        p for p in points if all(sum(c * x for c, x in zip(cs, p)) <= r for cs, r in body.rows)
     ]
 
 
 def translate(body: ConvexBody, v) -> ConvexBody:
     """The body shifted by the integer vector v."""
-    if body.kind == "box":
-        return ConvexBody.box([(lo + s, hi + s) for (lo, hi), s in zip(body.bounds, v)])
     return ConvexBody.halfspaces(
         [coeffs for coeffs, _ in body.rows],
         [rhs + sum(c * s for c, s in zip(coeffs, v)) for coeffs, rhs in body.rows],
@@ -236,10 +227,8 @@ def mc_volume(body, samples: int, seed: int) -> tuple[float, float]:
     bounds = [(float(lo), float(hi)) for lo, hi in body.coordinate_bounds()]
     rng = np.random.default_rng(seed)
     d = len(bounds)
-    if body.kind == "box":
-        raise ValueError("use the exact product for boxes")
-    A = np.array([[float(c) for c in row] for row, _ in body.rows])
-    b = np.array([float(rhs) for _, rhs in body.rows])
+    A = np.array([row for row, _ in body.rows], dtype=float)
+    b = np.array([rhs for _, rhs in body.rows], dtype=float)
     box_vol = 1.0
     for lo, hi in bounds:
         box_vol *= hi - lo
@@ -369,11 +358,13 @@ _BRUTE_GUARDRAIL = 10**9
 def gowers_norm_bruteforce(f, k: int) -> float:
     """Direct (k+1)-fold sum over all (n, h_1, ..., h_k); test oracle only.
 
-    The grid is evaluated as blocks of shape (h_{k-1} chunk, h_k, n), with
-    any remaining h variables looped.  Every value comes from two tables
-    built once: R[t, n] = f((n + t) mod M) for t < 2M, and per h_{k-1}
-    chunk U[h, t, n] = f((n + h + t) mod M), so each cube vertex is a
-    slice or a broadcast of them.  Cost is M^(k+1), guarded at 10^9.
+    The innermost pair (n, h_k) is summed as |sum_n D f(n)|^2, where
+    D f(n) = prod over the 2^(k-1) vertices w of conj^|w| f(n + w.h) is the
+    multiplicative derivative in h_1..h_{k-1}: the h_k-shifted half of the
+    cube is the conjugate of D f(n + h_k), and n + h_k runs over Z_M.  The
+    h_{k-1} axis is one array dimension, the others are looped; every
+    value is read from R[t, n] = f((n + t) mod M).  No FFT.  The sum has
+    M^(k+1) terms, guarded at 10^9.
     """
     vals = _coerce(f)
     M = vals.size
@@ -382,32 +373,15 @@ def gowers_norm_bruteforce(f, k: int) -> float:
     if M ** (k + 1) > _BRUTE_GUARDRAIL:
         raise ResourceError(f"brute force needs M^(k+1) = {M**(k+1)} > {_BRUTE_GUARDRAIL}")
     _check_bounded(vals)
-    lead = k - 2
-    shift = np.add.outer(np.arange(2 * M), np.arange(M)) % M
-    R = vals[shift]
-    rows = max(1, _BLOCK_ENTRIES // (M * M))
+    R = vals[np.add.outer(np.arange(M), np.arange(M)) % M]
+    h = np.arange(M)
     total = 0.0
-    for start in range(0, M, rows):
-        h_a = np.arange(start, min(start + rows, M))
-        U = R[np.add.outer(h_a, np.arange(2 * M)) % M]  # U[h, t] = R[(h + t) mod M]
-        lead_iter = np.ndindex(*([M] * lead)) if lead else [()]
-        for lead_hs in lead_iter:
-            prod = None
-            for bits in np.ndindex(*([2] * k)):
-                t = sum(b * h for b, h in zip(bits[:lead], lead_hs)) % M
-                b_a, b_b = bits[lead], bits[lead + 1]
-                if b_a and b_b:
-                    w = U[:, t : t + M, :]  # f(n + t + h_a + h_b)
-                elif b_a:
-                    w = R[start + t : start + t + len(h_a)][:, None, :]  # f(n + t + h_a)
-                elif b_b:
-                    w = R[t : t + M][None, :, :]  # f(n + t + h_b)
-                else:
-                    w = R[t][None, None, :]  # f(n + t)
-                if sum(bits) % 2 == 1:
-                    w = np.conj(w)
-                prod = w if prod is None else prod * w
-            total += float(np.sum(prod).real)
+    for lead in itertools.product(range(M), repeat=k - 2):
+        derivative = np.ones((M, M), dtype=complex)  # [h_{k-1}, n]
+        for bits in itertools.product((0, 1), repeat=k - 1):
+            w = R[(sum(b * s for b, s in zip(bits, lead)) + bits[-1] * h) % M]
+            derivative *= np.conj(w) if sum(bits) % 2 else w
+        total += float(np.sum(np.abs(derivative.sum(axis=1)) ** 2))
     return _root(total / M ** (k + 1), k)
 
 

@@ -220,6 +220,38 @@ def test_config_file_errors(tmp_path):
         assert cli.run(["--config", str(bad), "dickman", "--u", "2"]) == 2
 
 
+def _as_hpoly_spec(lows_highs):
+    d = len(lows_highs)
+    rows = []
+    for j, (lo, hi) in enumerate(lows_highs):
+        unit = [int(i == j) for i in range(d)]
+        rows.append(",".join(str(-c) for c in unit) + f",-{lo}")
+        rows.append(",".join(str(c) for c in unit) + f",{hi}")
+    return "hpoly:" + ";".join(rows)
+
+
+@pytest.mark.parametrize("d, bounds, N", [
+    (2, [("1/2", "30"), ("2", "41/3")], 44),  # rational ends; x1 + x2 reaches 43 2/3
+    (8, [("1", "50")] * 8, 400),              # the sum form reaches exactly 400
+])
+def test_box_written_as_hpoly_is_the_same_body(d, bounds, N):
+    spec = "; ".join(f"x{j}" for j in range(1, d + 1)) + "; " + "+".join(
+        f"x{j}" for j in range(1, d + 1))
+    system = forms.parse_form_system(spec)
+    box = cli.parse_body_spec("box:" + ";".join(f"{lo},{hi}" for lo, hi in bounds), d)
+    hpoly = cli.parse_body_spec(_as_hpoly_spec(bounds), d)
+    assert (box.kind, hpoly.kind) == ("box", "hpoly")
+    assert forms.volume(box) == forms.volume(hpoly)
+    assert forms.volume(hpoly).exact
+    for n in (N - 1, N):  # the sum form leaves [0, N - 1] on both
+        valid = {forms.validate_domain(system, body, n) for body in (box, hpoly)}
+        assert valid == {n == N}
+    u = (2.0,) * system.count
+    assert forms.count_friable_values(system, box, N, u) == forms.count_friable_values(
+        system, hpoly, N, u
+    )
+
+
 def test_parse_helpers():
     body = cli.parse_body_spec("box:0,10;0,10", 2)
     assert body.kind == "box"

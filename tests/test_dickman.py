@@ -93,6 +93,18 @@ def test_module_level_rho_and_extension():
         dickman.rho(50.5)
 
 
+def test_rho_does_not_depend_on_earlier_extensions(monkeypatch):
+    # u up to the default u_max always read the default table; at its
+    # integer end point an extended table would read the next piece
+    monkeypatch.setattr(dickman, "_extension", None)
+    before = dickman.rho(20.0)
+    assert before == 2.461782828764318e-29
+    assert dickman.rho(25.0) > 0.0
+    assert dickman.rho(20.0) == before
+    assert dickman.rho(np.array([20.0, 25.0]))[0] == before
+    assert dickman.rho_table(20.0, 1e-10) is dickman.default_table()
+
+
 def test_build_argument_errors():
     with pytest.raises(ArgumentError):
         dickman.build_rho_table(0.5, 1e-10)

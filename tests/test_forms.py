@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import oracles
 from friable import forms, sieve
@@ -108,6 +109,38 @@ def test_empty_and_degenerate_volume():
     assert forms.volume(empty) == (0.0, True)
     flat = forms.ConvexBody.halfspaces([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -1, 2, 0])
     assert forms.volume(flat).value == 0.0
+    # infeasible in x1 although x2 is free: empty, not unbounded
+    assert forms.ConvexBody.halfspaces([[1, 0], [-1, 0]], [-1, -1]).is_empty()
+
+
+def test_elimination_matches_linear_programming():
+    # emptiness and the exact range of <c, x> from Fourier-Motzkin against
+    # scipy's LP, up to 4-D with up to 14 rows, where Chernikov's rule drops rows
+    rng = random.Random(5)
+    nonempty = 0
+    for _ in range(80):
+        d = rng.randint(1, 4)
+        A = [[s * int(i == j) for i in range(d)] for j in range(d) for s in (-1, 1)]
+        b = [rng.randint(0, 9) for _ in A]
+        for _ in range(rng.randint(0, 3 * d)):
+            A.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)])
+            b.append(Fraction(rng.randint(-12, 20), rng.randint(1, 3)))
+        body = forms.ConvexBody.halfspaces(A, b)
+        A_ub = [[float(x) for x in row] for row in A]
+        b_ub = [float(x) for x in b]
+        feasible = linprog([0] * d, A_ub=A_ub, b_ub=b_ub, bounds=(None, None))
+        assert body.is_empty() == (feasible.status == 2)
+        if body.is_empty():
+            continue
+        nonempty += 1
+        c = [rng.randint(-3, 3) for _ in range(d)]
+        lo, hi = forms._functional_range(body, c)
+        low = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None))
+        high = linprog([-x for x in c], A_ub=A_ub, b_ub=b_ub, bounds=(None, None))
+        assert low.status == high.status == 0
+        assert float(lo) == pytest.approx(low.fun, abs=1e-7)
+        assert float(hi) == pytest.approx(-high.fun, abs=1e-7)
+    assert 15 <= nonempty <= 65
 
 
 def test_enumerate_examples():
@@ -406,7 +439,7 @@ def walker_inputs(draw):
     vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
     t = draw(st.integers(1, 3))
     vectors = draw(st.lists(vector, min_size=t, max_size=t, unique_by=tuple))
-    empty = body.kind == "hpoly" and body.is_empty()
+    empty = body.is_empty()
     ranges = [(0, 0) if empty else forms._functional_range(body, v) for v in vectors]
     N = draw(st.integers(max(12, max(math.ceil(hi - lo) for lo, hi in ranges) + 1), 300))
     system = forms.FormSystem(tuple(
@@ -435,6 +468,18 @@ def walker_inputs(draw):
         ),
         40,
         (2.0, 1.5, 3.0),
+    )
+)
+@example(  # negative rational right-hand sides; many slab ends land exactly on integers
+    (
+        forms.parse_form_system("-x1+x2; x1+3x2; -2x1-x2+1"),
+        forms.ConvexBody.halfspaces(
+            [[Fraction(2, 7), 0], [Fraction(-1, 2), 0], [Fraction(1, 2), 1],
+             [Fraction(-1, 6), Fraction(-1, 2)]],
+            [Fraction(-30, 7), 12, Fraction(-3, 2), Fraction(-1, 2)],
+        ),
+        60,
+        (1.5, 1.0, 1.5),  # 5 of the 12 points
     )
 )
 def test_walker_matches_trial_division(case):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,29 @@ def test_interval_norm_constants():
 # ---------------------------------------------------------------------------
 # oracle equivalence and properties
 # ---------------------------------------------------------------------------
+
+
+def _literal_gowers_power(f, k):
+    """||f||_{U^k(Z_M)}^(2^k) by the plain nested loop over (n, h_1, ..., h_k)."""
+    M = len(f)
+    total = 0j
+    for n, *hs in itertools.product(range(M), repeat=k + 1):
+        term = 1 + 0j
+        for bits in itertools.product((0, 1), repeat=k):
+            v = f[(n + sum(b * h for b, h in zip(bits, hs))) % M]
+            term *= v.conjugate() if sum(bits) % 2 else v
+        total += term
+    return total.real / M ** (k + 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_bruteforce_oracle_matches_the_literal_sum(k):
+    rng = np.random.default_rng(40 + k)
+    for M in range(1, 7):
+        f = _random_bounded(rng, M)
+        assert oracles.gowers_norm_bruteforce(f, k) ** 2**k == pytest.approx(
+            _literal_gowers_power(f.tolist(), k), abs=1e-12
+        )
 
 
 def test_bruteforce_equivalence_sample():
@@ -151,7 +176,7 @@ def _bruteforce_on_old_embedding(vals, k):
         (12, 2),  # 2N + 1 = 25: M = 25
         (9, 3),  # 19 is prime: M = 20
         (7, 3),  # 15: M = 15
-        (1, 4),  # 3: M = 3 (the direct sum on the old M = 32 takes 2 s; N = 2 takes 28 s)
+        (1, 4),  # 3: M = 3 (the direct sum runs on the old M = 32)
     ],
 )
 def test_interval_norm_matches_bruteforce_on_old_embedding(N, k):
