@@ -330,13 +330,12 @@ def _cmd_count(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     count = forms.count_friable_values(system, body, args.N, u, threads=cfg.threads)
     elapsed = time.perf_counter() - start
     vol = forms.volume(body)
-    main = forms.main_term(system, body, args.N, u)
+    main = forms.main_term(vol, u)
     result = {
         "count": count,
         "main_term": main,
         "ratio": count / main if main else float("inf"),
-        "volume": vol.value,
-        "volume_exact": vol.exact,
+        "volume": float(vol),
         "elapsed": elapsed,
     }
     params = {"forms": args.forms, "body": args.body, "N": args.N, "u": u}

@@ -166,12 +166,10 @@ class PhaseSequence:
 
         The integer steps are exact (see ``_frac_mod1_array``) and the float
         steps are those of ``phase`` in the same order.  None where that
-        arithmetic does not cover the input: N >= 2^32, a theta with
-        denominator above 2^64, or a bracket phi outside [0, 1); ``phase``
-        then stays the route.
+        arithmetic does not cover the input: a theta with denominator above
+        2^64, or a bracket phi outside [0, 1); ``phase`` then stays the
+        route.
         """
-        if N >= 1 << 32:
-            return None
         n = np.arange(N + 1, dtype=np.uint64)
         if self.kind == "linear":
             theta, beta = self.params
@@ -431,7 +429,7 @@ def subset_decomposition_bound(
             for i in s[1:]:
                 prod = prod * hs[i]
             sums[s] += float(np.sum(prod))
-    vol = forms.volume(body).value
+    vol = float(forms.volume(body))
     prod_rho = float(np.prod(rhos))
     main = vol * prod_rho
     lhs = abs(count - main)

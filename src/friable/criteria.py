@@ -98,9 +98,10 @@ def theorem1(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     counts, main_ratios, ladder_rows = {}, {u: [] for u in triples}, []
     for M in ladder:
         body = forms.ConvexBody.simplex(2, 1, M)
+        vol = forms.volume(body)
         for u in triples:
             count = forms.count_friable_values(system, body, M, u, threads=threads)
-            main = forms.main_term(system, body, M, u)
+            main = forms.main_term(vol, u)
             counts[M, u] = count
             main_ratios[u].append(count / main)
             ladder_rows.append([*u, M, count, main, count / main])

@@ -8,10 +8,10 @@ Geometry is exact: every body is an H-polytope whose rational rows are
 scaled to integers once, when it is built.  One Fourier-Motzkin
 elimination in integer arithmetic gives the slab bounds of the lattice
 walk (integer floor and ceiling divisions), decides emptiness and gives
-the exact range of any linear functional; after construction rationals
-appear only in those ranges and in the vertex solves of simplex volumes.  Friability lookups index
-``sieve.friable_masks`` over [0, N], which holds every form value once
-``validate_domain`` passes.
+the exact range of any linear functional; Lasserre's recursion on the same
+rows gives the exact rational volume of every bounded body.  Friability
+lookups index ``sieve.friable_masks`` over [0, N], which holds every form
+value once ``validate_domain`` passes.
 Along one slab a form's values are an arithmetic progression, so its
 flags are a strided view of its mask, or a single flag when the form does
 not depend on the innermost coordinate; a non-friable single flag skips
@@ -249,12 +249,6 @@ class ConvexBody:
     def dimension(self) -> int:
         return len(self.rows[0][0])
 
-    def contains(self, point: Sequence) -> bool:
-        pt = [Fraction(x) for x in point]
-        if len(pt) != self.dimension:
-            raise ArgumentError("point dimension mismatch")
-        return all(sum(c * x for c, x in zip(a, pt)) <= b for a, b in self.rows)
-
     # -- Fourier-Motzkin levels ---------------------------------------------
 
     def _slab_rows(self) -> list:
@@ -356,27 +350,6 @@ def _tightest(rows: Iterable[_Row]) -> list[_Row]:
     return out
 
 
-def _solve_square(mat: list[list], rhs: list):
-    """Solve a square rational system by Gaussian elimination; None if singular.
-
-    The entries are taken as Fractions, so every division stays exact.
-    """
-    d = len(rhs)
-    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(mat, rhs)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(d):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][d] for r in range(d)]
-
-
 # ---------------------------------------------------------------------------
 # geometry operations
 # ---------------------------------------------------------------------------
@@ -423,92 +396,56 @@ def validate_domain(system: FormSystem, body: ConvexBody, N: int) -> bool:
     return True
 
 
-class VolumeResult(NamedTuple):
-    value: float
-    exact: bool
+def volume(body: ConvexBody) -> Fraction:
+    """Exact continuous volume of a bounded body (ArgumentError when it is
+    nonempty and unbounded): ``_lasserre`` on the integer rows."""
+    return Fraction(0) if body.is_empty() else _lasserre(body.rows, {})
 
 
-_VOLUME_MAX_GRID_POINTS = 20_000_000
+def _lasserre(rows: Sequence[_Row], seen: dict) -> Fraction:
+    """Volume of the bounded set {x : <a, x> <= b} by Lasserre's recursion
+    (JOTA 1983) in its projected form
 
+        vol_d(P) = (1/d) sum_i (b_i / |a_ij|) vol_{d-1}(pi_j F_i),
 
-def volume(body: ConvexBody) -> VolumeResult:
-    """Continuous volume: exact when every row bounds one coordinate (a box,
-    however written) and for simplices, grid surrogate otherwise.
-
-    The surrogate counts K intersected with (eps Z)^d starting at eps =
-    (shortest bounding-box edge)/8 and halving until the estimate moves by
-    <= 0.1%, or until the next grid would pass ``_VOLUME_MAX_GRID_POINTS``
-    points (flagged approximate).
+    F_i the facet on row i and pi_j dropping a coordinate with a_ij != 0.
+    Each other row, scaled by |a_ij|, has x_j substituted out from
+    <a_i, x> = b_i, so every entry stays an integer.  A row reduced to
+    0 <= b is dropped, or empties the set when b < 0.  ``_tightest`` keeps
+    one row of each positively parallel set, which would otherwise count
+    its facet twice; a row with b_i = 0 adds nothing.  Empty and flat sets
+    give 0: their facets are empty or flat, and a flat set's two opposite
+    rows cancel.  ``seen`` maps each reduced row set above one dimension to
+    its volume: a face is reached once per order of its facets, so a
+    d-simplex costs at most 2^(d+1) subproblems instead of (d+1)!.
     """
-    if body.is_empty():
-        return VolumeResult(0.0, True)
-    if all(sum(c != 0 for c in a) == 1 for a, _ in body.rows):
-        edges = (hi - lo for lo, hi in body.coordinate_bounds())
-        return VolumeResult(float(math.prod(edges)), True)
-    simplex_vol = _simplex_volume(body)
-    if simplex_vol is not None:
-        return VolumeResult(float(simplex_vol), True)
-
-    bounds = body.coordinate_bounds()
-    edge = min(hi - lo for lo, hi in bounds)
-    if edge == 0:
-        return VolumeResult(0.0, True)
-    d = body.dimension
-    eps = edge / 8
-    est = None
-    while True:
-        scaled = ConvexBody.halfspaces(
-            [r[0] for r in body.rows], [r[1] / eps for r in body.rows]
-        )
-        cnt = lattice_point_count(scaled)
-        new = float(cnt) * float(eps) ** d
-        if est is not None and cnt > 0 and abs(new - est) <= 1e-3 * new:
-            return VolumeResult(new, False)
-        est = new
-        if cnt * 2**d > _VOLUME_MAX_GRID_POINTS:
-            return VolumeResult(est, False)
-        eps = eps / 2
-
-
-def _simplex_volume(body: ConvexBody) -> Fraction | None:
-    """Exact volume when the H-polytope is a simplex with d+1 facets."""
-    d = body.dimension
-    if len(body.rows) != d + 1:
-        return None
-    verts = []
-    for subset in itertools.combinations(range(d + 1), d):
-        mat = [list(body.rows[i][0]) for i in subset]
-        rhs = [body.rows[i][1] for i in subset]
-        sol = _solve_square(mat, rhs)
-        if sol is None or not body.contains(sol):
-            return None
-        verts.append(tuple(sol))
-    if len(set(verts)) != d + 1:
-        return None
-    v0 = verts[0]
-    mat = [[v[j] - v0[j] for j in range(d)] for v in verts[1:]]
-    det = _determinant(mat)
-    return abs(det) / math.factorial(d)
-
-
-def _determinant(mat: list[list[Fraction]]) -> Fraction:
-    d = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        pv = m[col][col]
-        for r in range(col + 1, d):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
+    if any(b < 0 for a, b in rows if not any(a)):
+        return Fraction(0)
+    rows = _tightest((a, b) for a, b in rows if any(a))
+    d = len(rows[0][0])
+    if d == 1:
+        hi = min(Fraction(b, a) for (a,), b in rows if a > 0)
+        lo = max(Fraction(b, a) for (a,), b in rows if a < 0)
+        return max(hi - lo, Fraction(0))
+    key = frozenset(rows)
+    if key not in seen:
+        total = Fraction(0)
+        for i, (a, b) in enumerate(rows):
+            if b == 0:
+                continue
+            j = next(k for k, c in enumerate(a) if c)
+            m, s = abs(a[j]), (1 if a[j] > 0 else -1)
+            facet = [
+                (
+                    tuple(m * x - s * ak[j] * y for k, (x, y) in enumerate(zip(ak, a)) if k != j),
+                    m * bk - s * ak[j] * b,
+                )
+                for r, (ak, bk) in enumerate(rows)
+                if r != i
+            ]
+            total += Fraction(b, m) * _lasserre(facet, seen)
+        seen[key] = total / d
+    return seen[key]
 
 
 # ---------------------------------------------------------------------------
@@ -756,12 +693,9 @@ def _count_by_convolution(
     return int(exact[k0 : k1 + 1][values_ok].sum())
 
 
-def main_term(system: FormSystem, body: ConvexBody, N: int, u: Sequence[float]) -> float:
-    """Vol(K) * prod_i rho(u_i)."""
-    if len(u) != system.count:
-        raise ArgumentError(f"expected {system.count} friability exponents, got {len(u)}")
-    vol = volume(body).value
+def main_term(vol: Fraction, u: Sequence[float]) -> float:
+    """Vol(K) * prod_i rho(u_i), given the exact volume ``volume(K)``."""
     prod = 1.0
     for ui in u:
         prod *= float(dickman.rho(ui))
-    return vol * prod
+    return float(vol) * prod

@@ -3,12 +3,12 @@
 Every function here recomputes a quantity by a route disjoint from the
 implementation it checks: trial division instead of sieving, 150-point
 Gauss-Legendre steps with barycentric interpolation instead of Chebyshev
-collocation, Monte Carlo instead of exact geometry, long-double bisection
-instead of double bisection + Newton, per-n divisor scans instead of
-sieve passes, membership tests of every bounding-box point instead of
-slab walks, and O(M^2) autocorrelation sums and direct (k+1)-fold Gowers
-sums instead of FFTs, and Python's csv module row by row instead of the
-columnar CSV writer.
+collocation, Monte Carlo and qhull instead of exact geometry, long-double
+bisection instead of double bisection + Newton, per-n divisor scans
+instead of sieve passes, membership tests of every bounding-box point
+instead of slab walks, and O(M^2) autocorrelation sums and direct
+(k+1)-fold Gowers sums instead of FFTs, and Python's csv module row by row
+instead of the columnar CSV writer.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BarycentricInterpolator
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from friable.errors import ArgumentError, PreconditionError, ResourceError
 from friable.forms import ConvexBody
@@ -158,6 +160,14 @@ def enumerate_lattice_points(body: ConvexBody, N: int) -> list[tuple[int, ...]]:
     ]
 
 
+def contains(body: ConvexBody, point) -> bool:
+    """Membership of a rational point: it meets every integer constraint row."""
+    pt = [Fraction(x) for x in point]
+    if len(pt) != body.dimension:
+        raise ArgumentError("point dimension mismatch")
+    return all(sum(c * x for c, x in zip(a, pt)) <= b for a, b in body.rows)
+
+
 def translate(body: ConvexBody, v) -> ConvexBody:
     """The body shifted by the integer vector v."""
     return ConvexBody.halfspaces(
@@ -247,6 +257,32 @@ def mc_volume(body, samples: int, seed: int) -> tuple[float, float]:
     est = p * box_vol
     se = box_vol * math.sqrt(max(p * (1 - p), 1e-300) / samples)
     return est, se
+
+
+def qhull_volume(body) -> float | None:
+    """The volume by qhull: the vertices from scipy's halfspace intersection
+    around the Chebyshev centre (found by linprog), then their convex hull.
+    0 when the largest inscribed ball has radius below 1e-9 (a flat or
+    empty body); None when the radius is below 1e-6 times the body's scale
+    max |b| / |a|, where qhull's floating point is not to be trusted."""
+    A = np.array([row for row, _ in body.rows], dtype=float)
+    b = np.array([float(rhs) for _, rhs in body.rows])
+    norms = np.linalg.norm(A, axis=1)
+    d = A.shape[1]
+    # maximise r subject to <a, x> + |a| r <= b and 0 <= r <= 1e6
+    lp = linprog(
+        [0.0] * d + [-1.0], A_ub=np.hstack([A, norms[:, None]]), b_ub=b,
+        bounds=[(None, None)] * d + [(0, 1e6)],
+    )
+    if lp.status == 2 or -lp.fun < 1e-9:
+        return 0.0
+    if lp.status != 0:
+        raise ValueError(f"linprog failed: {lp.message}")
+    keep = norms > 0  # qhull refuses 0 <= b, which the LP has already met
+    if -lp.fun < 1e-6 * np.max(np.abs(b[keep]) / norms[keep]):
+        return None
+    hs = HalfspaceIntersection(np.hstack([A, -b[:, None]])[keep], lp.x[:d])
+    return float(ConvexHull(hs.intersections).volume)
 
 
 def mc_simplex_integral(alpha: float, samples: int, seed: int) -> tuple[float, float]:

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_count_pipeline(tmp_path):
     body = forms.ConvexBody.simplex(2, 1, 300)
     expected = forms.count_friable_values(system, body, 300, (2.0, 2.0, 2.0))
     assert payload["result"]["count"] == expected
-    assert payload["result"]["volume_exact"] is True
+    assert payload["result"]["volume"] == 298**2 / 2 and "volume_exact" not in payload["result"]
     assert payload["result"]["ratio"] == pytest.approx(
         expected / payload["result"]["main_term"]
     )
@@ -241,8 +242,8 @@ def test_box_written_as_hpoly_is_the_same_body(d, bounds, N):
     box = cli.parse_body_spec("box:" + ";".join(f"{lo},{hi}" for lo, hi in bounds), d)
     hpoly = cli.parse_body_spec(_as_hpoly_spec(bounds), d)
     assert (box.kind, hpoly.kind) == ("box", "hpoly")
-    assert forms.volume(box) == forms.volume(hpoly)
-    assert forms.volume(hpoly).exact
+    assert forms.volume(box) == forms.volume(hpoly) == math.prod(
+        Fraction(hi) - Fraction(lo) for lo, hi in bounds)
     for n in (N - 1, N):  # the sum form leaves [0, N - 1] on both
         valid = {forms.validate_domain(system, body, n) for body in (box, hpoly)}
         assert valid == {n == N}
@@ -256,7 +257,7 @@ def test_parse_helpers():
     body = cli.parse_body_spec("box:0,10;0,10", 2)
     assert body.kind == "box"
     body = cli.parse_body_spec("hpoly:1,0,5;-1,0,0;0,1,5;0,-1,0", 2)
-    assert body.kind == "hpoly" and body.contains((3, 3))
+    assert body.kind == "hpoly" and oracles.contains(body, (3, 3))
     with pytest.raises(ArgumentError):
         cli.parse_body_spec("box:0,10", 2)
     with pytest.raises(ArgumentError):
@@ -326,6 +327,15 @@ def test_fixed_outputs_are_unchanged(tmp_path):
     ]
 
 
+def test_count_reports_the_exact_volume_of_a_cut_triangle(tmp_path):
+    argv = ("count", "--forms", "x1; x2; x1+x2", "--body", "hpoly:-1,0,-1;0,-1,-1;1,1,N;1,-1,6666",
+            "--N", "20000", "--u", "2,2.5,3")
+    assert run_cli(tmp_path, *argv) == 0
+    result = read_result(tmp_path, "count")["result"]
+    assert result["count"] == 1443284
+    assert result["volume"] == 155524446.0
+
+
 def test_gowers_refuses_before_building(tmp_path):
     # the modulus is checked before the input sequence exists
     for spec, mode in [
@@ -358,7 +368,8 @@ _CELLS = {  # kind: (cells, numpy dtype of the column or None for a list)
     "float": (st.floats(), None),
     "bool": (st.booleans(), None),
     "int": (st.integers(), None),
-    "text": (st.text(st.characters(blacklist_characters=',"\r\n\x00'), min_size=1), None),
+    "text": (st.text(st.characters(codec="utf-8", blacklist_characters=',"\r\n\x00'),
+                     min_size=1), None),
 }
 
 
@@ -390,7 +401,8 @@ def test_csv_writer_matches_csv_module(table):
 
 
 def test_csv_writer_refuses_cells_csv_would_quote():
-    for bad in ("a,b", 'say "x"', "line\r", "line\n", ""):
+    # a lone surrogate has no UTF-8 encoding
+    for bad in ("a,b", 'say "x"', "line\r", "line\n", "", "\ud800"):
         with pytest.raises(ValueError):
             cli.csv_bytes(["name"], [["ok", bad]])
         with pytest.raises(ValueError):
