@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, correlate, criteria, dickman, forms, gowers, sieve
-from .config import RuntimeConfig, resolve_config
+from .config import DEFAULT_DICKMAN_TOL, RuntimeConfig, resolve_config
 from .errors import ArgumentError, FriableError, ResourceError
 
 
@@ -255,7 +255,8 @@ def _write_outputs(
         "command": command,
         "params": params,
         "version": __version__,
-        "tolerances": {"dickman_tol": cfg.dickman_tol},
+        # rho is built at the default tolerance unless ``dickman --tol`` sets one
+        "tolerances": {"dickman_tol": params.get("tol", DEFAULT_DICKMAN_TOL)},
         "threads": cfg.threads,
         "wall_clock_s": elapsed,
         "output_digest": hashlib.sha256(digest_text.encode("utf-8")).hexdigest(),
@@ -294,7 +295,7 @@ _MAX_TABLE_ROWS = 10**6  # largest `dickman --table` output
 
 
 def _cmd_dickman(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
-    tol = args.tol if args.tol is not None else cfg.dickman_tol
+    tol = args.tol if args.tol is not None else DEFAULT_DICKMAN_TOL
     tables = {}
     if args.table is not None:
         u_max, step = args.table
@@ -435,12 +436,7 @@ def _cmd_decompose(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     phase = parse_phase_spec(args.phase)
     tau = args.tau if args.tau is not None else correlate.default_tau(args.N)
     split = correlate.sigma_split(args.N, args.u, tau, phase)
-    rho_u = float(dickman.rho(args.u))
-    scale = (
-        args.u
-        * args.N
-        * (tau * args.u + rho_u * math.log(args.u + 1) / math.log(args.N))
-    )
+    scale = correlate.sigma2_bound_scale(args.N, args.u, tau)
     params = {"N": args.N, "u": args.u, "tau": tau, "phase": args.phase}
     result = {
         "sigma1": split.sigma1,
@@ -460,7 +456,7 @@ def _cmd_verify(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
             f"unknown suite {args.suite!r}; choose from {sorted(criteria.SUITES)}"
         )
     run_suite = criteria.SUITES[args.suite]
-    result, tables = run_suite(args.N, threads=cfg.threads, tol=cfg.dickman_tol)
+    result, tables = run_suite(args.N, threads=cfg.threads)
     params = {"suite": args.suite}
     if args.N is not None:
         params["N"] = args.N

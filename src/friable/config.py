@@ -1,5 +1,4 @@
-"""Runtime configuration (threads, Dickman tolerance) and the
-library's default budgets.
+"""Runtime configuration (threads) and the library's default budgets.
 
 Values come from (highest precedence first): explicit function arguments /
 CLI flags, the FRIABLE_THREADS environment variable (threads only), a plain
@@ -25,10 +24,6 @@ THREADS_ENV = "FRIABLE_THREADS"
 @dataclass(frozen=True)
 class RuntimeConfig:
     threads: int = 1
-    dickman_tol: float = DEFAULT_DICKMAN_TOL
-
-
-_INT_KEYS = {"threads"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -48,7 +43,7 @@ def parse_config_file(path: str) -> dict:
             if key not in known:
                 raise ArgumentError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = int(val) if key in _INT_KEYS else float(val)
+                values[key] = int(val)
             except ValueError as exc:
                 raise ArgumentError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     return values

@@ -357,6 +357,12 @@ def sigma_split(
     return SigmaSplit(sigma1=sigma1, sigma2=sigma2, total=total)
 
 
+def sigma2_bound_scale(N: int, u: float, tau: float) -> float:
+    """u N (tau u + rho(u) log(u+1) / log N), the scale of the bound on |Sigma_2|."""
+    rho_u = float(dickman.rho(u))
+    return u * N * (tau * u + rho_u * math.log(u + 1.0) / math.log(N))
+
+
 # ---------------------------------------------------------------------------
 # subset decomposition over a form system
 # ---------------------------------------------------------------------------

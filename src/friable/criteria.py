@@ -8,7 +8,7 @@ independent oracles (trial division, quadrature, direct Gowers sums),
 which stay out of the library.  The thresholds of those comparisons are
 the ``*_ORACLE_TOL`` constants below.
 
-All criteria take ``(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL)``;
+All criteria take ``(N=None, *, threads=1)``;
 ``N=None`` means the criterion's default size, and a criterion without a
 size refuses any other ``N``.
 """
@@ -22,7 +22,6 @@ import numpy as np
 from . import analytic, correlate, forms, sieve
 from . import dickman as _dickman
 from . import gowers as _gowers
-from .config import DEFAULT_DICKMAN_TOL
 from .errors import ArgumentError
 
 TERNARY = "x1; x2; x1+x2"
@@ -40,7 +39,7 @@ def _no_size(name: str, N) -> None:
         raise ArgumentError(f"suite {name!r} has no size to set with --N")
 
 
-def hildebrand(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
+def hildebrand(N=None, *, threads=1):
     """Criterion 1: |Psi(N, N^(1/u)) / (N rho(u)) - 1| <= 3 u log(u+1) / log N."""
     N = 10**6 if N is None else N
     header = ["u", "psi", "n_rho", "relative_deviation", "bound", "within"]
@@ -80,7 +79,7 @@ def ternary_local_density_sum(N: int, u) -> float:
     return math.fsum((inner[2:] * deltas[2][2:]).tolist())
 
 
-def theorem1(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
+def theorem1(N=None, *, threads=1):
     """Criterion 2: the paper's formula for (x1, x2, x1+x2) on the simplex,
     in the two steps of its proof.
 
@@ -133,7 +132,7 @@ def theorem1(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     return result, tables
 
 
-def product(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
+def product(N=None, *, threads=1):
     """Criterion 3: the box count of (x1; x2) equals Psi(N, y)^2 exactly."""
     N = 10**3 if N is None else N
     system = forms.parse_form_system("x1; x2")
@@ -147,10 +146,10 @@ def product(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     return {"N": N, "passed": all(row[-1] for row in rows)}, {"counts": _table(header, rows)}
 
 
-def dickman(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
+def dickman(N=None, *, threads=1):
     """Criterion 4: rho(2) = 1 - log 2 and the delay-equation residual, both to 1e-9."""
     _no_size("dickman", N)
-    table = _dickman.rho_table(20.0, tol)
+    table = _dickman.default_table()
     closed = abs(table.eval(2.0) - (1.0 - math.log(2.0)))
     _, residuals = _dickman.dde_residual_grid(table, 1000, 1.0, 20.0)
     max_res = float(np.max(residuals))
@@ -162,7 +161,7 @@ def dickman(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     return result, {}
 
 
-def mertens(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
+def mertens(N=None, *, threads=1):
     """Criterion 5: |sum mu(k)/k - rho(2)| decays over N = 10^3..10^6.
 
     At most one step may grow, by no more than 10%, and the last error
@@ -199,7 +198,7 @@ def gowers_samples() -> list[np.ndarray]:
     return out
 
 
-def gowers(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
+def gowers(N=None, *, threads=1):
     """Criterion 6: U^2 <= U^3 on the samples, ||1|| = 1, and the U^2[N]
     norm of the balanced friable function decreasing over N = 2^10, 2^12, 2^14.
     """
@@ -224,7 +223,7 @@ def gowers(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     return result, {"norms": _table(["N", "u2_interval_norm"], rows)}
 
 
-def decompose(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
+def decompose(N=None, *, threads=1):
     """Criterion 7: Sigma_1 + Sigma_2 reproduces the correlation to 1e-8, and
     |Sigma_2| <= C u N (tau u + rho(u) log(u+1) / log N) with C <= 50."""
     _no_size("decompose", N)
@@ -233,8 +232,7 @@ def decompose(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     for N in (10**3, 10**4, 10**5):
         tau = correlate.default_tau(N)
         for u in (1.5, 2.0, 3.0):
-            rho_u = float(_dickman.rho(u))
-            scale = u * N * (tau * u + rho_u * math.log(u + 1.0) / math.log(N))
+            scale = correlate.sigma2_bound_scale(N, u, tau)
             for name in ("linear_golden", "quadratic_sqrt2", "bracket_golden"):
                 split = correlate.sigma_split(N, u, tau, correlate.phase_preset(name))
                 rel = split.reconstruction_error / max(abs(split.total), 1e-30)
@@ -250,7 +248,7 @@ def decompose(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
     return result, {"grid": _table(header, rows)}
 
 
-def harper(N=None, *, threads=1, tol=DEFAULT_DICKMAN_TOL):
+def harper(N=None, *, threads=1):
     """Criterion 8: the ternary count over S0 S1 Psi(N, y)^3 / N lies in
     [0.5, 2] at y = 100, with S1(1) = 1/2 and the saddle residual
     within 1e-10 log N."""

@@ -7,9 +7,11 @@ with per-form bounds N^(1/u_i), compared against Vol(K) * prod rho(u_i).
 Geometry is exact: every body is an H-polytope whose rational rows are
 scaled to integers once, when it is built.  One Fourier-Motzkin
 elimination in integer arithmetic gives the slab bounds of the lattice
-walk (integer floor and ceiling divisions), decides emptiness and gives
-the exact range of any linear functional; Lasserre's recursion on the same
-rows gives the exact rational volume of every bounded body.  Friability
+walk (integer floor and ceiling divisions) and decides emptiness.  An
+equality enters only through one integer substitution step: the range of
+<c, x> is one substitution of x_0 = <c, x> plus one elimination, and
+Lasserre's recursion substitutes each facet to give the exact rational
+volume of every bounded body.  Friability
 lookups index ``sieve.friable_masks`` over [0, N], which holds every form
 value once ``validate_domain`` passes.
 Along one slab a form's values are an arithmetic progression, so its
@@ -32,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import dickman, sieve
-from .errors import ArgumentError, NumericError, PreconditionError
+from .errors import ArgumentError, NumericError, PreconditionError, ResourceError
 
 _INT64_MAX = 2**63 - 1
 
@@ -105,11 +107,6 @@ class FormSystem:
     @property
     def count(self) -> int:
         return len(self.forms)
-
-    @property
-    def coefficient_bound(self) -> int:
-        """L = max absolute non-constant coefficient across the system."""
-        return max(abs(c) for f in self.forms for c in f.coeffs)
 
 
 def check_pairwise_affine_independence(system: FormSystem) -> bool:
@@ -355,15 +352,31 @@ def _tightest(rows: Iterable[_Row]) -> list[_Row]:
 # ---------------------------------------------------------------------------
 
 
+def _substitute(rows: Iterable[_Row], a: Sequence[int], b: int, j: int) -> list[_Row]:
+    """The rows with x_j substituted out of <a, x> = b (a_j != 0) and
+    coordinate j dropped.  Each row is scaled by |a_j| first, so every
+    entry stays an integer."""
+    m, s = abs(a[j]), (1 if a[j] > 0 else -1)
+    return [
+        (
+            tuple(m * x - s * ak[j] * y for k, (x, y) in enumerate(zip(ak, a)) if k != j),
+            m * bk - s * ak[j] * b,
+        )
+        for ak, bk in rows
+    ]
+
+
 def _functional_range(body: ConvexBody, coeffs: Sequence[int]) -> tuple[Fraction, Fraction]:
     """Exact [min, max] of <coeffs, x> over a bounded nonempty body: the
-    range of x_0 once x_1..x_d are eliminated from the body's rows and the
-    pair x_0 = <coeffs, x>."""
+    range of x_0 once the first x_j with c_j != 0 is substituted out of
+    x_0 = <coeffs, x> and the other d - 1 coordinates are eliminated."""
     if body.is_empty():
         raise ArgumentError("cannot bound a functional over an empty polytope")
-    rows = [((0, *a), b) for a, b in body.rows]
-    rows += [((1, *(-c for c in coeffs)), 0), ((-1, *coeffs), 0)]
-    top = _eliminate(rows, body.dimension + 1)[0][1]
+    j = next((k for k, c in enumerate(coeffs) if c), None)
+    if j is None:
+        return Fraction(0), Fraction(0)
+    rows = _substitute([((0, *a), b) for a, b in body.rows], (-1, *coeffs), 0, j + 1)
+    top = _eliminate(rows, body.dimension)[0][1]
     lo = max(Fraction(b, a[0]) for a, b in top if a[0] < 0)
     hi = min(Fraction(b, a[0]) for a, b in top if a[0] > 0)
     return lo, hi
@@ -408,9 +421,8 @@ def _lasserre(rows: Sequence[_Row], seen: dict) -> Fraction:
 
         vol_d(P) = (1/d) sum_i (b_i / |a_ij|) vol_{d-1}(pi_j F_i),
 
-    F_i the facet on row i and pi_j dropping a coordinate with a_ij != 0.
-    Each other row, scaled by |a_ij|, has x_j substituted out from
-    <a_i, x> = b_i, so every entry stays an integer.  A row reduced to
+    F_i the facet on row i and pi_j dropping a coordinate with a_ij != 0;
+    ``_substitute`` takes x_j out of every other row.  A row reduced to
     0 <= b is dropped, or empties the set when b < 0.  ``_tightest`` keeps
     one row of each positively parallel set, which would otherwise count
     its facet twice; a row with b_i = 0 adds nothing.  Empty and flat sets
@@ -434,16 +446,8 @@ def _lasserre(rows: Sequence[_Row], seen: dict) -> Fraction:
             if b == 0:
                 continue
             j = next(k for k, c in enumerate(a) if c)
-            m, s = abs(a[j]), (1 if a[j] > 0 else -1)
-            facet = [
-                (
-                    tuple(m * x - s * ak[j] * y for k, (x, y) in enumerate(zip(ak, a)) if k != j),
-                    m * bk - s * ak[j] * b,
-                )
-                for r, (ak, bk) in enumerate(rows)
-                if r != i
-            ]
-            total += Fraction(b, m) * _lasserre(facet, seen)
+            facet = _substitute(rows[:i] + rows[i + 1 :], a, b, j)
+            total += Fraction(b, abs(a[j])) * _lasserre(facet, seen)
         seen[key] = total / d
     return seen[key]
 
@@ -520,7 +524,9 @@ def count_friable_values(
     with y^(u_i) <= N, or, given in place of ``u``, the integers ``ys``.
     Form values equal to 0 or 1 count as friable (P+ convention).  A
     separable system (see ``_separable_layout``) is counted by one FFT
-    convolution of friable masks; every other input by the slab walker.
+    convolution of friable masks, or refused with ResourceError before any
+    mask is sieved when that convolution is too large; every other input
+    is counted by the slab walker.
     ``threads`` splits the segments of the mask sieve; both counts run in
     the calling thread.
     """
@@ -537,17 +543,14 @@ def count_friable_values(
         raise ArgumentError("two forms are affinely related")
     if not validate_domain(system, body, N):
         raise PreconditionError(f"some form leaves [0, {N}] on this body")
+    layout = _separable_layout(system, body)
     if ys is None:
         ys = [sieve.friable_bound(N, ui) for ui in u]
     masks = sieve.friable_masks(N, ys, threads=threads)
     form_masks = [masks[y] for y in ys]
-
-    layout = _separable_layout(system, body)
-    if layout is not None:
-        count = _count_by_convolution(system, layout, body, form_masks)
-        if count is not None:
-            return count
-    return _count_by_slabs(system, body, form_masks)
+    if layout is None:
+        return _count_by_slabs(system, body, form_masks)
+    return _count_by_convolution(system, layout, body, form_masks)
 
 
 def _count_by_slabs(
@@ -576,8 +579,9 @@ def _count_by_slabs(
 
 
 class _Layout(NamedTuple):
-    coordinate_forms: tuple[int, ...]  # index of the form x_j, for each j
-    other: int | None                  # index of the form L = a.x + c, if any
+    coordinate_forms: tuple[int, ...]      # index of the form x_j, for each j
+    other: int | None                      # index of the form L = a.x + c, if any
+    ranges: tuple[tuple[int, int], ...]    # integer range [l_j, h_j] of each x_j
 
 
 def _separable_layout(system: FormSystem, body: ConvexBody) -> _Layout | None:
@@ -588,7 +592,9 @@ def _separable_layout(system: FormSystem, body: ConvexBody) -> _Layout | None:
     and the body is nonempty, each of its rows bounding one coordinate
     or a nonzero multiple of a.  Such a body is
     its coordinate box cut by the range of a.x, so the count is a
-    convolution of the coordinate masks read against L's mask.
+    convolution of the coordinate masks read against L's mask.  Raises
+    ResourceError when an entry of that convolution could reach 2^40 or
+    the number of points 2^63.
     """
     d = system.dimension
     unit = {tuple(int(i == j) for i in range(d)): j for j in range(d)}
@@ -614,7 +620,17 @@ def _separable_layout(system: FormSystem, body: ConvexBody) -> _Layout | None:
             return None
     if body.is_empty():
         return None
-    return _Layout(tuple(coordinate[j] for j in range(d)), other)
+    ranges = tuple((math.ceil(lo), math.floor(hi)) for lo, hi in body.coordinate_bounds())
+    lengths = [max(hi - lo + 1, 0) for lo, hi in ranges]
+    points = math.prod(lengths)
+    if other is not None and points and (
+        points // max(lengths) >= _CONVOLUTION_MAX_ENTRY or points > _INT64_MAX
+    ):
+        raise ResourceError(
+            f"a coordinate box of {points} lattice points is too large to count: a "
+            "convolution entry could reach 2^40 or the count 2^63"
+        )
+    return _Layout(tuple(coordinate[j] for j in range(d)), other, ranges)
 
 
 def _fft_length(n: int) -> int:
@@ -642,30 +658,21 @@ def _convolve(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 def _count_by_convolution(
     system: FormSystem, layout: _Layout, body: ConvexBody, form_masks: Sequence[np.ndarray]
-) -> int | None:
+) -> int:
     """Count a separable input as sum_n 1_L(n + c) * (conv of spread masks)(n).
 
     Mask j is cut to x_j's integer range [l_j, h_j] and spread onto the
     multiples of a_j, so the convolution at k counts the friable points
-    with a.x = k + sum a_j l_j.  Returns None, for the walker to count,
-    when an entry of the convolution could reach 2^40 or the number of
-    points 2^63; raises NumericError when the FFT result is not the exact
-    integer convolution.
+    with a.x = k + sum a_j l_j.  Raises NumericError when the FFT result is
+    not the exact integer convolution.
     """
-    ranges = []
-    for lo, hi in body.coordinate_bounds():
-        lo, hi = math.ceil(lo), math.floor(hi)
-        if lo > hi:
-            return 0
-        ranges.append((lo, hi))
+    ranges = layout.ranges
+    if any(lo > hi for lo, hi in ranges):
+        return 0
     cut = [form_masks[i][lo : hi + 1] for i, (lo, hi) in zip(layout.coordinate_forms, ranges)]
     popcounts = [int(np.count_nonzero(m)) for m in cut]
     if layout.other is None:
         return math.prod(popcounts)
-    lengths = [len(m) for m in cut]
-    points = math.prod(lengths)
-    if points // max(lengths) >= _CONVOLUTION_MAX_ENTRY or points > _INT64_MAX:
-        return None
 
     form = system.forms[layout.other]
     spread = []

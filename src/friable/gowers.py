@@ -72,10 +72,6 @@ class SequenceFn:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def _coerce(f) -> np.ndarray:
     if isinstance(f, SequenceFn):

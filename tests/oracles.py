@@ -6,9 +6,10 @@ Gauss-Legendre steps with barycentric interpolation instead of Chebyshev
 collocation, Monte Carlo and qhull instead of exact geometry, long-double
 bisection instead of double bisection + Newton, per-n divisor scans
 instead of sieve passes, membership tests of every bounding-box point
-instead of slab walks, and O(M^2) autocorrelation sums and direct
-(k+1)-fold Gowers sums instead of FFTs, and Python's csv module row by row
-instead of the columnar CSV writer.
+instead of slab walks, the pair of rows x_0 <= <c, x> <= x_0 instead of
+substituting x_0 = <c, x> out for the range of <c, x>, O(M^2)
+autocorrelation sums and direct (k+1)-fold Gowers sums instead of FFTs,
+and Python's csv module row by row instead of the columnar CSV writer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from friable.errors import ArgumentError, PreconditionError, ResourceError
-from friable.forms import ConvexBody
+from friable.forms import ConvexBody, _eliminate
 from friable.gowers import _check_bounded, _coerce, _root
 
 
@@ -174,6 +175,18 @@ def translate(body: ConvexBody, v) -> ConvexBody:
         [coeffs for coeffs, _ in body.rows],
         [rhs + sum(c * s for c, s in zip(coeffs, v)) for coeffs, rhs in body.rows],
     )
+
+
+def pairing_range(body: ConvexBody, coeffs) -> tuple[Fraction, Fraction]:
+    """Exact [min, max] of <coeffs, x> over a bounded nonempty body with
+    x_0 = <coeffs, x> entered as the pair of rows x_0 - <coeffs, x> <= 0
+    and <coeffs, x> - x_0 <= 0, then all d coordinates eliminated."""
+    rows = [((0, *a), b) for a, b in body.rows]
+    rows += [((1, *(-c for c in coeffs)), 0), ((-1, *coeffs), 0)]
+    top = _eliminate(rows, body.dimension + 1)[0][1]
+    lo = max(Fraction(b, a[0]) for a, b in top if a[0] < 0)
+    hi = min(Fraction(b, a[0]) for a, b in top if a[0] > 0)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from friable import cli, correlate, criteria, dickman, forms
+from friable import cli, correlate, criteria, dickman, forms, sieve
 from friable.config import resolve_config
 from friable.errors import ArgumentError
 
@@ -80,6 +80,16 @@ def test_manifest_replay_digest(tmp_path):
     second = read_manifest(tmp_path, "saddle")
     assert first["output_digest"] == second["output_digest"]
     assert first["version"] == second["version"]
+
+
+def test_manifest_records_the_applied_tolerance(tmp_path):
+    assert run_cli(tmp_path, "dickman", "--u", "3", "--tol", "1e-6") == 0
+    assert read_manifest(tmp_path, "dickman")["tolerances"] == {"dickman_tol": 1e-6}
+    assert run_cli(tmp_path, "dickman", "--u", "3") == 0
+    assert read_manifest(tmp_path, "dickman")["tolerances"] == {"dickman_tol": 1e-10}
+    assert run_cli(tmp_path, "count", "--forms", "x1", "--body", "box:1,N", "--N", "50",
+                   "--u", "2") == 0
+    assert read_manifest(tmp_path, "count")["tolerances"] == {"dickman_tol": 1e-10}
 
 
 def test_count_digest_stable_despite_elapsed(tmp_path):
@@ -192,9 +202,9 @@ def test_verify_harper_suite_small(tmp_path):
 
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfg_file = tmp_path / "friable.cfg"
-    cfg_file.write_text("dickman_tol = 1e-12\nthreads = 2\n# comment\n")
+    cfg_file.write_text("threads = 2\n# comment\n")
     cfg = resolve_config(str(cfg_file))
-    assert cfg.dickman_tol == 1e-12 and cfg.threads == 2
+    assert cfg.threads == 2
     monkeypatch.setenv("FRIABLE_THREADS", "5")
     cfg = resolve_config(str(cfg_file))
     assert cfg.threads == 5  # env beats file
@@ -214,7 +224,7 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(ArgumentError):
         resolve_config(str(bad))
     # keys the library never read are gone, not silently recorded
-    for key in ("max_table_entries", "max_sieve_n", "dickman_umax", "segment_size"):
+    for key in ("max_table_entries", "max_sieve_n", "dickman_umax", "segment_size", "dickman_tol"):
         bad.write_text(f"{key} = 100\n")
         with pytest.raises(ArgumentError, match="unknown config key"):
             resolve_config(str(bad))
@@ -334,6 +344,20 @@ def test_count_reports_the_exact_volume_of_a_cut_triangle(tmp_path):
     result = read_result(tmp_path, "count")["result"]
     assert result["count"] == 1443284
     assert result["volume"] == 155524446.0
+
+
+def test_count_refuses_an_oversized_convolution_before_sieving(tmp_path, monkeypatch):
+    # at N = 10^6 this system counts in about a second; at 2*10^6 an entry
+    # of its convolution could pass 2^40, and a slab walk would take about
+    # 2*10^12 runs, so the count exits 3 before any mask is sieved
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count should refuse before sieving")
+
+    monkeypatch.setattr(sieve, "friable_masks", refuse)
+    start = time.perf_counter()
+    assert run_cli(tmp_path, "count", "--forms", "x1; x2; x3; x1+x2+x3", "--body",
+                   "simplex:1,N", "--N", "2000000", "--u", "2,2,2,2") == 3
+    assert time.perf_counter() - start < 5.0
 
 
 def test_gowers_refuses_before_building(tmp_path):

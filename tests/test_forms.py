@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 
 import oracles
 from friable import forms, sieve
-from friable.errors import ArgumentError, NumericError, PreconditionError
+from friable.errors import ArgumentError, NumericError, PreconditionError, ResourceError
 
 HARPER = forms.parse_form_system("x1; x2; x1+x2")
 
@@ -46,7 +46,6 @@ def test_parse_forms():
     assert forms.parse_form("x1 - x2 + 7").coeffs == (1, -1)
     system = forms.parse_form_system("x1; x2; x1+x2")
     assert system.count == 3 and system.dimension == 2
-    assert system.coefficient_bound == 1
     with pytest.raises(ArgumentError):
         forms.parse_form("3y+1")
     with pytest.raises(ArgumentError):
@@ -199,6 +198,54 @@ def test_elimination_matches_linear_programming():
         assert float(lo) == pytest.approx(low.fun, abs=1e-7)
         assert float(hi) == pytest.approx(-high.fun, abs=1e-7)
     assert 15 <= nonempty <= 65
+
+
+@st.composite
+def _range_queries(draw):
+    """A body of ``_bodies``, maybe cut by one more row with rational
+    coefficients, and a functional <c, x> with |c_j| <= 4 (zero included)."""
+    body = draw(_bodies())
+    d = body.dimension
+    A, b = [a for a, _ in body.rows], [r for _, r in body.rows]
+    if draw(st.booleans()):
+        ratio = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+        A.append(draw(st.lists(ratio, min_size=d, max_size=d)))
+        b.append(draw(st.builds(Fraction, st.integers(-6, 30), st.integers(1, 4))))
+    c = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    return forms.ConvexBody.halfspaces(A, b), c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_range_queries())
+@example((forms.ConvexBody.box([(0, 7), (Fraction(1, 2), 9)]), [3, -2]))
+@example((forms.ConvexBody.halfspaces([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -1, 2, 0]), [0, 0]))
+def test_functional_range_matches_pairing(case):
+    # substituting x_0 = <c, x> out against entering it as a pair of rows
+    body, c = case
+    assume(not body.is_empty())
+    assert forms._functional_range(body, c) == oracles.pairing_range(body, c)
+    assert forms._functional_range(body, [0] * body.dimension) == (0, 0)
+
+
+def _tangent_planes_64():
+    """The 3-D body of 64 planes tangent to the sphere of radius 50 about
+    (60, 60, 60): normals round(100 u_i) for the 64-point golden-angle
+    sphere u_i, right-hand sides <n, (60, 60, 60)> + isqrt(2500 |n|^2) + 1."""
+    golden = math.pi * (3 - math.sqrt(5))
+    A, b = [], []
+    for i in range(64):
+        z = 1 - (2 * i + 1) / 64
+        r = math.sqrt(1 - z * z)
+        n = [round(100 * x) for x in (r * math.cos(golden * i), r * math.sin(golden * i), z)]
+        A.append(n)
+        b.append(60 * sum(n) + math.isqrt(2500 * sum(x * x for x in n)) + 1)
+    return forms.ConvexBody.halfspaces(A, b)
+
+
+def test_ranges_of_a_body_of_many_planes():
+    body = _tangent_planes_64()
+    assert body.coordinate_bounds()[0] == (Fraction(22274, 2785), Fraction(151707, 1363))
+    assert forms.validate_domain(forms.parse_form_system("x1; x2; x3; x1+x2+x3"), body, 400)
 
 
 def test_enumerate_examples():
@@ -552,16 +599,19 @@ def test_walker_matches_trial_division(case):
     assert forms.count_friable_values(system, body, N, u) == brute
 
 
-def test_convolution_guard_falls_back_to_the_walker(monkeypatch):
-    body = forms.ConvexBody.simplex(2, 1, 300)
-    expected = forms.count_friable_values(HARPER, body, 300, (2.0, 2.0, 2.0))
-
-    def refuse(arrays):
-        raise AssertionError("the guard should have sent this count to the walker")
+def test_convolution_guard_refuses_before_sieving(monkeypatch):
+    # a convolution too large for exact float64 entries is refused, not
+    # handed to the walker, and refused before any friable mask is sieved
+    def refuse(*args, **kwargs):
+        raise AssertionError("the guard should refuse before sieving")
 
     monkeypatch.setattr(forms, "_CONVOLUTION_MAX_ENTRY", 299)  # x1 and x2 take 299 values each
-    monkeypatch.setattr(forms, "_convolve", refuse)
-    assert forms.count_friable_values(HARPER, body, 300, (2.0, 2.0, 2.0)) == expected
+    monkeypatch.setattr(sieve, "friable_masks", refuse)
+    with pytest.raises(ResourceError):
+        forms.count_friable_values(HARPER, forms.ConvexBody.simplex(2, 1, 300), 300, (2.0,) * 3)
+    monkeypatch.setattr(forms, "_CONVOLUTION_MAX_ENTRY", 300)
+    with pytest.raises(AssertionError, match="before sieving"):
+        forms.count_friable_values(HARPER, forms.ConvexBody.simplex(2, 1, 300), 300, (2.0,) * 3)
 
 
 @pytest.mark.parametrize("offset", [0.3, 1.0])
