@@ -435,7 +435,7 @@ def _cmd_correlate(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
 def _cmd_decompose(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     phase = parse_phase_spec(args.phase)
     tau = args.tau if args.tau is not None else correlate.default_tau(args.N)
-    split = correlate.sigma_split(args.N, args.u, tau, phase)
+    (split,) = correlate.sigma_split(args.N, args.u, tau, [phase])
     scale = correlate.sigma2_bound_scale(args.N, args.u, tau)
     params = {"N": args.N, "u": args.u, "tau": tau, "phase": args.phase}
     result = {

@@ -39,6 +39,7 @@ SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 
 _SUBSET_POINT_BUDGET = 10**6
 _HTAU_TERM_BUDGET = 10**7
+_SCATTER_BLOCK = 1 << 20  # (k, multiple) pairs per np.add.at call
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +265,26 @@ def _admissible_k(N: int, u: float, tau: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _divisor_pass(N: int, ks: np.ndarray, mus: np.ndarray, start: float) -> np.ndarray:
-    """start + sum_k mu(k) 1[k | n] for n = 0..N by one strided pass per k; index 0 is 0."""
+    """start + sum_k mu(k) 1[k | n] for n = 0..N; index 0 is 0.
+
+    One ordered scatter: the pairs (k, j k), j = 1..N // k, are laid out
+    k by k in ascending order, in blocks of about ``_SCATTER_BLOCK`` pairs,
+    and ``np.add.at`` applies them in that order.  Each n thus receives its
+    mu(k) in the same order as a strided ``out[::k] += mu(k)`` loop over
+    ascending k, so the sums are bit-identical to it.
+    """
     out = np.full(N + 1, start, dtype=np.float64)
-    for k, m in zip(ks.tolist(), mus.tolist()):
-        out[::k] += m
+    counts = N // ks
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < ks.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, base + _SCATTER_BLOCK, side="right")), lo + 1)
+        reps = counts[lo:hi]
+        first = np.repeat(ends[lo:hi] - reps - base, reps)  # position of each run's j = 1
+        j = np.arange(1, int(ends[hi - 1]) - base + 1) - first
+        np.add.at(out, np.repeat(ks[lo:hi], reps) * j, np.repeat(mus[lo:hi].astype(np.float64), reps))
+        lo = hi
     out[0] = 0.0
     return out
 
@@ -335,13 +352,16 @@ def sigma_split(
     N: int,
     u: float,
     tau: float,
-    g: PhaseSequence,
-) -> SigmaSplit:
-    """Sigma_1 = sum h_tau(n) conj(g(n)) and Sigma_2 = the tail remainder.
+    phases: Sequence[PhaseSequence],
+) -> list[SigmaSplit]:
+    """Sigma_1 = sum h_tau(n) conj(g(n)) and Sigma_2 = the tail remainder,
+    one SigmaSplit per phase g in ``phases``, in order.
 
     Sigma_2 collects the divisor sum over admissible k > N^(1-tau), plus
     the constant (truncated Mobius mean - rho(u)), so Sigma_1 + Sigma_2
-    equals the full balanced correlation sum identically.
+    equals the full balanced correlation sum identically.  h, the
+    admissible k and both divisor passes depend only on (N, u, tau): they
+    are built once and each phase is dotted against them.
     """
     h = balanced_friable(N, u)
     klim = analytic._cutoff(N, tau)
@@ -349,12 +369,16 @@ def sigma_split(
     head = int(np.searchsorted(ks, klim, side="right"))
     ht, mean = _truncated_mobius(N, ks[:head], mus[:head])
     rest = _divisor_pass(N, ks[head:], mus[head:], mean - h.rho_u)
-    gv = g.values(N)
-    cg = np.conj(gv[1:])
-    sigma1 = complex(np.sum(ht[1:] * cg))
-    sigma2 = complex(np.sum(rest[1:] * cg))
-    total = complex(np.sum(h.values[1:].astype(np.complex128) * cg))
-    return SigmaSplit(sigma1=sigma1, sigma2=sigma2, total=total)
+    ht, rest, hv = (v[1:].astype(np.complex128) for v in (ht, rest, h.values))
+    splits = []
+    for g in phases:
+        cg = np.conj(g.values(N)[1:])
+        splits.append(SigmaSplit(
+            sigma1=complex(np.sum(ht * cg)),
+            sigma2=complex(np.sum(rest * cg)),
+            total=complex(np.sum(hv * cg)),
+        ))
+    return splits
 
 
 def sigma2_bound_scale(N: int, u: float, tau: float) -> float:

@@ -228,13 +228,15 @@ def decompose(N=None, *, threads=1):
     |Sigma_2| <= C u N (tau u + rho(u) log(u+1) / log N) with C <= 50."""
     _no_size("decompose", N)
     header = ["N", "u", "phase", "rel_identity_error", "fitted_C"]
+    names = ("linear_golden", "quadratic_sqrt2", "bracket_golden")
+    phases = [correlate.phase_preset(name) for name in names]
     rows = []
     for N in (10**3, 10**4, 10**5):
         tau = correlate.default_tau(N)
         for u in (1.5, 2.0, 3.0):
             scale = correlate.sigma2_bound_scale(N, u, tau)
-            for name in ("linear_golden", "quadratic_sqrt2", "bracket_golden"):
-                split = correlate.sigma_split(N, u, tau, correlate.phase_preset(name))
+            splits = correlate.sigma_split(N, u, tau, phases)
+            for name, split in zip(names, splits):
                 rel = split.reconstruction_error / max(abs(split.total), 1e-30)
                 rows.append([N, u, name, rel, abs(split.sigma2) / scale])
     worst_rel = max(row[3] for row in rows)

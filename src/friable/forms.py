@@ -213,6 +213,7 @@ class ConvexBody:
             raise ArgumentError("constraint rows mix dimensions")
         self._slabs: list | None = None
         self._empty: bool | None = None
+        self._ranges: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -369,9 +370,13 @@ def _substitute(rows: Iterable[_Row], a: Sequence[int], b: int, j: int) -> list[
 def _functional_range(body: ConvexBody, coeffs: Sequence[int]) -> tuple[Fraction, Fraction]:
     """Exact [min, max] of <coeffs, x> over a bounded nonempty body: the
     range of x_0 once the first x_j with c_j != 0 is substituted out of
-    x_0 = <coeffs, x> and the other d - 1 coordinates are eliminated."""
+    x_0 = <coeffs, x> and the other d - 1 coordinates are eliminated.
+    Kept on the body, so each range is eliminated once."""
     if body.is_empty():
         raise ArgumentError("cannot bound a functional over an empty polytope")
+    key = tuple(coeffs)
+    if key in body._ranges:
+        return body._ranges[key]
     j = next((k for k, c in enumerate(coeffs) if c), None)
     if j is None:
         return Fraction(0), Fraction(0)
@@ -379,6 +384,7 @@ def _functional_range(body: ConvexBody, coeffs: Sequence[int]) -> tuple[Fraction
     top = _eliminate(rows, body.dimension)[0][1]
     lo = max(Fraction(b, a[0]) for a, b in top if a[0] < 0)
     hi = min(Fraction(b, a[0]) for a, b in top if a[0] > 0)
+    body._ranges[key] = lo, hi
     return lo, hi
 
 

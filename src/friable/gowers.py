@@ -13,6 +13,13 @@ not change under shifts and conjugation, the terms at h and -h are equal
 (for complex f too): the sum runs over h = 0..floor(M/2), with weight 1 at
 h = 0 and h = M/2 (M even) and 2 elsewhere.
 
+A real f has real derivatives Delta_h f(n) = f(n + h) f(n) and a
+Hermitian spectrum, |fhat(-xi)| = |fhat(xi)|, so the same folding applies
+to frequencies: sum_xi |fhat(xi)|^4 runs over xi = 0..floor(M/2) of one
+real FFT, with weight 1 at xi = 0 and xi = M/2 (M even) and 2 elsewhere.
+A complex input whose imaginary part is identically zero takes this
+path; any other complex input takes the full FFT.
+
 The interval norm U^k[N] embeds f * 1_[0,N] into Z_M with M the first
 5-smooth length >= 2N + 1, and normalizes by the embedded indicator:
 
@@ -87,43 +94,77 @@ def _check_bounded(vals: np.ndarray) -> None:
         )
 
 
-def _fourth_power_sum(fh: np.ndarray) -> np.ndarray:
-    """sum |fh|^4 along the last axis, with |fh|^4 formed in place."""
-    mag = np.abs(fh)
-    mag *= mag
-    mag *= mag
-    return np.sum(mag, axis=-1)
-
-
-def _u2_pow(vals: np.ndarray) -> float:
-    """||f||_{U^2}^4 = sum_xi |fhat(xi)|^4 with fhat(xi) = E_n f(n) e(-xi n / M)."""
-    return float(_fourth_power_sum(np.fft.fft(vals, norm="forward")))
-
-
-def _uk_pow(vals: np.ndarray, k: int) -> float:
-    """||f||_{U^k}^(2^k) by the derivative recursion with FFT base case,
-    summed over h = 0..floor(M/2) by the h <-> -h symmetry."""
-    M = vals.size
-    if k == 2:
-        return _u2_pow(vals)
-    shifted = sliding_window_view(np.concatenate((vals, vals)), M)  # row h: f(n + h)
-    conj = np.conj(vals)
+def _half_weights(M: int) -> np.ndarray:
+    """Weights of the indices 0..floor(M/2) that fold a sum over Z_M onto its
+    half by the x <-> -x symmetry: 1 at 0 and at M/2 (M even), 2 elsewhere."""
     weights = np.full(M // 2 + 1, 2.0)
     weights[0] = 1.0
     if M % 2 == 0:
         weights[-1] = 1.0
-    if k == 3:
-        chunk = max(1, _BLOCK_ENTRIES // M)
-        total = 0.0
-        for start in range(0, weights.size, chunk):
-            w = weights[start : start + chunk]
-            rows = shifted[start : start + w.size] * conj
-            np.fft.fft(rows, axis=1, norm="forward", out=rows)
-            total += float(w @ _fourth_power_sum(rows))
-        return total / M
-    # k == 4: average U^3 powers of the derivatives
+    return weights
+
+
+def _fourth_powers(fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|fh|^4 entrywise, formed in place (in ``out`` when given)."""
+    mag = np.abs(fh, out=out)
+    mag *= mag
+    mag *= mag
+    return mag
+
+
+def _u2_pow(vals: np.ndarray) -> float:
+    """||f||_{U^2}^4 = sum_xi |fhat(xi)|^4 with fhat(xi) = E_n f(n) e(-xi n / M);
+    a float f folds the half spectrum of one real FFT by ``_half_weights``."""
+    if vals.dtype.kind == "f":
+        fh = np.fft.rfft(vals, norm="forward")
+        return float(_fourth_powers(fh) @ _half_weights(vals.size))
+    return float(np.sum(_fourth_powers(np.fft.fft(vals, norm="forward"))))
+
+
+def _u3_pow(vals: np.ndarray) -> float:
+    """||f||_{U^3}^8 = E_h ||Delta_h f||_{U^2}^4 over h = 0..floor(M/2), the
+    derivative rows taken in blocks of about ``_BLOCK_ENTRIES`` entries
+    through work arrays reused from block to block.  Float rows take the
+    real FFT and fold its half spectrum; complex rows the full FFT in place."""
+    M = vals.size
+    real = vals.dtype.kind == "f"
+    shifted = sliding_window_view(np.concatenate((vals, vals)), M)  # row h: f(n + h)
+    conj = np.conj(vals)
+    weights = _half_weights(M)
+    chunk = min(max(1, _BLOCK_ENTRIES // M), weights.size)
+    rows = np.empty((chunk, M), dtype=vals.dtype)
+    spectrum = np.empty((chunk, weights.size), dtype=np.complex128) if real else rows
+    mag = np.empty(spectrum.shape)
     total = 0.0
-    for h, w in enumerate(weights.tolist()):
+    for start in range(0, weights.size, chunk):
+        w = weights[start : start + chunk]
+        n = w.size
+        block = np.multiply(shifted[start : start + n], conj, out=rows[:n])
+        if real:
+            fh = np.fft.rfft(block, axis=1, norm="forward", out=spectrum[:n])
+            total += float(w @ (_fourth_powers(fh, mag[:n]) @ weights))
+        else:
+            fh = np.fft.fft(block, axis=1, norm="forward", out=block)
+            total += float(w @ np.sum(_fourth_powers(fh, mag[:n]), axis=-1))
+    return total / M
+
+
+def _uk_pow(vals: np.ndarray, k: int) -> float:
+    """||f||_{U^k}^(2^k) by the derivative recursion with FFT base case,
+    summed over h = 0..floor(M/2) by the h <-> -h symmetry.  A complex f
+    whose imaginary part is identically 0 runs on its real part."""
+    if vals.dtype.kind == "c" and not vals.imag.any():
+        vals = vals.real
+    if k == 2:
+        return _u2_pow(vals)
+    if k == 3:
+        return _u3_pow(vals)
+    # k == 4: average U^3 powers of the derivatives
+    M = vals.size
+    shifted = sliding_window_view(np.concatenate((vals, vals)), M)
+    conj = np.conj(vals)
+    total = 0.0
+    for h, w in enumerate(_half_weights(M).tolist()):
         total += w * _uk_pow(shifted[h] * conj, 3)
     return total / M
 

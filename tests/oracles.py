@@ -5,11 +5,13 @@ implementation it checks: trial division instead of sieving, 150-point
 Gauss-Legendre steps with barycentric interpolation instead of Chebyshev
 collocation, Monte Carlo and qhull instead of exact geometry, long-double
 bisection instead of double bisection + Newton, per-n divisor scans
-instead of sieve passes, membership tests of every bounding-box point
+instead of sieve passes, one strided slice per k instead of the ordered
+divisor scatter, membership tests of every bounding-box point
 instead of slab walks, the pair of rows x_0 <= <c, x> <= x_0 instead of
 substituting x_0 = <c, x> out for the range of <c, x>, O(M^2)
 autocorrelation sums and direct (k+1)-fold Gowers sums instead of FFTs,
-and Python's csv module row by row instead of the columnar CSV writer.
+full complex FFTs instead of the real path's folded half spectrum, and
+Python's csv module row by row instead of the columnar CSV writer.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BarycentricInterpolator
 from scipy.optimize import linprog
@@ -380,6 +383,16 @@ def h_tau_per_n(N: int, u: float, tau: float) -> np.ndarray:
     return out
 
 
+def divisor_pass_strided(N: int, ks: np.ndarray, mus: np.ndarray, start: float) -> np.ndarray:
+    """start + sum_k mu(k) 1[k | n] on 0..N by one strided slice ``out[::k] += mu(k)``
+    per k, in the order given; index 0 is 0."""
+    out = np.full(N + 1, start, dtype=np.float64)
+    for k, m in zip(ks.tolist(), mus.tolist()):
+        out[::k] += m
+    out[0] = 0.0
+    return out
+
+
 def u2_interval_autocorrelation(values: np.ndarray) -> float:
     """U^2[N] by direct O(M^2) autocorrelation sums on Z_M', M' = 4(N+1).
 
@@ -432,6 +445,26 @@ def gowers_norm_bruteforce(f, k: int) -> float:
             derivative *= np.conj(w) if sum(bits) % 2 else w
         total += float(np.sum(np.abs(derivative.sum(axis=1)) ** 2))
     return _root(total / M ** (k + 1), k)
+
+
+def gowers_pow_complex(vals: np.ndarray, k: int) -> float:
+    """||f||_{U^k(Z_M)}^(2^k) by the derivative recursion on complex rows,
+    summed over h = 0..floor(M/2) by the h <-> -h symmetry, with the full
+    FFT sum_xi |fhat(xi)|^4 as the U^2 base case, whatever f's imaginary
+    part."""
+    vals = np.asarray(vals, dtype=np.complex128)
+    M = vals.size
+    if k == 2:
+        return float(np.sum(np.abs(np.fft.fft(vals, norm="forward")) ** 4))
+    shifted = sliding_window_view(np.concatenate((vals, vals)), M)  # row h: f(n + h)
+    weights = np.full(M // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if M % 2 == 0:
+        weights[-1] = 1.0
+    return sum(
+        w * gowers_pow_complex(shifted[h] * np.conj(vals), k - 1)
+        for h, w in enumerate(weights.tolist())
+    ) / M
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,7 +114,33 @@ def test_h_tau_budget_bounds_the_head(monkeypatch):
     with pytest.raises(ResourceError):
         correlate.h_tau(N, u, tau)
     with pytest.raises(ResourceError):
-        correlate.sigma_split(N, u, tau, correlate.PhaseSequence.constant())
+        correlate.sigma_split(N, u, tau, [correlate.PhaseSequence.constant()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(1, 3000),
+    data=st.data(),
+    start=st.floats(-4.0, 4.0),
+    block=st.one_of(st.none(), st.integers(1, 64)),
+)
+def test_divisor_pass_equals_the_strided_loop_bit_for_bit(N, data, start, block):
+    # admissible (k, mu(k)): sifted squarefree k up to a random limit <= N;
+    # a small block forces the scatter through several np.add.at calls
+    limit = data.draw(st.integers(1, N))
+    y = data.draw(st.integers(1, N))
+    ks, mus = sieve.sifted_squarefree_arrays(limit, y)
+    expected = oracles.divisor_pass_strided(N, ks, mus, start)
+    with mock.patch.object(correlate, "_SCATTER_BLOCK", block or correlate._SCATTER_BLOCK):
+        assert _same_bits(correlate._divisor_pass(N, ks, mus, start), expected)
+
+
+def test_divisor_pass_in_many_blocks(monkeypatch):
+    N, u = 10**4, 2.0
+    ks, mus = sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
+    expected = oracles.divisor_pass_strided(N, ks, mus, -0.3)
+    monkeypatch.setattr(correlate, "_SCATTER_BLOCK", 1000)  # 16284 pairs: k = 1 alone, then 7 more blocks
+    assert _same_bits(correlate._divisor_pass(N, ks, mus, -0.3), expected)
 
 
 def test_h_tau_tau_validation():
@@ -268,18 +295,29 @@ def test_phase_preset_lookup():
 
 
 def test_sigma_split_trivial_case():
-    split = correlate.sigma_split(100, 1.0, 0.4, correlate.PhaseSequence.constant())
+    (split,) = correlate.sigma_split(100, 1.0, 0.4, [correlate.PhaseSequence.constant()])
     assert split.sigma1 == 0j and split.sigma2 == 0j and split.total == 0j
+    assert correlate.sigma_split(100, 2.0, 0.4, []) == []
 
 
 def test_sigma_split_identity_grid():
+    phases = [correlate.phase_preset(n) for n in ("linear_golden", "quadratic_sqrt2", "bracket_golden")]
     for N in (10**3, 10**4):
         tau = correlate.default_tau(N)
         for u in (1.5, 2.0, 3.0):
-            for name in ("linear_golden", "quadratic_sqrt2", "bracket_golden"):
-                split = correlate.sigma_split(N, u, tau, correlate.phase_preset(name))
+            for split in correlate.sigma_split(N, u, tau, phases):
                 scale = max(abs(split.total), 1e-12)
                 assert split.reconstruction_error <= 1e-8 * scale
+
+
+def test_sigma_split_of_many_phases_equals_one_phase_calls():
+    N, u = 5000, 2.5
+    tau = correlate.default_tau(N)
+    phases = list(correlate.PHASE_PRESETS.values()) + [correlate.PhaseSequence.bracket(0.07, 0.13)]
+    splits = correlate.sigma_split(N, u, tau, phases)
+    assert len(splits) == len(phases)
+    for g, split in zip(phases, splits):
+        assert correlate.sigma_split(N, u, tau, [g]) == [split]
 
 
 def test_default_tau():

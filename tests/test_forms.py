@@ -83,6 +83,27 @@ def test_validate_domain_precondition_and_unbounded():
         forms.validate_domain(forms.parse_form_system("x1; x2"), half, 10)
 
 
+@pytest.mark.parametrize(
+    "text, body, ranges",
+    [
+        ("x1; x2; x1+x2", forms.ConvexBody.simplex(2, 1, 2000), 3),  # separable: x1, x2, x1 + x2
+        ("x1; x2; x3; x1+x2+x3", forms.ConvexBody.simplex(3, 1, 60), 4),
+        ("x1; x2; x1+2x2", forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 2]], [-1, -1, 900]), 3),
+        ("x1; x1+x2; x1+2x2", forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 2]], [-1, -1, 900]), 4),
+    ],
+)
+def test_count_eliminates_each_range_once(monkeypatch, text, body, ranges):
+    # one elimination for the slab rows, then one per distinct range: the
+    # coordinates' and each form's that is not a coordinate
+    calls = []
+    eliminate = forms._eliminate
+    monkeypatch.setattr(forms, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
+    system = forms.parse_form_system(text)
+    N = body.rows[-1][1]
+    forms.count_friable_values(system, body, N, (2.0,) * system.count)
+    assert len(calls) == 1 + ranges
+
+
 def test_volume_box_and_simplex():
     box = forms.volume(forms.ConvexBody.box([(0, 7), (0, 9)]))
     assert isinstance(box, Fraction) and box == 63

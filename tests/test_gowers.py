@@ -13,8 +13,10 @@ from friable.errors import ArgumentError, ResourceError
 U2_BALANCED_4096 = 0.14142615602497782
 
 
-def _random_bounded(rng, M):
-    f = rng.uniform(-1.0, 1.0, M) + 1j * rng.uniform(-1.0, 1.0, M)
+def _random_bounded(rng, M, real=False):
+    f = rng.uniform(-1.0, 1.0, M)
+    if not real:
+        f = f + 1j * rng.uniform(-1.0, 1.0, M)
     return f / np.max(np.abs(f))
 
 
@@ -82,20 +84,14 @@ def test_bruteforce_oracle_matches_the_literal_sum(k):
 
 def test_bruteforce_equivalence_sample():
     rng = np.random.default_rng(20240901)
-    for _ in range(10):
-        f = _random_bounded(rng, 64)
-        assert gowers.gowers_norm_cyclic(f, 2) == pytest.approx(
-            oracles.gowers_norm_bruteforce(f, 2), abs=1e-10
-        )
-    for _ in range(4):
-        f = _random_bounded(rng, 32)
-        assert gowers.gowers_norm_cyclic(f, 3) == pytest.approx(
-            oracles.gowers_norm_bruteforce(f, 3), abs=1e-10
-        )
-    f = _random_bounded(rng, 16)
-    assert gowers.gowers_norm_cyclic(f, 4) == pytest.approx(
-        oracles.gowers_norm_bruteforce(f, 4), abs=1e-10
-    )
+    # complex and real f, odd and even moduli for each k
+    cases = [(64, 2, 10), (63, 2, 4), (32, 3, 4), (31, 3, 2), (16, 4, 1), (15, 4, 1)]
+    for real, (M, k, samples) in itertools.product((False, True), cases):
+        for _ in range(samples):
+            f = _random_bounded(rng, M, real)
+            assert gowers.gowers_norm_cyclic(f, k) == pytest.approx(
+                oracles.gowers_norm_bruteforce(f, k), abs=1e-10
+            )
 
 
 def test_norm_nesting():
@@ -169,19 +165,23 @@ def _bruteforce_on_old_embedding(vals, k):
     return oracles.gowers_norm_bruteforce(emb, k) / oracles.gowers_norm_bruteforce(ind, k)
 
 
+_OLD_EMBEDDING_CASES = [
+    (11, 2),  # 2N + 1 = 23 is prime: M = 24
+    (12, 2),  # 2N + 1 = 25: M = 25
+    (9, 3),  # 19 is prime: M = 20
+    (7, 3),  # 15: M = 15
+    (1, 4),  # 3: M = 3 (the direct sum runs on the old M = 32)
+]
+
+
 @pytest.mark.parametrize(
-    "N, k",
-    [
-        (11, 2),  # 2N + 1 = 23 is prime: M = 24
-        (12, 2),  # 2N + 1 = 25: M = 25
-        (9, 3),  # 19 is prime: M = 20
-        (7, 3),  # 15: M = 15
-        (1, 4),  # 3: M = 3 (the direct sum runs on the old M = 32)
-    ],
+    "N, k, real",
+    [pytest.param(N, k, False, id=f"{N}-{k}") for N, k in _OLD_EMBEDDING_CASES]
+    + [pytest.param(N, k, True, id=f"{N}-{k}-real") for N, k in _OLD_EMBEDDING_CASES],
 )
-def test_interval_norm_matches_bruteforce_on_old_embedding(N, k):
+def test_interval_norm_matches_bruteforce_on_old_embedding(N, k, real):
     rng = np.random.default_rng(100 * k + N)
-    f = _random_bounded(rng, N + 1)
+    f = _random_bounded(rng, N + 1, real)
     assert gowers.gowers_norm_interval(f, k) == pytest.approx(
         _bruteforce_on_old_embedding(f, k), abs=1e-10
     )
@@ -201,17 +201,70 @@ def test_indicator_denominator_is_the_configuration_count(k):
     assert gowers._indicator_pow(1, k, 1) == 1.0  # N = 0: the single point
 
 
-@pytest.mark.parametrize("M", [15, 16, 33, 34])
-def test_half_shift_sum_equals_full_sum(M):
-    f = _random_bounded(np.random.default_rng(M), M)
+@pytest.mark.parametrize(
+    "M, real",
+    [pytest.param(M, False, id=f"{M}") for M in (15, 16, 33, 34)]
+    + [pytest.param(M, True, id=f"{M}-real") for M in (15, 16, 33, 34)],
+)
+def test_half_shift_sum_equals_full_sum(M, real):
+    f = _random_bounded(np.random.default_rng(M), M, real).astype(complex)
 
-    def full(vals, k):  # the recursion over every h in Z_M
+    def full(vals, k):  # the recursion over every h in Z_M and every frequency
         if k == 2:
-            return gowers._u2_pow(vals)
+            return float(np.sum(np.abs(np.fft.fft(vals, norm="forward")) ** 4))
         return sum(full(np.roll(vals, -h) * np.conj(vals), k - 1) for h in range(M)) / M
 
-    for k in (3, 4):
+    for k in (2, 3, 4):
         assert gowers._uk_pow(f, k) == pytest.approx(full(f, k), rel=1e-12)
+
+
+def _fft_row_kinds(monkeypatch):
+    """Record "f" for every real FFT the kernel runs and "c" for every complex one."""
+    kinds = []
+    for name, kind in (("rfft", "f"), ("fft", "c")):
+        def spy(*args, _fft=getattr(np.fft, name), _kind=kind, **kwargs):
+            kinds.append(_kind)
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    return kinds
+
+
+@pytest.mark.parametrize("M", [15, 16, 33, 34])
+def test_real_path_agrees_with_the_complex_kernel(M, monkeypatch):
+    kinds = _fft_row_kinds(monkeypatch)
+    f = _random_bounded(np.random.default_rng(7 * M), M, real=True)
+    for k in (2, 3, 4):
+        expected = oracles.gowers_pow_complex(f, k)
+        kinds.clear()
+        assert gowers._uk_pow(f.astype(complex), k) == pytest.approx(expected, rel=1e-12)
+        assert kinds and set(kinds) == {"f"}
+    h = correlate.balanced_friable(255, 2.0).values
+    assert gowers._uk_pow(h.astype(complex), 3) == pytest.approx(
+        oracles.gowers_pow_complex(h, 3), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_row_blocks_reuse_their_work_arrays(real, monkeypatch):
+    M = 34  # rows h = 0..17 in blocks of 5, 5, 5 and 3
+    f = _random_bounded(np.random.default_rng(9), M, real).astype(complex)
+    expected = oracles.gowers_pow_complex(f, 3)
+    monkeypatch.setattr(gowers, "_BLOCK_ENTRIES", 5 * M)
+    assert gowers._uk_pow(f, 3) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [15, 16])
+def test_one_imaginary_entry_takes_the_complex_path(M, monkeypatch):
+    kinds = _fft_row_kinds(monkeypatch)
+    f = _random_bounded(np.random.default_rng(M), M, real=True).astype(complex)
+    f[M // 3] = 0.5j
+    for k in (2, 3, 4):
+        expected = oracles.gowers_norm_bruteforce(f, k)
+        kinds.clear()
+        assert gowers.gowers_norm_cyclic(f, k) == pytest.approx(expected, abs=1e-10)
+        # at k = 4 the derivative at h = 0, |f|^2, is real and may go real
+        assert set(kinds) == ({"c"} if k < 4 else {"c", "f"})
 
 
 def test_balanced_friable_regression_and_autocorrelation_oracle():
