@@ -314,6 +314,8 @@ def _cmd_dickman(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     else:
         if args.u is None:
             raise ArgumentError("dickman needs --u or --table")
+        if not math.isfinite(args.u):
+            raise ArgumentError(f"--u must be finite, got {args.u}")
         tab = dickman.rho_table(max(math.ceil(max(args.u, 1.0)), 1), tol)
         value = float(tab.eval(args.u))
         print(format(value, ".17g"))
@@ -372,35 +374,39 @@ def _cmd_mertens(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     return params, result, {}
 
 
-def _load_gowers_input(spec: str, k: int, interval: bool) -> gowers.SequenceFn:
-    """The sequence of ``--input``; a preset's size is checked against the
-    U^k guardrail before the sequence is built."""
+def _load_gowers_input(spec: str, k: int, interval: bool) -> np.ndarray:
+    """The sequence of ``--input`` as an array; a preset's size is checked
+    against the U^k guardrail before the sequence is built."""
     parts = spec.split(":")
     if parts[0] == "balanced" and len(parts) == 3:
         N, u = _parse_number(int, parts[1], spec), _parse_number(float, parts[2], spec)
         gowers._check_k_and_size(k, N + 1, interval=interval)
-        return correlate.balanced_friable(N, u).sequence()
+        return correlate.balanced_friable(N, u).values
     if parts[0] in correlate.PHASE_PRESETS and len(parts) == 2:
         N = _parse_number(int, parts[1], spec)
         gowers._check_k_and_size(k, N + 1, interval=interval)
-        return correlate.phase_preset(parts[0]).sequence(N)
+        return correlate.phase_preset(parts[0]).values(N)
     path = Path(spec)
     if not path.exists():
         raise ArgumentError(
             f"gowers input {spec!r} is neither a readable CSV nor a preset "
             "('balanced:N:u' or '<phase_preset>:N')"
         )
+    try:
+        with path.open() as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeError) as exc:
+        raise ArgumentError(f"cannot read gowers input {spec!r}: {exc}") from exc
     values = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            re_part = _parse_number(float, cells[0], spec)
-            im_part = _parse_number(float, cells[1], spec) if len(cells) > 1 else 0.0
-            values.append(complex(re_part, im_part))
-    return gowers.SequenceFn(np.array(values), meta=f"csv:{path.name}")
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        re_part = _parse_number(float, cells[0], spec)
+        im_part = _parse_number(float, cells[1], spec) if len(cells) > 1 else 0.0
+        values.append(complex(re_part, im_part))
+    return np.array(values)
 
 
 def _cmd_gowers(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
@@ -417,7 +423,8 @@ def _cmd_gowers(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
 def _cmd_correlate(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     phase = parse_phase_spec(args.phase)
     h = correlate.balanced_friable(args.N, args.u)
-    c = correlate.correlation(h, phase)
+    g = phase.values(args.N)
+    c = correlate.correlation(h.values, g)
     params = {"N": args.N, "u": args.u, "phase": args.phase}
     result = {
         "correlation_re": c.real,
@@ -426,7 +433,7 @@ def _cmd_correlate(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
         "rho_u": h.rho_u,
     }
     if args.tau is not None:
-        ct = correlate.correlation(correlate.h_tau(args.N, args.u, args.tau), phase)
+        ct = correlate.correlation(correlate.h_tau(args.N, args.u, args.tau), g)
         params["tau"] = args.tau
         result["h_tau_correlation_abs"] = abs(ct)
     return params, result, {}
@@ -435,7 +442,7 @@ def _cmd_correlate(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
 def _cmd_decompose(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     phase = parse_phase_spec(args.phase)
     tau = args.tau if args.tau is not None else correlate.default_tau(args.N)
-    (split,) = correlate.sigma_split(args.N, args.u, tau, [phase])
+    (split,) = correlate.sigma_split(args.N, args.u, tau, [phase.values(args.N)])
     scale = correlate.sigma2_bound_scale(args.N, args.u, tau)
     params = {"N": args.N, "u": args.u, "tau": tau, "phase": args.phase}
     result = {

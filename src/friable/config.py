@@ -30,22 +30,26 @@ def parse_config_file(path: str) -> dict:
     """Parse a ``key=value`` config file; blank lines and ``#`` comments allowed."""
     values: dict = {}
     known = {f.name for f in fields(RuntimeConfig)}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ArgumentError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in known:
-                raise ArgumentError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = int(val)
-            except ValueError as exc:
-                raise ArgumentError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeError) as exc:
+        raise ArgumentError(f"cannot read config file {path!r}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ArgumentError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        val = val.strip()
+        if key not in known:
+            raise ArgumentError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = int(val)
+        except ValueError as exc:
+            raise ArgumentError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     return values
 
 

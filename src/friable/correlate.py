@@ -15,9 +15,10 @@ Correlation sums against explicit polynomial/bracket phase sequences
 (the concrete low-step stand-ins used throughout) therefore split as
 Sigma_1 + Sigma_2 with the identity holding by construction.
 
-All sequences live on index range 0..N; every sum runs over 1 <= n <= N,
-and index 0 is fixed to 0 for the Mobius-built sequences (every k divides
-0, which would otherwise inject a meaningless O(#k) spike).
+All sequences are plain arrays on the index range 0..N: float64 for h
+and h_tau, complex128 for phases.  Every sum runs over 1 <= n <= N, and
+index 0 is fixed to 0 for the Mobius-built sequences (every k divides 0,
+which would otherwise inject a meaningless O(#k) spike).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from . import analytic, config, dickman, forms, sieve
 from .errors import ArgumentError, ResourceError
-from .gowers import SequenceFn
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0   # badly approximable
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
@@ -104,30 +104,31 @@ class PhaseSequence:
       quadratic(t2, t1, t0)    phase = t2 n^2 + t1 n + t0
       bracket(theta, phi)      phase = theta n floor(phi n)
 
-    ``lipschitz`` tags whether the sequence comes from a continuous phase
-    (bracket phases do not).
+    Raises ArgumentError for a parameter that is not finite.
     """
 
     kind: str
     params: tuple[float, ...]
-    step: int
-    lipschitz: bool
+
+    def __post_init__(self):
+        if not all(math.isfinite(p) for p in self.params):
+            raise ArgumentError(f"{self.kind} phase parameters must be finite, got {self.params}")
 
     @staticmethod
     def constant(theta0: float = 0.0) -> "PhaseSequence":
-        return PhaseSequence("constant", (float(theta0),), 0, True)
+        return PhaseSequence("constant", (float(theta0),))
 
     @staticmethod
     def linear(theta: float, beta: float = 0.0) -> "PhaseSequence":
-        return PhaseSequence("linear", (float(theta), float(beta)), 1, True)
+        return PhaseSequence("linear", (float(theta), float(beta)))
 
     @staticmethod
     def quadratic(theta2: float, theta1: float = 0.0, theta0: float = 0.0) -> "PhaseSequence":
-        return PhaseSequence("quadratic", (float(theta2), float(theta1), float(theta0)), 2, True)
+        return PhaseSequence("quadratic", (float(theta2), float(theta1), float(theta0)))
 
     @staticmethod
     def bracket(theta: float, phi: float) -> "PhaseSequence":
-        return PhaseSequence("bracket", (float(theta), float(phi)), 2, False)
+        return PhaseSequence("bracket", (float(theta), float(phi)))
 
     def phase(self, n: int) -> float:
         """Fractional phase at n, computed exactly for the IEEE parameters."""
@@ -186,9 +187,6 @@ class PhaseSequence:
             return None
         return _frac_mod1_array(theta, n * _floor_mul(phi, n))
 
-    def sequence(self, N: int) -> SequenceFn:
-        return SequenceFn(self.values(N), meta=f"{self.kind}{self.params}")
-
 
 PHASE_PRESETS = {
     "constant": PhaseSequence.constant(),
@@ -217,13 +215,8 @@ def phase_preset(name: str) -> PhaseSequence:
 class BalancedFriable:
     """h(n) = 1[n is N^(1/u)-friable] - rho(u) on 0..N (0 is friable)."""
 
-    N: int
-    u: float
     rho_u: float
     values: np.ndarray
-
-    def sequence(self) -> SequenceFn:
-        return SequenceFn(self.values, meta=f"balanced_friable(N={self.N}, u={self.u})")
 
 
 def balanced_friable(N: int, u: float) -> BalancedFriable:
@@ -236,7 +229,7 @@ def balanced_friable(N: int, u: float) -> BalancedFriable:
     friable = sieve.friable_masks(N, [y])[y]
     rho_u = float(dickman.rho(u))
     vals = friable.astype(np.float64) - rho_u
-    return BalancedFriable(N=N, u=u, rho_u=rho_u, values=vals)
+    return BalancedFriable(rho_u=rho_u, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +293,8 @@ def _truncated_mobius(N: int, ks: np.ndarray, mus: np.ndarray) -> tuple[np.ndarr
     return _divisor_pass(N, ks, mus, -mean), mean
 
 
-def h_tau(N: int, u: float, tau: float) -> SequenceFn:
-    """The truncated Mobius approximant as a sequence on 0..N.
+def h_tau(N: int, u: float, tau: float) -> np.ndarray:
+    """The truncated Mobius approximant on 0..N, as a float64 array.
 
     Built by one sieve pass per admissible k (add mu(k) on multiples of k,
     subtract mu(k)/k everywhere), not by per-n divisor scans.  Index 0 is
@@ -309,30 +302,19 @@ def h_tau(N: int, u: float, tau: float) -> SequenceFn:
     """
     if N < 2:
         raise ArgumentError(f"N must be >= 2, got {N}")
-    values, _ = _truncated_mobius(N, *_admissible_k(N, u, tau))
-    return SequenceFn(values, meta=f"h_tau(N={N}, u={u}, tau={tau})")
+    return _truncated_mobius(N, *_admissible_k(N, u, tau))[0]
 
 
-def correlation(f, g) -> complex:
-    """N^-1 sum_{1 <= n <= N} f(n) conj(g(n)).
-
-    ``f`` may be a SequenceFn, BalancedFriable, or array on 0..N; ``g`` a
-    PhaseSequence (evaluated on the same range) or a matching sequence.
-    """
-    fv = _sequence_values(f)
-    N = fv.size - 1
-    gv = g.values(N) if isinstance(g, PhaseSequence) else _sequence_values(g)
-    if gv.size != fv.size:
-        raise ArgumentError(f"domain mismatch: f on 0..{N}, g on 0..{gv.size - 1}")
-    return complex(np.sum(fv[1:] * np.conj(gv[1:])) / N)
+def _check_domain(N: int, g: np.ndarray) -> None:
+    if g.size != N + 1:
+        raise ArgumentError(f"domain mismatch: f on 0..{N}, g on 0..{g.size - 1}")
 
 
-def _sequence_values(f) -> np.ndarray:
-    if isinstance(f, BalancedFriable):
-        return f.values.astype(np.complex128)
-    if isinstance(f, SequenceFn):
-        return f.values
-    return np.ascontiguousarray(f, dtype=np.complex128)
+def correlation(f: np.ndarray, g: np.ndarray) -> complex:
+    """N^-1 sum_{1 <= n <= N} f(n) conj(g(n)) for two arrays on 0..N."""
+    N = f.size - 1
+    _check_domain(N, g)
+    return complex(np.sum(f[1:] * np.conj(g[1:])) / N)
 
 
 @dataclass(frozen=True)
@@ -352,10 +334,10 @@ def sigma_split(
     N: int,
     u: float,
     tau: float,
-    phases: Sequence[PhaseSequence],
+    phases: Sequence[np.ndarray],
 ) -> list[SigmaSplit]:
     """Sigma_1 = sum h_tau(n) conj(g(n)) and Sigma_2 = the tail remainder,
-    one SigmaSplit per phase g in ``phases``, in order.
+    one SigmaSplit per phase array g on 0..N in ``phases``, in order.
 
     Sigma_2 collects the divisor sum over admissible k > N^(1-tau), plus
     the constant (truncated Mobius mean - rho(u)), so Sigma_1 + Sigma_2
@@ -369,10 +351,11 @@ def sigma_split(
     head = int(np.searchsorted(ks, klim, side="right"))
     ht, mean = _truncated_mobius(N, ks[:head], mus[:head])
     rest = _divisor_pass(N, ks[head:], mus[head:], mean - h.rho_u)
-    ht, rest, hv = (v[1:].astype(np.complex128) for v in (ht, rest, h.values))
+    ht, rest, hv = ht[1:], rest[1:], h.values[1:]
     splits = []
     for g in phases:
-        cg = np.conj(g.values(N)[1:])
+        _check_domain(N, g)
+        cg = np.conj(g[1:])
         splits.append(SigmaSplit(
             sigma1=complex(np.sum(ht * cg)),
             sigma2=complex(np.sum(rest * cg)),

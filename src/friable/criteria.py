@@ -211,7 +211,7 @@ def gowers(N=None, *, threads=1):
     rows = []
     for e in (10, 12, 14):
         h = correlate.balanced_friable(2**e, 2.0)
-        rows.append([2**e, _gowers.gowers_norm_interval(h.sequence(), 2)])
+        rows.append([2**e, _gowers.gowers_norm_interval(h.values, 2)])
     decreasing = rows[0][1] > rows[1][1] > rows[2][1]
     result = {
         "nested": nested,
@@ -229,10 +229,10 @@ def decompose(N=None, *, threads=1):
     _no_size("decompose", N)
     header = ["N", "u", "phase", "rel_identity_error", "fitted_C"]
     names = ("linear_golden", "quadratic_sqrt2", "bracket_golden")
-    phases = [correlate.phase_preset(name) for name in names]
     rows = []
     for N in (10**3, 10**4, 10**5):
         tau = correlate.default_tau(N)
+        phases = [correlate.phase_preset(name).values(N) for name in names]
         for u in (1.5, 2.0, 3.0):
             scale = correlate.sigma2_bound_scale(N, u, tau)
             splits = correlate.sigma_split(N, u, tau, phases)

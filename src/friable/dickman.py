@@ -59,7 +59,7 @@ class DickmanTable:
     def eval(self, u):
         """rho(u) for scalar or array u in [0, u_max]; exactly 1 on [0, 1]."""
         arr = np.asarray(u, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > self.u_max):
+        if not np.all((arr >= 0.0) & (arr <= self.u_max)):  # NaN fails both
             raise ArgumentError(f"u outside table domain [0, {self.u_max}]")
         out = np.ones_like(arr)
         if self.pieces:
@@ -156,8 +156,8 @@ def rho(u):
     a cached extension, so a value never depends on earlier calls."""
     global _extension
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0):
-        raise ArgumentError("rho is only defined for u >= 0")
+    if not np.all(arr >= 0.0):  # NaN included
+        raise ArgumentError("rho is only defined for u >= 0 (NaN is not)")
     top = float(np.max(arr)) if arr.size else 0.0
     table = default_table()
     if top <= table.u_max:

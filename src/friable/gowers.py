@@ -17,8 +17,10 @@ A real f has real derivatives Delta_h f(n) = f(n + h) f(n) and a
 Hermitian spectrum, |fhat(-xi)| = |fhat(xi)|, so the same folding applies
 to frequencies: sum_xi |fhat(xi)|^4 runs over xi = 0..floor(M/2) of one
 real FFT, with weight 1 at xi = 0 and xi = M/2 (M even) and 2 elsewhere.
-A complex input whose imaginary part is identically zero takes this
-path; any other complex input takes the full FFT.
+A sequence is a plain 1-d array, float64 when real and complex128 when
+complex.  A float array takes this path, and so does a complex one whose
+imaginary part is identically zero; any other complex array takes the
+full FFT.
 
 The interval norm U^k[N] embeds f * 1_[0,N] into Z_M with M the first
 5-smooth length >= 2N + 1, and normalizes by the embedded indicator:
@@ -46,7 +48,6 @@ binom(s - 1, j - 1).  Summing N + 1 - s over s gives
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,32 +59,20 @@ _CYCLIC_GUARDRAIL = {2: 1 << 22, 3: 1 << 14, 4: 1 << 9}
 _BLOCK_ENTRIES = 1 << 22  # complex entries per batched FFT block
 
 
-@dataclass
-class SequenceFn:
-    """A finite complex-valued sequence with a label.
+def _as_sequence(f) -> np.ndarray:
+    """f as a 1-d array: float64 when real, complex128 when complex.
 
-    On Z_M the domain is {0, ..., M-1}; as an interval function the domain
-    is {0, ..., N} with N = len(values) - 1.  Norm entry points enforce the
-    1-boundedness the uniformity-norm machinery assumes; other sequences
-    (e.g. truncated Mobius approximants, bounded by 2^u) may exceed it.
+    On Z_M the domain is {0, ..., M-1}; as an interval function it is
+    {0, ..., N} with N = len(f) - 1.  Raises ArgumentError for an empty or
+    multi-dimensional input and for a non-finite entry.
     """
-
-    values: np.ndarray = field(repr=False)
-    meta: str = "custom"
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ArgumentError("sequence values must be a nonempty 1-d array")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def _coerce(f) -> np.ndarray:
-    if isinstance(f, SequenceFn):
-        return f.values
-    return np.ascontiguousarray(f, dtype=np.complex128)
+    vals = np.asarray(f)
+    vals = np.ascontiguousarray(vals, dtype=np.complex128 if vals.dtype.kind == "c" else np.float64)
+    if vals.ndim != 1 or vals.size == 0:
+        raise ArgumentError("a sequence is a nonempty 1-d array")
+    if not np.isfinite(vals).all():
+        raise ArgumentError("sequence entries must be finite")
+    return vals
 
 
 def _check_bounded(vals: np.ndarray) -> None:
@@ -112,20 +101,24 @@ def _fourth_powers(fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return mag
 
 
-def _u2_pow(vals: np.ndarray) -> float:
-    """||f||_{U^2}^4 = sum_xi |fhat(xi)|^4 with fhat(xi) = E_n f(n) e(-xi n / M);
-    a float f folds the half spectrum of one real FFT by ``_half_weights``."""
-    if vals.dtype.kind == "f":
-        fh = np.fft.rfft(vals, norm="forward")
-        return float(_fourth_powers(fh) @ _half_weights(vals.size))
-    return float(np.sum(_fourth_powers(np.fft.fft(vals, norm="forward"))))
+def _u2_rows(rows: np.ndarray, spectrum, mag) -> np.ndarray:
+    """||r||_{U^2}^4 = sum_xi |rhat(xi)|^4, rhat(xi) = E_n r(n) e(-xi n / M),
+    of each row r of ``rows`` (1-d or 2-d), the FFT written to ``spectrum``
+    and its fourth powers to ``mag`` (new arrays where None).  Float rows
+    fold the half spectrum of one real FFT by ``_half_weights``; complex
+    rows take the full FFT."""
+    if rows.dtype.kind == "f":
+        fh = np.fft.rfft(rows, axis=-1, norm="forward", out=spectrum)
+        return _fourth_powers(fh, mag) @ _half_weights(rows.shape[-1])
+    fh = np.fft.fft(rows, axis=-1, norm="forward", out=spectrum)
+    return np.sum(_fourth_powers(fh, mag), axis=-1)
 
 
 def _u3_pow(vals: np.ndarray) -> float:
     """||f||_{U^3}^8 = E_h ||Delta_h f||_{U^2}^4 over h = 0..floor(M/2), the
     derivative rows taken in blocks of about ``_BLOCK_ENTRIES`` entries
-    through work arrays reused from block to block.  Float rows take the
-    real FFT and fold its half spectrum; complex rows the full FFT in place."""
+    through work arrays reused from block to block; complex rows are
+    transformed in place."""
     M = vals.size
     real = vals.dtype.kind == "f"
     shifted = sliding_window_view(np.concatenate((vals, vals)), M)  # row h: f(n + h)
@@ -140,12 +133,7 @@ def _u3_pow(vals: np.ndarray) -> float:
         w = weights[start : start + chunk]
         n = w.size
         block = np.multiply(shifted[start : start + n], conj, out=rows[:n])
-        if real:
-            fh = np.fft.rfft(block, axis=1, norm="forward", out=spectrum[:n])
-            total += float(w @ (_fourth_powers(fh, mag[:n]) @ weights))
-        else:
-            fh = np.fft.fft(block, axis=1, norm="forward", out=block)
-            total += float(w @ np.sum(_fourth_powers(fh, mag[:n]), axis=-1))
+        total += float(w @ _u2_rows(block, spectrum[:n], mag[:n]))
     return total / M
 
 
@@ -156,7 +144,7 @@ def _uk_pow(vals: np.ndarray, k: int) -> float:
     if vals.dtype.kind == "c" and not vals.imag.any():
         vals = vals.real
     if k == 2:
-        return _u2_pow(vals)
+        return float(_u2_rows(vals, None, None))
     if k == 3:
         return _u3_pow(vals)
     # k == 4: average U^3 powers of the derivatives
@@ -203,7 +191,7 @@ def _indicator_pow(length: int, k: int, M: int) -> float:
 
 def gowers_norm_cyclic(f, k: int) -> float:
     """||f||_{U^k(Z_M)} for f on Z_M, M = len(f)."""
-    vals = _coerce(f)
+    vals = _as_sequence(f)
     _check_k_and_size(k, vals.size, interval=False)
     _check_bounded(vals)
     return _root(_uk_pow(vals, k), k)
@@ -215,10 +203,10 @@ def gowers_norm_interval(f, k: int) -> float:
     The guardrail applies to the ambient modulus M = _fft_length(2N + 1),
     which is what the FFTs actually run on.
     """
-    vals = _coerce(f)
+    vals = _as_sequence(f)
     n0 = vals.size
     M = _check_k_and_size(k, n0, interval=True)
     _check_bounded(vals)
-    emb = np.zeros(M, dtype=np.complex128)
+    emb = np.zeros(M, dtype=vals.dtype)
     emb[:n0] = vals
     return _root(_uk_pow(emb, k), k) / _root(_indicator_pow(n0, k, M), k)

@@ -31,7 +31,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from friable.errors import ArgumentError, PreconditionError, ResourceError
 from friable.forms import ConvexBody, _eliminate
-from friable.gowers import _check_bounded, _coerce, _root
+from friable.gowers import _check_bounded, _root
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +428,7 @@ def gowers_norm_bruteforce(f, k: int) -> float:
     value is read from R[t, n] = f((n + t) mod M).  No FFT.  The sum has
     M^(k+1) terms, guarded at 10^9.
     """
-    vals = _coerce(f)
+    vals = np.ascontiguousarray(f, dtype=np.complex128)
     M = vals.size
     if k not in (2, 3, 4):
         raise ArgumentError(f"only U^2..U^4 are supported, got k = {k}")

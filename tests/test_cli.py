@@ -108,7 +108,7 @@ def test_result_serialization_precision(tmp_path):
     assert "0.72465913048446762" in text
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert run_cli(tmp_path, "sieve", "--lo", "9", "--hi", "3") == 2
     assert run_cli(tmp_path, "count", "--forms", "x1;2x1+1", "--body", "box:1,N;1,N",
                    "--N", "50", "--u", "2,2") == 2
@@ -127,6 +127,22 @@ def test_exit_codes(tmp_path):
     assert run_cli(tmp_path, "dickman", "--table", "20", "1e-6") == 3  # 2e7 rows
     assert run_cli(tmp_path, "saddle", "--N", "10", "--y", "1e9") == 2  # y > N
     assert run_cli(tmp_path, "saddle", "--N", "10000000000", "--y", "1e9") == 3  # primes budget
+    # non-finite numbers and unreadable files: one error line, no traceback
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("1\nnan\n0.5\n")
+    capsys.readouterr()
+    for argv in [
+        ("dickman", "--u", "nan"),
+        ("correlate", "--N", "1000", "--u", "2", "--phase", "linear:nan"),
+        ("correlate", "--N", "1000", "--u", "2", "--phase", "quadratic:0.3,nan"),
+        ("correlate", "--N", "1000", "--u", "2", "--phase", "linear:inf"),
+        ("gowers", "--input", str(tmp_path), "--k", "2"),
+        ("--config", str(tmp_path / "missing.cfg"), "dickman", "--u", "2"),
+        ("gowers", "--input", str(nan_csv), "--k", "2", "--mode", "cyclic"),
+    ]:
+        assert run_cli(tmp_path, *argv) == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
 
 
 def test_gowers_csv_input(tmp_path):
@@ -229,6 +245,11 @@ def test_config_file_errors(tmp_path):
         with pytest.raises(ArgumentError, match="unknown config key"):
             resolve_config(str(bad))
         assert cli.run(["--config", str(bad), "dickman", "--u", "2"]) == 2
+    # a missing file, a directory and bytes that are not UTF-8 cannot be read
+    bad.write_bytes(b"threads = \xff\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, bad):
+        with pytest.raises(ArgumentError, match="cannot read config file"):
+            resolve_config(str(path))
 
 
 def _as_hpoly_spec(lows_highs):
@@ -276,7 +297,7 @@ def test_parse_helpers():
     with pytest.raises(ArgumentError):
         cli.parse_u_list("2,x")
     p = cli.parse_phase_spec("quadratic:0.41")
-    assert isinstance(p, correlate.PhaseSequence) and p.step == 2
+    assert isinstance(p, correlate.PhaseSequence) and p.kind == "quadratic"
     with pytest.raises(ArgumentError):
         cli.parse_phase_spec("warp:1,2")
 
@@ -309,9 +330,39 @@ def test_fixed_outputs_are_unchanged(tmp_path):
          "e8cd57cf8a712043414393f91248e54d55a257324761f6fbcb54f3c531af3683"),
         (("verify", "--suite", "decompose"), "verify_grid.csv",
          "c923d072871f234b1bb6778d71e8bfb643db4a3554dbbba2b45c7d5dd7f78748"),
+        (("verify", "--suite", "gowers"), "verify_norms.csv",
+         "cf85524c9352b1b6eca1f4d3f2d8ef15110847d58dc1c08ac126c35703883be4"),
     ]:
         assert run_cli(tmp_path, *argv) == 0
         assert _csv_sha256(tmp_path, name) == digest, argv
+    # Gowers norms of real and complex presets, the correlations and the
+    # Sigma splits: the manifests' output digests
+    for argv, digest in [
+        (("gowers", "--input", "balanced:262143:2", "--k", "2"),
+         "2a09478e83e49a9ae2857bc388a79669630ab09475a2dc8388f7d730efa7d6dc"),
+        (("gowers", "--input", "balanced:511:2", "--k", "3"),
+         "0f8dc601ca6e97b227672921f4078475697c7ccfdd2542e441857db0a9d118a8"),
+        (("gowers", "--input", "balanced:4095:2", "--k", "3", "--mode", "cyclic"),
+         "597b65ab8cd702a3875ff2cee8897107996cee7b430e4fc4c178483a3c8e44d7"),
+        (("gowers", "--input", "balanced:255:2", "--k", "4", "--mode", "cyclic"),
+         "9db4b6d9bfda86875befb72ccc9d58df53ceb677ff9eda0b4351285e07fa752e"),
+        (("gowers", "--input", "linear_golden:255", "--k", "4", "--mode", "cyclic"),
+         "451bd0073f56964e3525156d422aa08f58903104bb4af51df087843ab4160680"),
+        (("gowers", "--input", "quadratic_sqrt2:511", "--k", "3"),
+         "c3557ce625388124bc16d69fcbfa82c8f6e634a7d19ff32e4e85bf93a33dad0e"),
+        (("gowers", "--input", "bracket_golden:1000", "--k", "2"),
+         "bd06c2d38823bb133e2a9815b1a0763ff4c1005a797c35f80a5375a09d11c018"),
+        (("correlate", "--N", "100000", "--u", "2.0", "--tau", "0.2", "--phase", "bracket:0.3,0.7"),
+         "cb68085e3467ad90ef417b182988d99548ea7ead69fa74908c86d9fc6a784708"),
+        (("correlate", "--N", "20000", "--u", "1.5", "--phase", "quadratic_sqrt2"),
+         "9340bfbaf9f9b11b80caf7dd8b8366a229cd99e0ce80f53aa193ebf1d687027d"),
+        (("decompose", "--N", "100000", "--u", "2.5", "--phase", "linear_golden"),
+         "84d79d1e26bfe63acf622c5e9bfe7ca07772dd4f858e5ca3bb440a1c8822892c"),
+        (("decompose", "--N", "5000", "--u", "3", "--tau", "0.3", "--phase", "bracket:0.07,0.13"),
+         "3e9e6284fd24bd3b809db99ce6d7c74590344fadd5a3f1182c35f9c99902c8d9"),
+    ]:
+        assert run_cli(tmp_path, *argv) == 0
+        assert read_manifest(tmp_path, argv[0])["output_digest"] == digest, argv
     count = ("count", "--forms", "x1; x2; x1+x2", "--body", "simplex:1,N", "--N", "2000")
     assert run_cli(tmp_path, *count, "--u", "2,2,2") == 0
     assert read_result(tmp_path, "count")["result"]["count"] == 174658
@@ -335,6 +386,25 @@ def test_fixed_outputs_are_unchanged(tmp_path):
         127542.081694826, 127542.081694826, 18468.08169482603, 15808.970446274207,
         7263.634873878529, 7263.63487387853, 7624.413385191269,
     ]
+
+
+def test_each_phase_is_built_once(tmp_path, monkeypatch):
+    # criterion 7 needs the 3 phases at each of its 3 sizes, whatever u is;
+    # correlate --tau dots h and h_tau against one phase array
+    calls = []
+    values = correlate.PhaseSequence.values
+
+    def spy(self, N):
+        calls.append((self.kind, N))
+        return values(self, N)
+
+    monkeypatch.setattr(correlate.PhaseSequence, "values", spy)
+    criteria.decompose()
+    assert len(calls) == len(set(calls)) == 9
+    calls.clear()
+    argv = ("correlate", "--N", "20000", "--u", "2", "--tau", "0.3", "--phase", "bracket_golden")
+    assert run_cli(tmp_path, *argv) == 0
+    assert calls == [("bracket", 20000)]
 
 
 def test_count_reports_the_exact_volume_of_a_cut_triangle(tmp_path):

@@ -71,7 +71,7 @@ def test_balanced_arguments():
 def test_h_tau_trivial_when_truncation_below_sifting():
     # N^(1/u) >= N^(1-tau): only k = 1 contributes, with a zero term
     ht = correlate.h_tau(100, 1.0, 0.4)
-    assert np.all(ht.values == 0.0)
+    assert np.all(ht == 0.0)
 
 
 def test_h_tau_admissible_set_and_per_n_oracle():
@@ -79,14 +79,14 @@ def test_h_tau_admissible_set_and_per_n_oracle():
     assert ks.tolist() == [1, 11, 13, 17, 19, 23]
     ht = correlate.h_tau(100, 2.0, 0.3)
     expected = oracles.h_tau_per_n(100, 2.0, 0.3)
-    assert np.max(np.abs(ht.values - expected)) <= 1e-12
+    assert np.max(np.abs(ht - expected)) <= 1e-12
 
 
 def test_h_tau_matches_oracle_on_grid():
     for N, u, tau in [(1000, 2.0, 0.25), (10000, 2.0, 0.2), (1000, 3.0, 0.3)]:
         ht = correlate.h_tau(N, u, tau)
         expected = oracles.h_tau_per_n(N, u, tau)
-        assert np.max(np.abs(ht.values - expected)) <= 1e-10
+        assert np.max(np.abs(ht - expected)) <= 1e-10
 
 
 def test_h_tau_sup_bound():
@@ -94,7 +94,7 @@ def test_h_tau_sup_bound():
     ht = correlate.h_tau(N, u, tau)
     ks, _ = correlate._admissible_k(N, u, tau)
     bound = 2.0 ** math.ceil(u) + math.fsum(1.0 / k for k in ks.tolist())
-    assert float(np.max(np.abs(ht.values[1:]))) <= bound
+    assert float(np.max(np.abs(ht[1:]))) <= bound
 
 
 def test_h_tau_divisor_count_bound():
@@ -114,7 +114,7 @@ def test_h_tau_budget_bounds_the_head(monkeypatch):
     with pytest.raises(ResourceError):
         correlate.h_tau(N, u, tau)
     with pytest.raises(ResourceError):
-        correlate.sigma_split(N, u, tau, [correlate.PhaseSequence.constant()])
+        correlate.sigma_split(N, u, tau, [correlate.PhaseSequence.constant().values(N)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,13 +158,13 @@ def test_h_tau_tau_validation():
 def test_correlation_of_zero_function():
     h = correlate.balanced_friable(200, 1.0)
     for name in correlate.PHASE_PRESETS:
-        assert correlate.correlation(h, correlate.phase_preset(name)) == 0j
+        assert correlate.correlation(h.values, correlate.phase_preset(name).values(200)) == 0j
 
 
 def test_correlation_with_constant_phase():
     N, u = 500, 2.0
     h = correlate.balanced_friable(N, u)
-    c = correlate.correlation(h, correlate.PhaseSequence.constant())
+    c = correlate.correlation(h.values, correlate.PhaseSequence.constant().values(N))
     psi = sieve.psi_count(N, float(N) ** (1.0 / u))
     assert c.real == pytest.approx((psi - N * h.rho_u) / N, abs=1e-12)
     assert c.imag == pytest.approx(0.0, abs=1e-15)
@@ -173,21 +173,23 @@ def test_correlation_with_constant_phase():
 def test_correlation_decay_trend():
     vals = {}
     for N in (10**3, 10**4, 10**5):
-        h = correlate.balanced_friable(N, 2.0)
-        vals[N] = abs(correlate.correlation(h, correlate.phase_preset("linear_golden")))
+        h = correlate.balanced_friable(N, 2.0).values
+        vals[N] = abs(correlate.correlation(h, correlate.phase_preset("linear_golden").values(N)))
     assert vals[10**5] < vals[10**4] < vals[10**3]
     for name in ("linear_sqrt2", "quadratic_sqrt2", "bracket_golden"):
         g = correlate.phase_preset(name)
-        lo = abs(correlate.correlation(correlate.balanced_friable(10**3, 2.0), g))
-        hi = abs(correlate.correlation(correlate.balanced_friable(10**5, 2.0), g))
+        lo = abs(correlate.correlation(correlate.balanced_friable(10**3, 2.0).values, g.values(10**3)))
+        hi = abs(correlate.correlation(correlate.balanced_friable(10**5, 2.0).values, g.values(10**5)))
         assert hi < lo, name
 
 
 def test_correlation_domain_mismatch():
     h = correlate.balanced_friable(100, 2.0)
-    g = correlate.phase_preset("linear_golden").sequence(50)
+    g = correlate.phase_preset("linear_golden").values(50)
     with pytest.raises(ArgumentError):
-        correlate.correlation(h, g)
+        correlate.correlation(h.values, g)
+    with pytest.raises(ArgumentError):
+        correlate.sigma_split(100, 2.0, 0.3, [g])
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,6 @@ def test_bracket_phase_definition():
     # floor(0.75 * 3) = 2, phase = 0.5 * 3 * 2 mod 1 = 0
     assert g.phase(3) == 0.0
     assert g.values(3)[3] == pytest.approx(1.0 + 0j)
-    assert g.step == 2 and not g.lipschitz
 
 
 def _phase_loop(g, N):
@@ -289,21 +290,37 @@ def test_phase_preset_lookup():
         correlate.phase_preset("nope")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_parameters_must_be_finite(bad):
+    for make in (
+        lambda: correlate.PhaseSequence.constant(bad),
+        lambda: correlate.PhaseSequence.linear(bad),
+        lambda: correlate.PhaseSequence.linear(0.3, bad),
+        lambda: correlate.PhaseSequence.quadratic(0.3, bad),
+        lambda: correlate.PhaseSequence.quadratic(0.3, 0.1, bad),
+        lambda: correlate.PhaseSequence.bracket(bad, 0.5),
+        lambda: correlate.PhaseSequence.bracket(0.3, bad),
+    ):
+        with pytest.raises(ArgumentError):
+            make()
+
+
 # ---------------------------------------------------------------------------
 # sigma split
 # ---------------------------------------------------------------------------
 
 
 def test_sigma_split_trivial_case():
-    (split,) = correlate.sigma_split(100, 1.0, 0.4, [correlate.PhaseSequence.constant()])
+    (split,) = correlate.sigma_split(100, 1.0, 0.4, [correlate.PhaseSequence.constant().values(100)])
     assert split.sigma1 == 0j and split.sigma2 == 0j and split.total == 0j
     assert correlate.sigma_split(100, 2.0, 0.4, []) == []
 
 
 def test_sigma_split_identity_grid():
-    phases = [correlate.phase_preset(n) for n in ("linear_golden", "quadratic_sqrt2", "bracket_golden")]
+    names = ("linear_golden", "quadratic_sqrt2", "bracket_golden")
     for N in (10**3, 10**4):
         tau = correlate.default_tau(N)
+        phases = [correlate.phase_preset(name).values(N) for name in names]
         for u in (1.5, 2.0, 3.0):
             for split in correlate.sigma_split(N, u, tau, phases):
                 scale = max(abs(split.total), 1e-12)
@@ -313,7 +330,8 @@ def test_sigma_split_identity_grid():
 def test_sigma_split_of_many_phases_equals_one_phase_calls():
     N, u = 5000, 2.5
     tau = correlate.default_tau(N)
-    phases = list(correlate.PHASE_PRESETS.values()) + [correlate.PhaseSequence.bracket(0.07, 0.13)]
+    kinds = list(correlate.PHASE_PRESETS.values()) + [correlate.PhaseSequence.bracket(0.07, 0.13)]
+    phases = [g.values(N) for g in kinds]
     splits = correlate.sigma_split(N, u, tau, phases)
     assert len(splits) == len(phases)
     for g, split in zip(phases, splits):

@@ -121,6 +121,12 @@ def test_eval_domain_errors(rho_table):
         rho_table.eval(-0.1)
     with pytest.raises(ArgumentError):
         rho_table.eval(20.1)
+    # NaN passes neither bound check, and is refused with the rest
+    for u in (math.nan, math.inf, np.array([2.0, math.nan])):
+        with pytest.raises(ArgumentError):
+            rho_table.eval(u)
+        with pytest.raises(ArgumentError):
+            dickman.rho(u)
 
 
 def test_residual_grid_arguments(rho_table):

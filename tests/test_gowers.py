@@ -239,6 +239,8 @@ def test_real_path_agrees_with_the_complex_kernel(M, monkeypatch):
         kinds.clear()
         assert gowers._uk_pow(f.astype(complex), k) == pytest.approx(expected, rel=1e-12)
         assert kinds and set(kinds) == {"f"}
+        # a float array and a complex one with zero imaginary part share every bit
+        assert gowers._uk_pow(f, k) == gowers._uk_pow(f.astype(complex), k)
     h = correlate.balanced_friable(255, 2.0).values
     assert gowers._uk_pow(h.astype(complex), 3) == pytest.approx(
         oracles.gowers_pow_complex(h, 3), rel=1e-12
@@ -269,11 +271,11 @@ def test_one_imaginary_entry_takes_the_complex_path(M, monkeypatch):
 
 def test_balanced_friable_regression_and_autocorrelation_oracle():
     h256 = correlate.balanced_friable(256, 2.0)
-    fast = gowers.gowers_norm_interval(h256.sequence(), 2)
+    fast = gowers.gowers_norm_interval(h256.values, 2)
     brute = oracles.u2_interval_autocorrelation(h256.values)
     assert fast == pytest.approx(brute, abs=1e-10)
     h = correlate.balanced_friable(4096, 2.0)
-    assert gowers.gowers_norm_interval(h.sequence(), 2) == pytest.approx(
+    assert gowers.gowers_norm_interval(h.values, 2) == pytest.approx(
         U2_BALANCED_4096, abs=1e-12
     )
 
@@ -308,13 +310,17 @@ def test_bruteforce_guardrail():
 def test_boundedness_enforced():
     with pytest.raises(ArgumentError):
         gowers.gowers_norm_cyclic(2.0 * np.ones(16), 2)
-    seq = gowers.SequenceFn(np.ones(16) * 1.5, meta="too big")
     with pytest.raises(ArgumentError):
-        gowers.gowers_norm_interval(seq, 2)
+        gowers.gowers_norm_interval(np.ones(16) * 1.5, 2)
 
 
-def test_sequencefn_validation():
-    with pytest.raises(ArgumentError):
-        gowers.SequenceFn(np.zeros((2, 2)))
-    s = gowers.SequenceFn(np.arange(5) / 10.0, meta="ramp")
-    assert len(s) == 5
+def test_array_input():
+    bad = [np.zeros((2, 2)), np.zeros(0), [0.5, np.nan], [0.5, np.inf], [0.5j, complex(0, np.nan)]]
+    ramp = np.arange(5) / 10.0
+    for norm in (gowers.gowers_norm_cyclic, gowers.gowers_norm_interval):
+        for f in bad:
+            with pytest.raises(ArgumentError):
+                norm(f, 2)
+        # a list, an integer array and a float array give the same norm
+        assert norm(ramp.tolist(), 2) == norm(ramp, 2) > 0.0
+        assert norm(np.ones(5, dtype=int), 2) == norm(np.ones(5), 2)
