@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -183,7 +184,7 @@ class HarperPrediction(NamedTuple):
     prediction: float  # s0 * s1 * psi^3 / N
 
 
-def harper_prediction(N: int, y: float, *, threads: int = 1) -> HarperPrediction:
+def harper_prediction(N: int, y: float) -> HarperPrediction:
     """S0(alpha, y) * S1(alpha) * Psi(N, y)^3 / N with alpha = alpha(N, y),
     returned with the terms it is built from.
 
@@ -193,7 +194,7 @@ def harper_prediction(N: int, y: float, *, threads: int = 1) -> HarperPrediction
     sp = solve_saddle_alpha(N, y)
     s0 = singular_series_s0(sp.alpha, y, p_max=max(int(y), 10**6))
     s1 = singular_series_s1(sp.alpha)
-    psi = sieve.psi_count(N, y, threads=threads)
+    psi = sieve.psi_count(N, y)
     return HarperPrediction(
         alpha=sp.alpha,
         saddle_residual=sp.residual,
@@ -226,10 +227,19 @@ def sifted_mobius_sum(N: int, u: float) -> float:
 
 
 def _cutoff(N: int, tau: float) -> int:
-    """The truncation point floor(N^(1-tau)) of the Mobius split."""
+    """The truncation point floor(N^(1-tau)) of the Mobius split, in integers.
+
+    ``tau`` is read as ``Fraction(tau).limit_denominator(1000)`` = a/b, as
+    ``sieve.friable_bound`` reads ``u``, and the floor of N^((b-a)/b) is
+    an integer root: 32 at tau = 0.4 gives 8, where
+    ``float(32) ** 0.6`` is just below it.
+    """
+    if N < 2:
+        raise ArgumentError(f"N must be >= 2, got {N}")
     if not 1.0 / math.log(N) < tau < 1.0:
         raise ArgumentError(f"tau must lie in (1/log N, 1), got {tau}")
-    return int(math.floor(float(N) ** (1.0 - tau)))
+    q = Fraction(tau).limit_denominator(1000)
+    return sieve._iroot(N ** (q.denominator - q.numerator), q.denominator)
 
 
 def sifted_mu2_tail(N: int, u: float, tau: float) -> float:

@@ -353,7 +353,7 @@ def _cmd_saddle(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
 
 
 def _cmd_harper(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
-    terms = analytic.harper_prediction(args.N, args.y, threads=cfg.threads)
+    terms = analytic.harper_prediction(args.N, args.y)
     return {"N": args.N, "y": args.y}, terms._asdict(), {}
 
 

@@ -45,7 +45,7 @@ def hildebrand(N=None, *, threads=1):
     header = ["u", "psi", "n_rho", "relative_deviation", "bound", "within"]
     rows = []
     for u in (1.5, 2.0, 2.5, 3.0):
-        psi = sieve.psi_count(N, sieve.friable_bound(N, u), threads=threads)
+        psi = sieve.psi_count(N, sieve.friable_bound(N, u))
         target = N * float(_dickman.rho(u))
         rel = psi / target - 1.0
         bound = 3.0 * u * math.log(u + 1.0) / math.log(N)
@@ -141,7 +141,7 @@ def product(N=None, *, threads=1):
     rows = []
     for u in (2.0, 3.0):
         count = forms.count_friable_values(system, body, N, (u, u), threads=threads)
-        psi = sieve.psi_count(N, sieve.friable_bound(N, u), threads=threads)
+        psi = sieve.psi_count(N, sieve.friable_bound(N, u))
         rows.append([u, count, psi, count == psi * psi])
     return {"N": N, "passed": all(row[-1] for row in rows)}, {"counts": _table(header, rows)}
 
@@ -260,7 +260,7 @@ def harper(N=None, *, threads=1):
     count = forms.count_friable_values(
         forms.parse_form_system(TERNARY), body, N, ys=(int(y),) * 3, threads=threads
     )
-    pred = analytic.harper_prediction(N, y, threads=threads)
+    pred = analytic.harper_prediction(N, y)
     ratio = count / pred.prediction
     s1_error = abs(analytic.singular_series_s1(1.0) - 0.5)
     result = {

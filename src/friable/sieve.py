@@ -1,12 +1,15 @@
 """Exact factorization primitives over integer segments.
 
-Everything here is integer-exact.  Friability is decided in one place: a
-segment kernel divides small primes out of a remainder array, and both
-``psi_count`` (by popcount) and ``friable_masks`` (one mask per threshold)
-read it.  The sifted squarefree sums get a slice pass of their own over a
-Mobius array, and the full largest/smallest prime factor and Mobius tables
-serve ``friable sieve``.  Conventions for the degenerate inputs are fixed
-once and used package-wide:
+Everything here is integer-exact.  ``psi_count`` counts without sieving
+``[1, N]``: Buchstab's identity on the largest prime factor, over a table
+of prime counts ``pi(N // k)`` (Lucy's recursion), with the small
+arguments read off a largest-prime-factor table.  The friability masks
+over ``[0, N]`` come from one segment kernel that divides small primes
+out of a remainder array, one mask per threshold.  The sifted squarefree
+sums get a slice pass of their own over a Mobius array, and the full
+largest/smallest prime factor and Mobius tables serve ``friable sieve``.
+Conventions for the degenerate inputs are fixed once and used
+package-wide:
 
     P+(0) = 0,  P+(+-1) = 1          (so 0 and 1 are y-friable for every y)
     P-(0) = 0,  P-(+-1) = +infinity  (so 1 is y-sifted for every y)
@@ -257,20 +260,151 @@ def _remainder_plan(N: int, ys: Sequence[float]) -> tuple[list[int], list[tuple[
     return primes, [(bisect.bisect_right(primes, min(bound, root)), bound) for bound in bounds]
 
 
-def psi_count(
-    N: int,
-    y: float,
-    *,
-    segment_size: int | None = None,
-    threads: int = 1,
-) -> int:
-    """Psi(N, y) = #{1 <= n <= N : P+(n) <= y}, exact by segmented sieving.
+def _prime_pi_table(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(small, large): small[v] = pi(v) for 0 <= v <= r and large[k] = pi(N // k)
+    for 1 <= k <= r, with r = isqrt(N); both int64 arrays of r + 1 entries.
 
-    Each segment keeps one array, ``rem``, starting as the integers
-    themselves.  Every prime p <= z = min(y, sqrt(N)) is divided out of
-    it, once per power of p, so ``rem[n]`` ends as n stripped of its
-    primes <= z; then n is y-friable iff ``rem[n] <= y``.  Proof, with
-    r = rem[n]:
+    Lucy's recursion.  Once the primes below p are sifted out, S(v)
+    counts the n in [2, v] that are prime or have no prime factor below
+    p; it starts as v - 1.  Sifting out a prime p <= sqrt(N) removes the
+    composite n with smallest prime factor p, n = p m with m in
+    [p, v // p] free of primes below p:
+
+        S(v) -= S(v // p) - S(p - 1)     for every v >= p^2,
+
+    all at once on the old values, since v // p < v.  For v = N // k,
+    v // p = N // (k p) is again in the table: large[k p] while
+    k p <= r, else small[N // (k p)].  Once every prime <= sqrt(N) is
+    out, S(v) = pi(v).
+    """
+    r = math.isqrt(N)
+    idx = np.arange(r + 1, dtype=np.int64)
+    small = np.maximum(idx - 1, 0)
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = N // idx[1:] - 1
+    for p in primes_up_to(r).tolist():
+        below = small[p - 1]
+        top = min(r, N // (p * p))  # large[k] with N // k >= p^2
+        inner = min(top, r // p)  # k p <= r
+        large[1 : inner + 1] -= large[p : p * inner + 1 : p] - below
+        large[inner + 1 : top + 1] -= small[N // (idx[inner + 1 : top + 1] * p)] - below
+        if p * p <= r:
+            small[p * p :] -= small[idx[p * p :] // p] - below
+    return small, large
+
+
+def _listed_psi(N: int, z: int, limit: int) -> int | None:
+    """#{1 <= n <= N : P+(n) <= z} by listing those n, or None past ``limit`` of them.
+
+    After the primes p_1 < ... < p_j the list holds every p_j-friable
+    n <= N once; the next prime p multiplies it by p, p^2, ... while the
+    products stay <= N.
+    """
+    friable = np.ones(1, dtype=np.int64)
+    for p in primes_up_to(z).tolist():
+        parts = [friable]
+        while parts[-1].size:
+            parts.append(parts[-1][parts[-1] <= N // p] * p)
+        friable = np.concatenate(parts)
+        if friable.size > limit:
+            return None
+    return friable.size
+
+
+def psi_count(N: int, y: float, *, threads: int = 1) -> int:
+    """Psi(N, y) = #{1 <= n <= N : P+(n) <= y}, exact, counted without a sieve.
+
+    With z = floor(min(y, N)), Psi(N, y) = N - T(N, z), where
+    T(m, q) = #{n <= m : P+(n) > q}.  Grouping n by its largest prime
+    factor r > q, n = r k with k <= m // r and P+(k) <= r, gives
+    Buchstab's identity
+
+        T(m, q) = sum_{q < r <= s} (m // r - T(m // r, r))
+                  + sum_{k=1}^{m // (A+1)} (pi(m // k) - pi(A)),
+
+    with s = isqrt(m), A = max(q, s) and r running over primes.  In the
+    second sum r > A >= s, so k <= m // r < r and all m // r cofactors
+    count; summing m // r over the primes r in (A, m] by k counts, for
+    each k, the primes in (A, m // k].  Every m met is N // d, so every
+    m // k is N // (d k) and its pi is one lookup in ``_prime_pi_table(N)``.
+    When z >= isqrt(N) the root has no first sum and pi(z) comes from a
+    second table, ``_prime_pi_table(z)``.
+
+    The children with m // r <= leaf = min(N^(3/5), one segment) are
+    counted together from a largest-prime-factor table up to ``leaf``:
+    their T(m // r, r) sum to #{(r, n) : n r <= m, P+(n) > r}, and for
+    each n the primes r in (lo, s] with r <= m // n and r < P+(n) number
+    pi(min(s, m // n, P+(n) - 1)) - pi(lo) when positive, with
+    lo = max(q, m // (leaf + 1)); the primes r in (q, lo] have
+    m // r > leaf and recurse one by one.  When at most ``leaf`` of the
+    n <= N are z-friable, ``_listed_psi`` lists them instead.  The
+    prime-count table takes about N^(3/4) / log N array updates where a
+    sieve of [1, N] took N; ``y = 1`` counts n = 1 alone, the P+(1) = 1
+    convention.
+    ``threads`` has no effect: the count runs in one thread.
+    """
+    if N < 1:
+        raise ArgumentError(f"N must be >= 1, got {N}")
+    if N > config.DEFAULT_MAX_SIEVE_N:
+        raise ResourceError(f"N = {N} exceeds configured maximum {config.DEFAULT_MAX_SIEVE_N}")
+    if not y >= 1:
+        raise ArgumentError(f"friability bound must be >= 1, got {y}")
+    z = math.floor(min(y, N))
+    if z == N:
+        return N
+    root = math.isqrt(N)
+    leaf = min(_iroot(N**3, 5), config.DEFAULT_SEGMENT_SIZE)
+    if z <= root:
+        count = _listed_psi(N, z, leaf)
+        if count is not None:
+            return count
+    small, large = _prime_pi_table(N)
+    ks = np.arange(1, max(root, leaf) + 1, dtype=np.int64)
+
+    def pi_sum(m: int, K: int) -> int:
+        """sum_{k=1}^{K} pi(m // k), every m // k > root read from ``large``."""
+        v = m // ks[:K]
+        big = min(K, m // (root + 1))
+        return int(large[N // v[:big]].sum() + small[v[big:]].sum())
+
+    if z >= root:  # no prime r with z < r <= sqrt(N): only the second sum
+        K = N // (z + 1)
+        return N - pi_sum(N, K) + K * int(_prime_pi_table(z)[1][1])
+
+    primes = primes_up_to(root)
+    prime_list = primes.tolist()
+    lpf = _sieve_segment(0, leaf, primes_up_to(math.isqrt(leaf))).lpf
+
+    def rough(m: int, q: int) -> int:
+        """T(m, q) for m = N // d and q <= root."""
+        s = math.isqrt(m)
+        total = 0
+        if q < s:
+            lo = min(max(q, m // (leaf + 1)), s)
+            for r in prime_list[small[q] : small[lo]]:
+                total += m // r - rough(m // r, r)
+            leaves = primes[small[lo] : small[s]]
+            if leaves.size:
+                n_top = m // (lo + 1)
+                top = np.minimum(m // ks[:n_top], s)
+                np.minimum(top, lpf[1 : n_top + 1] - 1, out=top)
+                excess = small[top] - small[lo]
+                total += int((m // leaves).sum()) - int(excess[excess > 0].sum())
+        A = max(q, s)
+        K = m // (A + 1)
+        return total + pi_sum(m, K) - K * int(small[A])
+
+    return N - rough(N, z)
+
+
+def friable_masks(N: int, ys: Sequence[float], *, threads: int = 1) -> dict[float, np.ndarray]:
+    """{y: mask} for each distinct y in ``ys``, mask[n] = (P+(n) <= y) on 0 <= n <= N.
+
+    One pass of ``_remainder_kernel`` over [0, N], split into segments
+    that ``threads`` workers fill.  ``rem`` starts as the integers
+    themselves; the primes are divided out in ascending order, once per
+    power, and the mask of y is the snapshot ``rem <= y`` taken once
+    every prime <= z = min(y, sqrt(N)) is out.  Proof, with r = rem[n]:
 
     * every prime <= y is <= sqrt(N): r is 1 or has only prime factors
       above y, so r <= y iff r = 1 iff P+(n) <= y;
@@ -278,37 +412,11 @@ def psi_count(
       and r <= n <= N, so r is 1 or a single prime q > sqrt(N); then
       P+(n) <= y iff r = 1 or q <= y, iff r <= y.
 
-    ``y = 1`` divides nothing and counts n = 1 alone, the P+(1) = 1
-    convention.  No lpf, spf or Mobius table is built: each segment is
-    ``_remainder_kernel``'s mask, counted and dropped.
-    """
-    if N < 1:
-        raise ArgumentError(f"N must be >= 1, got {N}")
-    if N > config.DEFAULT_MAX_SIEVE_N:
-        raise ResourceError(f"N = {N} exceeds configured maximum {config.DEFAULT_MAX_SIEVE_N}")
-    primes, levels = _remainder_plan(N, [y])
-    segment_size = segment_size or config.DEFAULT_SEGMENT_SIZE
-    bounds = [(a, min(a + segment_size - 1, N)) for a in range(1, N + 1, segment_size)]
-
-    def count_one(ab: tuple[int, int]) -> int:
-        a, b = ab
-        mask = np.empty(b - a + 1, dtype=bool)
-        _remainder_kernel(a, b, primes, levels, [mask])
-        return int(np.count_nonzero(mask))
-
-    return sum(ordered_map(count_one, bounds, threads))
-
-
-def friable_masks(N: int, ys: Sequence[float], *, threads: int = 1) -> dict[float, np.ndarray]:
-    """{y: mask} for each distinct y in ``ys``, mask[n] = (P+(n) <= y) on 0 <= n <= N.
-
-    One pass of ``_remainder_kernel`` over [0, N]: the primes are divided
-    out in ascending order, and the mask of y is the snapshot
-    ``rem <= y`` taken once every prime <= min(y, sqrt(N)) is out, so
-    ``psi_count``'s proof covers each mask; rem[0] = 0 makes n = 0
-    friable, as P+(0) = 0.  Thresholds with the same floor(min(y, N))
-    share one array.  Raises ResourceError, before allocating, when N + 1
-    entries exceed the table budget ``config.DEFAULT_MAX_TABLE``.
+    rem[0] = 0 makes n = 0 friable, as P+(0) = 0, and ``y = 1`` divides
+    nothing, so n = 1 alone is friable among n >= 1.  Thresholds with the
+    same floor(min(y, N)) share one array.  Raises ResourceError, before
+    allocating, when N + 1 entries exceed the table budget
+    ``config.DEFAULT_MAX_TABLE``.
     """
     if N < 1:
         raise ArgumentError(f"N must be >= 1, got {N}")

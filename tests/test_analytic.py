@@ -224,6 +224,17 @@ def test_mu2_tail_examples():
     assert got == pytest.approx(expected, abs=1e-15)
 
 
+def test_cutoff_is_an_integer_root():
+    assert analytic._cutoff(32, 0.4) == 8  # float(32) ** 0.6 is just below 8
+    assert analytic._cutoff(3**5, 0.4) == 27
+    assert analytic._cutoff(10**5, 0.2) == 10000
+    assert analytic._cutoff(10**6, 0.2) == 63095
+    with pytest.raises(ArgumentError):
+        analytic._cutoff(100, 1.0)
+    with pytest.raises(ArgumentError):
+        analytic.sifted_mu2_tail(1, 2.0, 0.5)  # log N = 0: no tau is admissible
+
+
 def test_mu2_tail_growth_constant():
     # value <= C * tau * u^2 with a uniformly bounded C across the grid
     u, tau = 2.0, 0.2

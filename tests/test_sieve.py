@@ -166,18 +166,27 @@ def test_segment_independence():
 
 
 def test_streaming_matches_block_build():
-    # psi_count streams 600-entry segments; friable_masks holds [0, 5000] whole
+    # psi_count counts without a table; friable_masks holds [0, 5000] whole
     ys = [2, 7, 70, 71, 5000]
     masks = sieve.friable_masks(5000, ys)
     for y in ys:
-        assert sieve.psi_count(5000, y, segment_size=600) == int(np.count_nonzero(masks[y][1:]))
+        assert sieve.psi_count(5000, y) == int(np.count_nonzero(masks[y][1:]))
 
 
-def test_threaded_psi_deterministic():
-    for threads in (1, 4, 8):
-        assert sieve.psi_count(10**5, 50.0, segment_size=4096, threads=threads) == sieve.psi_count(
-            10**5, 50.0
-        )
+def test_prime_pi_table_published_values():
+    published = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534]
+    for k, pi in enumerate(published, 1):
+        small, large = sieve._prime_pi_table(10**k)
+        assert large[1] == pi, k
+    small, large = sieve._prime_pi_table(10**6)
+    primes = sieve.primes_up_to(10**6)
+    assert np.array_equal(small, np.searchsorted(primes, np.arange(1001), side="right"))
+    ks = np.arange(1, 1001)
+    assert np.array_equal(large[1:], np.searchsorted(primes, 10**6 // ks, side="right"))
+
+
+def test_psi_count_at_the_harper_size():
+    assert sieve.psi_count(10**7, 1015) == 2043438
 
 
 # ---------------------------------------------------------------------------
@@ -213,25 +222,46 @@ def _psi_inputs(draw):
         )
     )
     assume(1.0 < y <= 2.0 * N)
-    segment_size = draw(st.integers(1024, 8192).filter(lambda s: N % s != 0))
-    threads = draw(st.sampled_from([1, 2]))
-    return N, y, segment_size, threads
+    return N, y
 
 
 @given(_psi_inputs())
 @settings(max_examples=60, deadline=None)
 def test_psi_count_matches_trial_division_and_factor_table(args):
-    N, y, segment_size, threads = args
-    psi = sieve.psi_count(N, y, segment_size=segment_size, threads=threads)
+    N, y = args
+    psi = sieve.psi_count(N, y)
     lpf = _oracle_tables()[0]
     assert psi == int(np.count_nonzero(lpf[1 : N + 1] <= y))  # = oracles.psi_count(N, y)
-    table = sieve.build_factor_sieve(0, N, segment_size=segment_size)
+    table = sieve.build_factor_sieve(0, N)
     assert psi == int(np.count_nonzero(table.lpf[1:] <= y))
 
 
 def test_psi_count_small_cases_direct_oracle():
     for N, y in [(1, 1.0), (2, 1.0), (97, 7.0), (120, 10.999999999), (360, 19.0), (1000, 31.0)]:
-        assert sieve.psi_count(N, y, segment_size=1024) == oracles.psi_count(N, y), (N, y)
+        assert sieve.psi_count(N, y) == oracles.psi_count(N, y), (N, y)
+
+
+@st.composite
+def _psi_edges(draw):
+    N = draw(st.integers(1, 2 * 10**5))
+    y = draw(
+        st.one_of(
+            st.floats(1.0, 2.0, exclude_max=True),  # y < 2: n = 1 alone
+            st.sampled_from(
+                [N ** (1 / 3), math.isqrt(N) + 0.5, math.isqrt(N) + 1.0, float(N), 2.0 * N]
+            ),
+            st.integers(2, 60).map(float),  # small y: listed when few n are friable
+            st.floats(1.0, 2.0 * N),
+        )
+    )
+    return N, y
+
+
+@given(_psi_edges())
+@settings(max_examples=80, deadline=None)
+def test_psi_count_matches_masks(args):
+    N, y = args
+    assert sieve.psi_count(N, y) == int(np.count_nonzero(sieve.friable_masks(N, [y])[y][1:]))
 
 
 @st.composite
@@ -255,16 +285,15 @@ def test_sieve_segment_matches_trial_division(bounds):
 
 
 def test_psi_count_keeps_no_factor_tables():
-    segment_size = 1 << 16
     sieve.primes_up_to(1000)  # the shared prime cache is not part of the count
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        psi = sieve.psi_count(10**6, 100.0, segment_size=segment_size)
+        psi = sieve.psi_count(10**6, 100.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * segment_size, peak
+    assert peak < 1 << 20, peak
     table = sieve.build_factor_sieve(0, 10**6)
     assert psi == int(np.count_nonzero(table.lpf[1:] <= 100))
 
