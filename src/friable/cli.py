@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, correlate, criteria, dickman, forms, gowers, sieve
-from .config import DEFAULT_DICKMAN_TOL, RuntimeConfig, resolve_config
+from .config import DEFAULT_DICKMAN_TOL
 from .errors import ArgumentError, FriableError, ResourceError
 
 
@@ -234,7 +234,7 @@ def _write_outputs(
     command: str,
     params: dict,
     result: dict,
-    cfg: RuntimeConfig,
+    threads: int,
     elapsed: float,
     tables: dict[str, tuple[list[str], list]] | None = None,
 ) -> None:
@@ -257,7 +257,7 @@ def _write_outputs(
         "version": __version__,
         # rho is built at the default tolerance unless ``dickman --tol`` sets one
         "tolerances": {"dickman_tol": params.get("tol", DEFAULT_DICKMAN_TOL)},
-        "threads": cfg.threads,
+        "threads": threads,
         "wall_clock_s": elapsed,
         "output_digest": hashlib.sha256(digest_text.encode("utf-8")).hexdigest(),
         "output_files": files,
@@ -272,7 +272,7 @@ def _write_outputs(
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sieve(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
+def _cmd_sieve(args) -> tuple[dict, dict, dict]:
     table = sieve.build_factor_sieve(args.lo, args.hi)
     ns = np.arange(table.lo, table.hi + 1)
     result = {
@@ -294,7 +294,7 @@ def _cmd_sieve(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
 _MAX_TABLE_ROWS = 10**6  # largest `dickman --table` output
 
 
-def _cmd_dickman(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
+def _cmd_dickman(args) -> tuple[dict, dict, dict]:
     tol = args.tol if args.tol is not None else DEFAULT_DICKMAN_TOL
     tables = {}
     if args.table is not None:
@@ -324,13 +324,13 @@ def _cmd_dickman(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     return params, result, tables
 
 
-def _cmd_count(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
+def _cmd_count(args) -> tuple[dict, dict, dict]:
     system = forms.parse_form_system(args.forms)
     body_text = args.body.replace("N", str(args.N))
     body = parse_body_spec(body_text, system.dimension)
     u = parse_u_list(args.u)
     start = time.perf_counter()
-    count = forms.count_friable_values(system, body, args.N, u, threads=cfg.threads)
+    count = forms.count_friable_values(system, body, args.N, u, threads=args.threads)
     elapsed = time.perf_counter() - start
     vol = forms.volume(body)
     main = forms.main_term(vol, u)
@@ -345,19 +345,19 @@ def _cmd_count(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     return params, result, {}
 
 
-def _cmd_saddle(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
+def _cmd_saddle(args) -> tuple[dict, dict, dict]:
     sp = analytic.solve_saddle_alpha(args.N, args.y)
     params = {"N": args.N, "y": args.y}
     result = {"alpha": sp.alpha, "residual": sp.residual, "log_N": math.log(args.N)}
     return params, result, {}
 
 
-def _cmd_harper(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
+def _cmd_harper(args) -> tuple[dict, dict, dict]:
     terms = analytic.harper_prediction(args.N, args.y)
     return {"N": args.N, "y": args.y}, terms._asdict(), {}
 
 
-def _cmd_mertens(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
+def _cmd_mertens(args) -> tuple[dict, dict, dict]:
     value = analytic.sifted_mobius_sum(args.N, args.u)
     rho_u = float(dickman.rho(args.u))
     result = {
@@ -409,7 +409,7 @@ def _load_gowers_input(spec: str, k: int, interval: bool) -> np.ndarray:
     return np.array(values)
 
 
-def _cmd_gowers(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
+def _cmd_gowers(args) -> tuple[dict, dict, dict]:
     seq = _load_gowers_input(args.input, args.k, args.mode == "interval")
     if args.mode == "cyclic":
         norm = gowers.gowers_norm_cyclic(seq, args.k)
@@ -420,7 +420,7 @@ def _cmd_gowers(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     return params, result, {}
 
 
-def _cmd_correlate(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
+def _cmd_correlate(args) -> tuple[dict, dict, dict]:
     phase = parse_phase_spec(args.phase)
     h = correlate.balanced_friable(args.N, args.u)
     g = phase.values(args.N)
@@ -439,7 +439,7 @@ def _cmd_correlate(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     return params, result, {}
 
 
-def _cmd_decompose(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
+def _cmd_decompose(args) -> tuple[dict, dict, dict]:
     phase = parse_phase_spec(args.phase)
     tau = args.tau if args.tau is not None else correlate.default_tau(args.N)
     (split,) = correlate.sigma_split(args.N, args.u, tau, [phase.values(args.N)])
@@ -457,13 +457,13 @@ def _cmd_decompose(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
     return params, result, {}
 
 
-def _cmd_verify(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
+def _cmd_verify(args) -> tuple[dict, dict, dict]:
     if args.suite not in criteria.SUITES:
         raise ArgumentError(
             f"unknown suite {args.suite!r}; choose from {sorted(criteria.SUITES)}"
         )
     run_suite = criteria.SUITES[args.suite]
-    result, tables = run_suite(args.N, threads=cfg.threads)
+    result, tables = run_suite(args.N)
     params = {"suite": args.suite}
     if args.N is not None:
         params["N"] = args.N
@@ -478,8 +478,10 @@ def _cmd_verify(args, cfg: RuntimeConfig) -> tuple[dict, dict, dict]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="friable", description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="threads splitting count's mask sieve once N + 1 > 2^20 (default 1)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", help="factor tables over a segment")
@@ -554,12 +556,13 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = resolve_config(args.config, threads=args.threads)
+        if args.threads < 1:
+            raise ArgumentError("thread count must be >= 1")
         start = time.perf_counter()
-        params, result, tables = _DISPATCH[args.command](args, cfg)
+        params, result, tables = _DISPATCH[args.command](args)
         elapsed = time.perf_counter() - start
         _write_outputs(
-            Path(args.out), args.command, params, result, cfg, elapsed, tables
+            Path(args.out), args.command, params, result, args.threads, elapsed, tables
         )
         summary = {
             k: (abs(v) if isinstance(v, complex) else v)

@@ -8,9 +8,8 @@ independent oracles (trial division, quadrature, direct Gowers sums),
 which stay out of the library.  The thresholds of those comparisons are
 the ``*_ORACLE_TOL`` constants below.
 
-All criteria take ``(N=None, *, threads=1)``;
-``N=None`` means the criterion's default size, and a criterion without a
-size refuses any other ``N``.
+All criteria take ``N=None``, meaning the criterion's default size; a
+criterion without a size refuses any other ``N``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ def _no_size(name: str, N) -> None:
         raise ArgumentError(f"suite {name!r} has no size to set with --N")
 
 
-def hildebrand(N=None, *, threads=1):
+def hildebrand(N=None):
     """Criterion 1: |Psi(N, N^(1/u)) / (N rho(u)) - 1| <= 3 u log(u+1) / log N."""
     N = 10**6 if N is None else N
     header = ["u", "psi", "n_rho", "relative_deviation", "bound", "within"]
@@ -79,7 +78,7 @@ def ternary_local_density_sum(N: int, u) -> float:
     return math.fsum((inner[2:] * deltas[2][2:]).tolist())
 
 
-def theorem1(N=None, *, threads=1):
+def theorem1(N=None):
     """Criterion 2: the paper's formula for (x1, x2, x1+x2) on the simplex,
     in the two steps of its proof.
 
@@ -99,7 +98,7 @@ def theorem1(N=None, *, threads=1):
         body = forms.ConvexBody.simplex(2, 1, M)
         vol = forms.volume(body)
         for u in triples:
-            count = forms.count_friable_values(system, body, M, u, threads=threads)
+            count = forms.count_friable_values(system, body, M, u)
             main = forms.main_term(vol, u)
             counts[M, u] = count
             main_ratios[u].append(count / main)
@@ -132,7 +131,7 @@ def theorem1(N=None, *, threads=1):
     return result, tables
 
 
-def product(N=None, *, threads=1):
+def product(N=None):
     """Criterion 3: the box count of (x1; x2) equals Psi(N, y)^2 exactly."""
     N = 10**3 if N is None else N
     system = forms.parse_form_system("x1; x2")
@@ -140,13 +139,13 @@ def product(N=None, *, threads=1):
     header = ["u", "count", "psi", "exact_match"]
     rows = []
     for u in (2.0, 3.0):
-        count = forms.count_friable_values(system, body, N, (u, u), threads=threads)
+        count = forms.count_friable_values(system, body, N, (u, u))
         psi = sieve.psi_count(N, sieve.friable_bound(N, u))
         rows.append([u, count, psi, count == psi * psi])
     return {"N": N, "passed": all(row[-1] for row in rows)}, {"counts": _table(header, rows)}
 
 
-def dickman(N=None, *, threads=1):
+def dickman(N=None):
     """Criterion 4: rho(2) = 1 - log 2 and the delay-equation residual, both to 1e-9."""
     _no_size("dickman", N)
     table = _dickman.default_table()
@@ -161,7 +160,7 @@ def dickman(N=None, *, threads=1):
     return result, {}
 
 
-def mertens(N=None, *, threads=1):
+def mertens(N=None):
     """Criterion 5: |sum mu(k)/k - rho(2)| decays over N = 10^3..10^6.
 
     At most one step may grow, by no more than 10%, and the last error
@@ -198,7 +197,7 @@ def gowers_samples() -> list[np.ndarray]:
     return out
 
 
-def gowers(N=None, *, threads=1):
+def gowers(N=None):
     """Criterion 6: U^2 <= U^3 on the samples, ||1|| = 1, and the U^2[N]
     norm of the balanced friable function decreasing over N = 2^10, 2^12, 2^14.
     """
@@ -223,7 +222,7 @@ def gowers(N=None, *, threads=1):
     return result, {"norms": _table(["N", "u2_interval_norm"], rows)}
 
 
-def decompose(N=None, *, threads=1):
+def decompose(N=None):
     """Criterion 7: Sigma_1 + Sigma_2 reproduces the correlation to 1e-8, and
     |Sigma_2| <= C u N (tau u + rho(u) log(u+1) / log N) with C <= 50."""
     _no_size("decompose", N)
@@ -250,16 +249,14 @@ def decompose(N=None, *, threads=1):
     return result, {"grid": _table(header, rows)}
 
 
-def harper(N=None, *, threads=1):
+def harper(N=None):
     """Criterion 8: the ternary count over S0 S1 Psi(N, y)^3 / N lies in
     [0.5, 2] at y = 100, with S1(1) = 1/2 and the saddle residual
     within 1e-10 log N."""
     N = 10**4 if N is None else N
     y = 100.0
     body = forms.ConvexBody.simplex(2, 1, N)
-    count = forms.count_friable_values(
-        forms.parse_form_system(TERNARY), body, N, ys=(int(y),) * 3, threads=threads
-    )
+    count = forms.count_friable_values(forms.parse_form_system(TERNARY), body, N, ys=(int(y),) * 3)
     pred = analytic.harper_prediction(N, y)
     ratio = count / pred.prediction
     s1_error = abs(analytic.singular_series_s1(1.0) - 0.5)

@@ -200,7 +200,8 @@ class ConvexBody:
     Every constructor scales its rational rows to integers once, without
     tightening them to the lattice, so the continuous body is the one
     given.  ``kind`` ("box" or "hpoly") names the constructor, and a box
-    also keeps its rational ``bounds``; no computation reads either.
+    also keeps its rational ``bounds``; no computation reads either, and
+    ``perfbench/worker.py`` keys its lattice-point counts by both.
     """
 
     def __init__(self, kind: str, rows: Iterable[tuple[Iterable, object]], bounds=None):

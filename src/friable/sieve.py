@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from ._parallel import ordered_map
 from .errors import ArgumentError, ResourceError
 
 SPF_INFINITY = np.iinfo(np.int64).max
@@ -191,14 +191,14 @@ def _check_bounds(lo: int, hi: int, max_n: int) -> None:
         raise ResourceError(f"hi = {hi} exceeds configured maximum {max_n}")
 
 
-def build_factor_sieve(lo: int, hi: int, *, segment_size: int | None = None) -> FactorSieve:
+def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
     """Build lpf/spf/mu tables for [lo, hi], sieving in cache-sized segments.
 
     Raises ResourceError, before allocating, when the table would exceed
     the budget ``config.DEFAULT_MAX_TABLE`` entries, and ArgumentError for
     an empty or negative range.
     """
-    segment_size = segment_size or config.DEFAULT_SEGMENT_SIZE
+    segment_size = config.DEFAULT_SEGMENT_SIZE
     _check_bounds(lo, hi, config.DEFAULT_MAX_SIEVE_N)
     total = hi - lo + 1
     if total > config.DEFAULT_MAX_TABLE:
@@ -432,14 +432,18 @@ def friable_masks(N: int, ys: Sequence[float], *, threads: int = 1) -> dict[floa
         b = min(a + segment_size - 1, N)
         _remainder_kernel(a, b, primes, levels, [m[a : b + 1] for m in masks])
 
-    ordered_map(fill, range(0, N + 1, segment_size), threads)
+    starts = range(0, N + 1, segment_size)
+    if threads <= 1 or len(starts) == 1:
+        for a in starts:
+            fill(a)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, starts))  # consumed, so a worker's exception propagates
     by_bound = {bound: m for (_, bound), m in zip(levels, masks)}
     return {y: by_bound[math.floor(min(y, N))] for y in ys}
 
 
-def sifted_squarefree_arrays(
-    limit: int, y: float, *, segment_size: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def sifted_squarefree_arrays(limit: int, y: float) -> tuple[np.ndarray, np.ndarray]:
     """(k, mu(k)) arrays for squarefree k <= limit with P-(k) > y, ascending.
 
     Each segment keeps a Mobius array ``mu`` and a remainder ``rem``, and
@@ -457,7 +461,7 @@ def sifted_squarefree_arrays(
     if not y >= 1:
         raise ArgumentError(f"sifting bound must be >= 1, got {y}")
     _check_bounds(1, limit, config.DEFAULT_MAX_SIEVE_N)
-    segment_size = segment_size or config.DEFAULT_SEGMENT_SIZE
+    segment_size = config.DEFAULT_SEGMENT_SIZE
     primes = primes_up_to(math.isqrt(limit)).tolist()
     ks: list[np.ndarray] = []
     mus: list[np.ndarray] = []

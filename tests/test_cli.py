@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from friable import cli, correlate, criteria, dickman, forms, sieve
-from friable.config import resolve_config
+from friable import cli, config, correlate, criteria, dickman, forms, sieve
 from friable.errors import ArgumentError
 
 
@@ -137,7 +136,6 @@ def test_exit_codes(tmp_path, capsys):
         ("correlate", "--N", "1000", "--u", "2", "--phase", "quadratic:0.3,nan"),
         ("correlate", "--N", "1000", "--u", "2", "--phase", "linear:inf"),
         ("gowers", "--input", str(tmp_path), "--k", "2"),
-        ("--config", str(tmp_path / "missing.cfg"), "dickman", "--u", "2"),
         ("gowers", "--input", str(nan_csv), "--k", "2", "--mode", "cyclic"),
     ]:
         assert run_cli(tmp_path, *argv) == 2, argv
@@ -216,40 +214,33 @@ def test_verify_harper_suite_small(tmp_path):
     assert "ratio" in result and "passed" in result
 
 
-def test_config_file_and_env(tmp_path, monkeypatch):
-    cfg_file = tmp_path / "friable.cfg"
-    cfg_file.write_text("threads = 2\n# comment\n")
-    cfg = resolve_config(str(cfg_file))
-    assert cfg.threads == 2
-    monkeypatch.setenv("FRIABLE_THREADS", "5")
-    cfg = resolve_config(str(cfg_file))
-    assert cfg.threads == 5  # env beats file
-    cfg = resolve_config(str(cfg_file), threads=7)
-    assert cfg.threads == 7  # flag beats env
-    monkeypatch.setenv("FRIABLE_THREADS", "zebra")
-    with pytest.raises(ArgumentError):
-        resolve_config(str(cfg_file))
+def test_threads_flag_is_applied_and_validated(tmp_path, monkeypatch, capsys):
+    seen = []
+    friable_masks = sieve.friable_masks
 
+    def spy(N, ys, *, threads=1):
+        seen.append(threads)
+        return friable_masks(N, ys, threads=threads)
 
-def test_config_file_errors(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense_key = 3\n")
-    with pytest.raises(ArgumentError):
-        resolve_config(str(bad))
-    bad.write_text("threads\n")
-    with pytest.raises(ArgumentError):
-        resolve_config(str(bad))
-    # keys the library never read are gone, not silently recorded
-    for key in ("max_table_entries", "max_sieve_n", "dickman_umax", "segment_size", "dickman_tol"):
-        bad.write_text(f"{key} = 100\n")
-        with pytest.raises(ArgumentError, match="unknown config key"):
-            resolve_config(str(bad))
-        assert cli.run(["--config", str(bad), "dickman", "--u", "2"]) == 2
-    # a missing file, a directory and bytes that are not UTF-8 cannot be read
-    bad.write_bytes(b"threads = \xff\n")
-    for path in (tmp_path / "missing.cfg", tmp_path, bad):
-        with pytest.raises(ArgumentError, match="cannot read config file"):
-            resolve_config(str(path))
+    monkeypatch.setattr(sieve, "friable_masks", spy)
+    count = ("count", "--forms", "x1; x2; x1+x2", "--body", "simplex:1,N",
+             "--N", "5000", "--u", "2,2,2")
+    # six segments of 977 entries, so three threads do split the mask sieve
+    monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 977)
+    manifests = []
+    for threads in ("1", "3"):
+        assert run_cli(tmp_path, "--threads", threads, *count) == 0
+        manifests.append(read_manifest(tmp_path, "count"))
+    assert seen == [1, 3]
+    assert [m["threads"] for m in manifests] == [1, 3]
+    assert manifests[0]["output_digest"] == manifests[1]["output_digest"]
+    capsys.readouterr()
+    for threads in ("0", "-1"):
+        assert run_cli(tmp_path, "--threads", threads, *count) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: thread count must be >= 1"], err
+    assert seen == [1, 3]  # refused before any work
+    assert run_cli(tmp_path, "--config", "f", *count) == 64
 
 
 def _as_hpoly_spec(lows_highs):

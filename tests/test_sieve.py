@@ -4,6 +4,7 @@ import random
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -157,9 +158,11 @@ def test_sifted_divisor_bound():
             assert len(divisors) <= 2**u, (n, divisors)
 
 
-def test_segment_independence():
-    one = sieve.build_factor_sieve(0, 30000, segment_size=1 << 22)
-    many = sieve.build_factor_sieve(0, 30000, segment_size=977)
+def test_segment_independence(monkeypatch):
+    monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 1 << 22)
+    one = sieve.build_factor_sieve(0, 30000)
+    monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 977)
+    many = sieve.build_factor_sieve(0, 30000)
     assert np.array_equal(one.lpf, many.lpf)
     assert np.array_equal(one.spf, many.spf)
     assert np.array_equal(one.mu, many.mu)
@@ -395,7 +398,8 @@ def _sifted_inputs(draw):
 @settings(max_examples=60, deadline=None)
 def test_sifted_squarefree_matches_trial_division(args):
     limit, y, segment_size = args
-    ks, mus = sieve.sifted_squarefree_arrays(limit, y, segment_size=segment_size)
+    with mock.patch.object(config, "DEFAULT_SEGMENT_SIZE", segment_size):
+        ks, mus = sieve.sifted_squarefree_arrays(limit, y)
     assert ks.dtype == mus.dtype == np.int64
     pairs = list(zip(ks.tolist(), mus.tolist()))
     assert pairs == _sifted_oracle(limit, y)
