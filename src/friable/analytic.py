@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from . import sieve
 from .errors import ArgumentError, NumericError, ResourceError
@@ -130,21 +129,14 @@ def singular_series_s0(alpha: float, y: float, p_max: int) -> SingularSeries0:
     return SingularSeries0(value=value, tail_bound=tail_bound)
 
 
-def singular_series_s1(alpha: float, tol: float = 1e-12) -> float:
+def singular_series_s1(alpha: float) -> float:
     """S1(alpha) = integral over {t1, t2 >= 0, t1 + t2 <= 1} of
-    alpha^3 (t1 t2 (t1 + t2))^(alpha - 1).
+    alpha^3 (t1 t2 (t1 + t2))^(alpha - 1), in closed form.
 
-    By the t1 <-> t2 symmetry and the substitution t2 = t1 w the simplex
-    integral collapses to a single Gauss-Jacobi-friendly axis:
-
-        S1(alpha) = 2 alpha^3 / (3 alpha - 1)
-                    * integral_0^1 w^(alpha-1) (1 + w)^(-2 alpha) dw.
-
-    The only singularity is the w^(alpha-1) endpoint weight, so the
-    Jacobi rule converges exponentially (a tensor rule on the square
-    stalls on the corner singularity of (t1 t2 (t1+t2))^(alpha-1) and
-    cannot reach tol = 1e-12).  Node count doubles from 64 until the
-    change is <= tol.  The integral diverges for alpha <= 1/3.
+    With s = t1 + t2 and x = t1 / s (dt1 dt2 = s ds dx) the integral splits as
+    alpha^3 int_0^1 s^(3 alpha - 2) ds * int_0^1 (x (1 - x))^(alpha - 1) dx,
+    so S1(alpha) = alpha^3 B(alpha, alpha) / (3 alpha - 1).  It diverges
+    for alpha <= 1/3.
     """
     if not 0.0 < alpha <= 2.0:
         raise ArgumentError(f"alpha must lie in (0, 2], got {alpha}")
@@ -152,26 +144,8 @@ def singular_series_s1(alpha: float, tol: float = 1e-12) -> float:
         raise NumericError(
             f"S1({alpha}) diverges: the simplex integral needs alpha > 1/3"
         )
-    if tol < 1e-12:
-        raise ArgumentError(f"tol must be >= 1e-12, got {tol}")
     a = float(alpha)
-    front = 2.0 * a**3 / (3.0 * a - 1.0)
-
-    def estimate(n: int) -> float:
-        x, w = roots_jacobi(n, 0.0, a - 1.0)  # weight (1+x)^(a-1) on [-1, 1]
-        s = (x + 1.0) / 2.0
-        g = (1.0 + s) ** (-2.0 * a)
-        return front * 2.0 ** (-a) * float(w @ g)
-
-    n = 64
-    prev = estimate(n)
-    while n <= 4096:
-        n *= 2
-        cur = estimate(n)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise NumericError(f"S1 quadrature did not converge to {tol} by 4096 nodes")
+    return a**3 * math.gamma(a) ** 2 / ((3.0 * a - 1.0) * math.gamma(2.0 * a))
 
 
 class HarperPrediction(NamedTuple):

@@ -237,18 +237,16 @@ def balanced_friable(N: int, u: float) -> BalancedFriable:
 # ---------------------------------------------------------------------------
 
 
-def default_tau(N: int, epsilon: float = 0.5) -> float:
-    """(log log N)^(1+eps) / log N, clamped into the open interval
-    (1/log N, 1/2)."""
+def default_tau(N: int) -> float:
+    """(log log N)^(3/2) / log N.
+
+    It lies in (1/log N, 0.41] for every N >= 16: above 1/log N because
+    log log 16 > 1, and at most 1.5^1.5 e^(-1.5), its peak at log N = e^1.5.
+    """
     if N < 16:
         raise ArgumentError(f"N must be >= 16, got {N}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ArgumentError(f"epsilon must lie in (0, 1], got {epsilon}")
     logn = math.log(N)
-    raw = math.log(logn) ** (1.0 + epsilon) / logn
-    lo = math.nextafter(1.0 / logn, math.inf)
-    hi = math.nextafter(0.5, 0.0)
-    return min(max(raw, lo), hi)
+    return math.log(logn) ** 1.5 / logn
 
 
 def _admissible_k(N: int, u: float, tau: float) -> tuple[np.ndarray, np.ndarray]:

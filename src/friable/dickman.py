@@ -71,8 +71,6 @@ class DickmanTable:
                 out[sel] = chebyshev.chebval(s, self.pieces[k])
         return float(out) if np.isscalar(u) else out
 
-    __call__ = eval
-
 
 def _piece_definite_integral(coeffs: np.ndarray, left_knot: int, a, b):
     """integral_a^b of the piece on [left_knot, left_knot + 1], exactly."""

@@ -4,7 +4,8 @@ Every function here recomputes a quantity by a route disjoint from the
 implementation it checks: trial division instead of sieving, 150-point
 Gauss-Legendre steps with barycentric interpolation instead of Chebyshev
 collocation, Monte Carlo and qhull instead of exact geometry, long-double
-bisection instead of double bisection + Newton, per-n divisor scans
+bisection instead of double bisection + Newton, tanh-sinh quadrature
+instead of the Beta closed form of S1, per-n divisor scans
 instead of sieve passes, one strided slice per k instead of the ordered
 divisor scatter, membership tests of every bounding-box point
 instead of slab walks, the pair of rows x_0 <= <c, x> <= x_0 instead of
@@ -22,6 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
@@ -363,6 +365,19 @@ def s0_direct_product(alpha: float, y: float, p_max: int) -> float:
         else:
             value *= 1.0 - 1.0 / (p - 1) ** 2
     return value
+
+
+def s1_quad(alpha: float) -> float:
+    """S1(alpha) by tanh-sinh quadrature at 30 digits of the one-axis form
+
+        2 alpha^3 / (3 alpha - 1) * integral_0^1 w^(alpha-1) (1 + w)^(-2 alpha) dw
+
+    (t1 <-> t2 symmetry and t2 = t1 w on the simplex), not the Beta identity.
+    """
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        inner = mpmath.quad(lambda w: w ** (a - 1) * (1 + w) ** (-2 * a), [0, 1])
+        return float(2 * a**3 / (3 * a - 1) * inner)
 
 
 # ---------------------------------------------------------------------------

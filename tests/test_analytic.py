@@ -137,6 +137,13 @@ def test_s1_monte_carlo_oracle():
     assert abs(got - est) <= 3.0 * se
 
 
+@pytest.mark.parametrize("alpha", [0.34, 0.3868, 0.40, 0.5, 0.9, 1.5, 2.0])
+def test_s1_matches_quadrature_oracle(alpha):
+    assert analytic.singular_series_s1(alpha) == pytest.approx(
+        oracles.s1_quad(alpha), rel=1e-10
+    )
+
+
 def test_s1_continuity_in_alpha():
     # steep but continuous towards the alpha = 1/3 divergence
     grid = np.linspace(0.5, 2.0, 32)
@@ -148,8 +155,6 @@ def test_s1_continuity_in_alpha():
 def test_s1_arguments():
     with pytest.raises(ArgumentError):
         analytic.singular_series_s1(2.5)
-    with pytest.raises(ArgumentError):
-        analytic.singular_series_s1(1.0, tol=1e-13)
     with pytest.raises(NumericError):
         analytic.singular_series_s1(0.3)  # divergent region
 
@@ -162,6 +167,13 @@ def test_s1_arguments():
 def test_harper_prediction_positive():
     p = analytic.harper_prediction(10**3, 50.0).prediction
     assert p > 0.0 and math.isfinite(p)
+
+
+def test_harper_prediction_near_the_s1_divergence():
+    # alpha(10^6, 20) = 0.3868..., near the alpha = 1/3 divergence of S1
+    terms = analytic.harper_prediction(10**6, 20.0)
+    assert 1.0 / 3.0 < terms.alpha < 0.4
+    assert terms.s1 == pytest.approx(oracles.s1_quad(terms.alpha), rel=1e-10)
 
 
 def test_harper_prediction_y_equals_N():

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import friable
 import oracles
 from friable import cli, config, correlate, criteria, dickman, forms, sieve
 from friable.errors import ArgumentError
@@ -212,6 +216,15 @@ def test_verify_harper_suite_small(tmp_path):
     result = read_result(tmp_path, "verify")["result"]
     assert result["count"] > 0 and result["prediction"] > 0
     assert "ratio" in result and "passed" in result
+
+
+def test_the_cli_imports_without_scipy():
+    src = os.path.dirname(os.path.dirname(friable.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, friable.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_threads_flag_is_applied_and_validated(tmp_path, monkeypatch, capsys):

@@ -339,20 +339,17 @@ def test_sigma_split_of_many_phases_equals_one_phase_calls():
 
 
 def test_default_tau():
-    v = correlate.default_tau(10**6, 0.5)
+    v = correlate.default_tau(10**6)
     assert v == pytest.approx(
         math.log(math.log(10**6)) ** 1.5 / math.log(10**6), rel=1e-12
     )
     assert v == pytest.approx(0.308, abs=1e-3)
-    small = correlate.default_tau(16, 0.5)
+    small = correlate.default_tau(16)
     assert 1.0 / math.log(16) < small < 0.5
-    assert correlate.default_tau(1619, 1.0) < 0.5  # upper clamp active
     taus = [correlate.default_tau(N) for N in (100, 1000, 10**4, 10**5, 10**6)]
     assert all(a > b for a, b in zip(taus, taus[1:]))
     with pytest.raises(ArgumentError):
         correlate.default_tau(8)
-    with pytest.raises(ArgumentError):
-        correlate.default_tau(100, 0.0)
 
 
 # ---------------------------------------------------------------------------
