@@ -1,7 +1,7 @@
 """Command-line front end: runs verification campaigns and persists results.
 
 Every invocation writes a result JSON, a manifest JSON (parameters,
-budgets, tolerances, wall clock, sha256 digest of the result), and
+version, thread count, wall clock, sha256 digest of the result), and
 optionally CSV tables, into the output directory.  Numeric output uses
 17 significant digits for floats and exact decimal integers, so a rerun
 with identical parameters reproduces byte-identical result files.
@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, correlate, criteria, dickman, forms, gowers, sieve
-from .config import DEFAULT_DICKMAN_TOL
 from .errors import ArgumentError, FriableError, ResourceError
 
 
@@ -255,8 +254,6 @@ def _write_outputs(
         "command": command,
         "params": params,
         "version": __version__,
-        # rho is built at the default tolerance unless ``dickman --tol`` sets one
-        "tolerances": {"dickman_tol": params.get("tol", DEFAULT_DICKMAN_TOL)},
         "threads": threads,
         "wall_clock_s": elapsed,
         "output_digest": hashlib.sha256(digest_text.encode("utf-8")).hexdigest(),
@@ -295,7 +292,6 @@ _MAX_TABLE_ROWS = 10**6  # largest `dickman --table` output
 
 
 def _cmd_dickman(args) -> tuple[dict, dict, dict]:
-    tol = args.tol if args.tol is not None else DEFAULT_DICKMAN_TOL
     tables = {}
     if args.table is not None:
         u_max, step = args.table
@@ -305,21 +301,15 @@ def _cmd_dickman(args) -> tuple[dict, dict, dict]:
             raise ArgumentError(f"--table STEP must be finite and > 0, got {step}")
         if (u_max + step / 2) / step > _MAX_TABLE_ROWS:
             raise ResourceError(f"--table {u_max} {step} exceeds {_MAX_TABLE_ROWS} rows")
-        tab = dickman.rho_table(max(u_max, 1.0), tol)
         grid = np.arange(0.0, u_max + step / 2, step)
-        values = tab.eval(np.minimum(grid, u_max))
+        values = dickman.rho(np.minimum(grid, u_max))
         tables["table"] = (["u", "rho"], [grid, values])
-        params = {"table_u_max": u_max, "step": step, "tol": tol}
-        result = {"rows": grid.size, "tol": tol}
+        params = {"table_u_max": u_max, "step": step}
+        result = {"rows": grid.size}
     else:
-        if args.u is None:
-            raise ArgumentError("dickman needs --u or --table")
-        if not math.isfinite(args.u):
-            raise ArgumentError(f"--u must be finite, got {args.u}")
-        tab = dickman.rho_table(max(math.ceil(max(args.u, 1.0)), 1), tol)
-        value = float(tab.eval(args.u))
+        value = float(dickman.rho(args.u))
         print(format(value, ".17g"))
-        params = {"u": args.u, "tol": tol}
+        params = {"u": args.u}
         result = {"u": args.u, "rho": value}
     return params, result, tables
 
@@ -403,6 +393,8 @@ def _load_gowers_input(spec: str, k: int, interval: bool) -> np.ndarray:
         if not line:
             continue
         cells = line.split(",")
+        if len(cells) > 2:
+            raise ArgumentError(f"gowers input row {line!r} has more than two cells")
         re_part = _parse_number(float, cells[0], spec)
         im_part = _parse_number(float, cells[1], spec) if len(cells) > 1 else 0.0
         values.append(complex(re_part, im_part))
@@ -490,9 +482,9 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", action="store_true", help="emit the full table as CSV")
 
     p = sub.add_parser("dickman", help="Dickman rho values and tables")
-    p.add_argument("--u", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--table", nargs=2, type=float, metavar=("U_MAX", "STEP"))
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--u", type=float)
+    g.add_argument("--table", nargs=2, type=float, metavar=("U_MAX", "STEP"))
 
     p = sub.add_parser("count", help="exact friable count vs main term")
     p.add_argument("--forms", required=True, help="e.g. 'x1; x2; x1+x2'")

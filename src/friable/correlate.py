@@ -40,6 +40,7 @@ SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 _SUBSET_POINT_BUDGET = 10**6
 _HTAU_TERM_BUDGET = 10**7
 _SCATTER_BLOCK = 1 << 20  # (k, multiple) pairs per np.add.at call
+_PHASE_BLOCK = 1 << 18  # phases computed per step of PhaseSequence.values
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,8 @@ class PhaseSequence:
     def values(self, N: int) -> np.ndarray:
         """e(phase(n)) for n = 0..N as a complex array.
 
+        The result is filled ``_PHASE_BLOCK`` entries at a time, so the
+        peak is the 16-byte-per-entry result plus one block's temporaries.
         Raises ResourceError, before allocating, when N + 1 entries exceed
         the table budget ``config.DEFAULT_MAX_TABLE``.
         """
@@ -156,15 +159,19 @@ class PhaseSequence:
             raise ResourceError(f"{N + 1} phases exceed the budget of {config.DEFAULT_MAX_TABLE}")
         if self.kind == "constant":
             return np.full(N + 1, np.exp(2j * np.pi * (self.params[0] % 1.0)))
-        phases = self._exact_phases(N)
-        if phases is None:
-            phases = np.fromiter(
-                (self.phase(n) for n in range(N + 1)), dtype=float, count=N + 1
-            )
-        return np.exp(2j * np.pi * phases)
+        out = np.empty(N + 1, dtype=complex)
+        for lo in range(0, N + 1, _PHASE_BLOCK):
+            hi = min(lo + _PHASE_BLOCK, N + 1)
+            phases = self._exact_phases(np.arange(lo, hi, dtype=np.uint64))
+            if phases is None:
+                phases = np.fromiter(
+                    (self.phase(n) for n in range(lo, hi)), dtype=float, count=hi - lo
+                )
+            np.exp(2j * np.pi * phases, out=out[lo:hi])
+        return out
 
-    def _exact_phases(self, N: int) -> np.ndarray | None:
-        """phase(n) for n = 0..N, bit for bit, by uint64 arithmetic.
+    def _exact_phases(self, n: np.ndarray) -> np.ndarray | None:
+        """phase(n) for every entry of a uint64 array n, bit for bit.
 
         The integer steps are exact (see ``_frac_mod1_array``) and the float
         steps are those of ``phase`` in the same order.  None where that
@@ -172,7 +179,6 @@ class PhaseSequence:
         2^64, or a bracket phi outside [0, 1); ``phase`` then stays the
         route.
         """
-        n = np.arange(N + 1, dtype=np.uint64)
         if self.kind == "linear":
             theta, beta = self.params
             fr = _frac_mod1_array(theta, n)

@@ -25,6 +25,13 @@ deliver positive, strictly decreasing values near u = 20.
 
 Evaluation is O(1) per point: one degree-24 Chebyshev piece per unit
 interval (error ~ (2 + sqrt 3)^-24 since rho is analytic on each piece).
+
+Knot rule: for u > 1 the value is read from piece floor(u) - 1, the piece
+on [floor(u), floor(u) + 1], so at an integer knot k the right-hand piece
+is read.  A table on [0, u_max] holds floor(u_max) pieces, the right-hand
+piece of its last integer knot included, and every piece is built from
+the ones before it alone, so a value never depends on how far a table
+reaches.  ``rho`` is the one reader the library uses.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .errors import ArgumentError, NumericError
 
 _DEGREE = 24
 _MAX_PICARD = 500
+_TOL = 1e-10  # |table - rho| <= _TOL * max(rho, 1), see build_rho_table
 
 
 class DickmanTable:
@@ -48,13 +56,12 @@ class DickmanTable:
     Immutable after construction; shared concurrent reads are safe.
     """
 
-    def __init__(self, u_max: float, tol: float, pieces: list[np.ndarray]):
+    def __init__(self, u_max: float, pieces: list[np.ndarray]):
         self.u_max = float(u_max)
-        self.tol = float(tol)
         self.pieces = pieces
 
     def __repr__(self) -> str:
-        return f"DickmanTable(u_max={self.u_max}, tol={self.tol}, pieces={len(self.pieces)})"
+        return f"DickmanTable(u_max={self.u_max}, pieces={len(self.pieces)})"
 
     def eval(self, u):
         """rho(u) for scalar or array u in [0, u_max]; exactly 1 on [0, 1]."""
@@ -62,13 +69,12 @@ class DickmanTable:
         if not np.all((arr >= 0.0) & (arr <= self.u_max)):  # NaN fails both
             raise ArgumentError(f"u outside table domain [0, {self.u_max}]")
         out = np.ones_like(arr)
-        if self.pieces:
-            above = arr > 1.0
-            idx = np.clip(np.floor(arr).astype(int) - 1, 0, len(self.pieces) - 1)
-            for k in np.unique(idx[above]).tolist():
-                sel = above & (idx == k)
-                s = 2.0 * (arr[sel] - (k + 1.5))
-                out[sel] = chebyshev.chebval(s, self.pieces[k])
+        above = arr > 1.0
+        idx = np.floor(arr).astype(int) - 1
+        for k in np.unique(idx[above]).tolist():
+            sel = above & (idx == k)
+            s = 2.0 * (arr[sel] - (k + 1.5))
+            out[sel] = chebyshev.chebval(s, self.pieces[k])
         return float(out) if np.isscalar(u) else out
 
 
@@ -81,20 +87,18 @@ def _piece_definite_integral(coeffs: np.ndarray, left_knot: int, a, b):
     return 0.5 * (chebyshev.chebval(sb, anti) - chebyshev.chebval(sa, anti))
 
 
-def build_rho_table(u_max: float = 20.0, tol: float = 1e-10) -> DickmanTable:
+def build_rho_table(u_max: float = 20.0) -> DickmanTable:
     """Iterate the averaged integral form of the delay equation up to u_max.
 
     The fixed-point iteration per interval stops once the relative change
-    is below tol/100, so |table - rho| <= tol * max(rho, 1) on [0, u_max]
+    is below _TOL/100, so |table - rho| <= _TOL * max(rho, 1) on [0, u_max]
     (in practice the error is near machine precision in relative terms).
     """
     if not 1.0 <= u_max <= 50.0:
         raise ArgumentError(f"u_max must lie in [1, 50], got {u_max}")
-    if not 1e-14 <= tol <= 1e-6:
-        raise ArgumentError(f"tol must lie in [1e-14, 1e-6], got {tol}")
 
     pieces: list[np.ndarray] = []
-    n_intervals = math.ceil(u_max) - 1
+    n_intervals = math.floor(u_max)
     cheb_x = np.sort(np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)))
 
     for k in range(1, n_intervals + 1):
@@ -112,61 +116,46 @@ def build_rho_table(u_max: float = 20.0, tol: float = 1e-10) -> DickmanTable:
             change = float(np.max(np.abs(new_vals - vals)))
             scale = float(np.max(np.abs(new_vals)))
             vals = new_vals
-            if change <= max(scale, 1e-300) * tol / 100.0:
+            if change <= max(scale, 1e-300) * _TOL / 100.0:
                 break
         else:
             raise NumericError(f"fixed point failed to converge on [{k}, {k + 1}]")
         pieces.append(chebyshev.chebfit(cheb_x, vals, _DEGREE))
 
-    return DickmanTable(u_max=float(u_max), tol=float(tol), pieces=pieces)
+    return DickmanTable(u_max=float(u_max), pieces=pieces)
 
 
 # ---------------------------------------------------------------------------
-# module-level evaluator with on-demand extension
+# module-level evaluator on one shared table
 # ---------------------------------------------------------------------------
 
-_default_table: DickmanTable | None = None
-_extension: DickmanTable | None = None  # covers the u beyond the default u_max
+_table: DickmanTable | None = None
 
 
 def default_table() -> DickmanTable:
-    global _default_table
-    if _default_table is None:
+    """The shared table: built to config.DEFAULT_DICKMAN_UMAX on first use,
+    and rebuilt further out by ``rho`` when a larger u asks for it."""
+    global _table
+    if _table is None:
         from . import config
 
-        _default_table = build_rho_table(config.DEFAULT_DICKMAN_UMAX, config.DEFAULT_DICKMAN_TOL)
-    return _default_table
-
-
-def rho_table(u_max: float, tol: float) -> DickmanTable:
-    """The table on [0, u_max] at ``tol``: the shared default table when both
-    match it exactly, else a new build.  A table that merely covers u_max is
-    not the same: at an integer end point ``eval`` reads the next piece."""
-    from . import config
-
-    if (u_max, tol) == (config.DEFAULT_DICKMAN_UMAX, config.DEFAULT_DICKMAN_TOL):
-        return default_table()
-    return build_rho_table(u_max, tol)
+        _table = build_rho_table(config.DEFAULT_DICKMAN_UMAX)
+    return _table
 
 
 def rho(u):
-    """rho(u) via the shared default table; only the u beyond its u_max read
-    a cached extension, so a value never depends on earlier calls."""
-    global _extension
+    """rho(u) for scalar or array u in [0, 50], read from the shared table."""
+    global _table
     arr = np.asarray(u, dtype=float)
     if not np.all(arr >= 0.0):  # NaN included
         raise ArgumentError("rho is only defined for u >= 0 (NaN is not)")
     top = float(np.max(arr)) if arr.size else 0.0
-    table = default_table()
-    if top <= table.u_max:
-        return table.eval(u)
     if top > 50.0:
         raise ArgumentError(f"u = {top} beyond the supported range [0, 50]")
-    if _extension is None or _extension.u_max < top:
-        _extension = build_rho_table(float(math.ceil(top)), table.tol)
-    low = table.eval(np.minimum(arr, table.u_max))
-    out = np.where(arr > table.u_max, _extension.eval(arr), low)
-    return float(out) if np.isscalar(u) else out
+    table = default_table()
+    if top > table.u_max:
+        _table = table = build_rho_table(float(math.ceil(top)))
+    return table.eval(u)
 
 
 def dde_residual_grid(

@@ -7,4 +7,4 @@ from friable import dickman
 
 @pytest.fixture(scope="session")
 def rho_table():
-    return dickman.build_rho_table(20.0, 1e-10)
+    return dickman.build_rho_table(20.0)

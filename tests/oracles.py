@@ -215,14 +215,18 @@ def rho_quadrature(u: float) -> float:
     form, nodes, and interpolation).  Absolute accuracy is limited by the
     cancellation inherent in the subtraction form, ~1e-13 near u = 10.
     """
-    if u < 0:
+    return rho_quadrature_at([u])[0]
+
+
+def rho_quadrature_at(us) -> list[float]:
+    """``rho_quadrature(u)`` for every u of ``us``, from one pass over the
+    unit intervals up to the largest u."""
+    if min(us) < 0:
         raise ValueError("u must be >= 0")
-    if u <= 1:
-        return 1.0
-    top = math.ceil(u)
+    out = [1.0] * len(us)
     prev = None  # interpolant of rho on [k-1, k]
     rho_knot = 1.0
-    for k in range(1, top):
+    for k in range(1, math.ceil(max(us))):
 
         def integrand(t, _prev=prev, _k=k):
             tm1 = t - 1.0
@@ -236,13 +240,14 @@ def rho_quadrature(u: float) -> float:
         vals = np.array([rho_knot - _gl_integral(integrand, k, x) for x in xs])
         interp = BarycentricInterpolator(xs, vals)
         rho_next = rho_knot - _gl_integral(integrand, k, k + 1)
-        if u < k + 1:
-            return float(interp(u))
-        if u == k + 1:
-            return float(rho_next)
+        for i, u in enumerate(us):
+            if k < u < k + 1:
+                out[i] = float(interp(u))
+            elif u == k + 1:
+                out[i] = float(rho_next)
         prev = interp
         rho_knot = rho_next
-    return float(rho_knot)
+    return out
 
 
 # ---------------------------------------------------------------------------

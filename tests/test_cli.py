@@ -83,16 +83,8 @@ def test_manifest_replay_digest(tmp_path):
     second = read_manifest(tmp_path, "saddle")
     assert first["output_digest"] == second["output_digest"]
     assert first["version"] == second["version"]
-
-
-def test_manifest_records_the_applied_tolerance(tmp_path):
-    assert run_cli(tmp_path, "dickman", "--u", "3", "--tol", "1e-6") == 0
-    assert read_manifest(tmp_path, "dickman")["tolerances"] == {"dickman_tol": 1e-6}
-    assert run_cli(tmp_path, "dickman", "--u", "3") == 0
-    assert read_manifest(tmp_path, "dickman")["tolerances"] == {"dickman_tol": 1e-10}
-    assert run_cli(tmp_path, "count", "--forms", "x1", "--body", "box:1,N", "--N", "50",
-                   "--u", "2") == 0
-    assert read_manifest(tmp_path, "count")["tolerances"] == {"dickman_tol": 1e-10}
+    assert list(first) == ["command", "params", "version", "threads", "wall_clock_s",
+                           "output_digest", "output_files"]
 
 
 def test_count_digest_stable_despite_elapsed(tmp_path):
@@ -118,6 +110,10 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(tmp_path, "sieve", "--lo", "0", "--hi", str(2**33)) == 3
     assert cli.run(["bogus"]) == 64
     assert cli.run(["count", "--badflag"]) == 64
+    # dickman takes exactly one of --u and --table, and no tolerance
+    assert run_cli(tmp_path, "dickman") == 64
+    assert run_cli(tmp_path, "dickman", "--u", "3", "--table", "5", "1") == 64
+    assert run_cli(tmp_path, "dickman", "--u", "3", "--tol", "1e-6") == 64
     assert run_cli(tmp_path, "verify", "--suite", "nope") == 2
     assert run_cli(tmp_path, "verify", "--suite", "dickman", "--N", "100") == 2
     assert run_cli(tmp_path, "harper", "--N", "10", "--y", "20") == 2  # y > N
@@ -133,6 +129,8 @@ def test_exit_codes(tmp_path, capsys):
     # non-finite numbers and unreadable files: one error line, no traceback
     nan_csv = tmp_path / "nan.csv"
     nan_csv.write_text("1\nnan\n0.5\n")
+    wide_csv = tmp_path / "wide.csv"
+    wide_csv.write_text("1,0,5\n0.5\n")
     capsys.readouterr()
     for argv in [
         ("dickman", "--u", "nan"),
@@ -141,6 +139,7 @@ def test_exit_codes(tmp_path, capsys):
         ("correlate", "--N", "1000", "--u", "2", "--phase", "linear:inf"),
         ("gowers", "--input", str(tmp_path), "--k", "2"),
         ("gowers", "--input", str(nan_csv), "--k", "2", "--mode", "cyclic"),
+        ("gowers", "--input", str(wide_csv), "--k", "2"),
     ]:
         assert run_cli(tmp_path, *argv) == 2, argv
         err = capsys.readouterr().err
@@ -323,13 +322,13 @@ def test_fixed_outputs_are_unchanged(tmp_path):
     assert _csv_sha256(tmp_path, "sieve_table.csv") == (
         "4183960ed260f9f841032f8c5cec794c284ec56cd19f33f792c6c0ea17d7aabc"
     )
-    # every other table producer: float columns, the knot row u = 3 of a
-    # table built to u_max = 3, and the suites' mixed int/float/bool/text rows
+    # every other table producer: float columns, the knot rows u = 20 and
+    # u = 3 (right-hand pieces), and the suites' mixed int/float/bool/text rows
     for argv, name, digest in [
         (("dickman", "--table", "20", "0.002"), "dickman_table.csv",
-         "b3c90b4ea77c1223f2402a46f2db8b25b0457f68ccf80ddc56e30b984a385e08"),
+         "8755ec88c88e7e0da7637647663ce8b85247b0ae2ec07ebe83f7869586bfbd99"),
         (("dickman", "--table", "3", "0.01"), "dickman_table.csv",
-         "bb6245f437adb9fb1ebf9ae9b3419d4359bd5aeaef9ebdfa87f39db50855f895"),
+         "39aa8b6add4bb840826650e458b3a023eed9aa53f2c0a3fd236415362395e815"),
         (("verify", "--suite", "hildebrand"), "verify_ratios.csv",
          "e8cd57cf8a712043414393f91248e54d55a257324761f6fbcb54f3c531af3683"),
         (("verify", "--suite", "decompose"), "verify_grid.csv",
@@ -339,9 +338,16 @@ def test_fixed_outputs_are_unchanged(tmp_path):
     ]:
         assert run_cli(tmp_path, *argv) == 0
         assert _csv_sha256(tmp_path, name) == digest, argv
-    # Gowers norms of real and complex presets, the correlations and the
-    # Sigma splits: the manifests' output digests
+    # rho at knots inside and beyond the default table, Gowers norms of real
+    # and complex presets, the correlations and the Sigma splits: the
+    # manifests' output digests
     for argv, digest in [
+        (("dickman", "--u", "2"),
+         "68de92a9d32c6bcd60f9ed60efd64d32d0edc7697b36b12cfe3c260a27d5709a"),
+        (("dickman", "--u", "20"),
+         "f69659169b28731d6a9d099a2d44e4bd13c4c73d8a8c4c442e62b8fbcf93c47d"),
+        (("dickman", "--u", "25"),
+         "f2ec745a82321d13cae5a355704bc1231a23e3d4f976684df4bcefcf282c0092"),
         (("gowers", "--input", "balanced:262143:2", "--k", "2"),
          "2a09478e83e49a9ae2857bc388a79669630ab09475a2dc8388f7d730efa7d6dc"),
         (("gowers", "--input", "balanced:511:2", "--k", "3"),
@@ -511,21 +517,25 @@ def test_csv_writer_refuses_cells_csv_would_quote():
         cli.csv_bytes(["a", "b"], [np.arange(3)])
 
 
-def test_dickman_reuses_the_default_table_only_on_an_exact_match(tmp_path, monkeypatch):
-    monkeypatch.setattr(dickman, "_default_table", None)
+def test_dickman_builds_no_table_up_to_the_default_extent(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dickman, "_table", None)
     dickman.default_table()
     builds = []
     build = dickman.build_rho_table
 
-    def spy(u_max, tol):
-        builds.append((u_max, tol))
-        return build(u_max, tol)
+    def spy(u_max):
+        builds.append(u_max)
+        return build(u_max)
 
     monkeypatch.setattr(dickman, "build_rho_table", spy)
     assert criteria.dickman()[0]["passed"] is True
-    assert run_cli(tmp_path, "dickman", "--table", "20", "0.002") == 0
-    assert run_cli(tmp_path, "dickman", "--u", "19.5") == 0
+    for argv in [("--table", "20", "0.002"), ("--table", "3", "0.01"), ("--table", "0.5", "0.1"),
+                 ("--u", "19.5"), ("--u", "20"), ("--u", "2"), ("--u", "0.5")]:
+        assert run_cli(tmp_path, "dickman", *argv) == 0, argv
     assert builds == []
-    assert run_cli(tmp_path, "dickman", "--table", "20", "0.002", "--tol", "1e-8") == 0
-    assert run_cli(tmp_path, "dickman", "--table", "3", "0.01") == 0  # covered is not enough
-    assert builds == [(20.0, 1e-8), (3.0, 1e-10)]
+    # the command prints what rho gives, bit for bit, beyond the default extent too
+    capsys.readouterr()
+    for u in (2.0, 3.0, 19.5, 20.0, 25.0, 50.0):
+        assert run_cli(tmp_path, "dickman", "--u", repr(u)) == 0
+        assert float(capsys.readouterr().out.splitlines()[0]) == dickman.rho(u), u
+    assert builds == [25.0, 50.0]

@@ -265,12 +265,41 @@ def test_phase_values_take_the_integer_kernel():
     below = correlate.PhaseSequence.bracket(correlate.GOLDEN_CONJUGATE, math.nextafter(5 / 6, 0))
     cases = [g for g in correlate.PHASE_PRESETS.values() if g.kind != "constant"]
     for g in cases + [bench, below]:
-        assert g._exact_phases(10**5) is not None, g
+        assert g._exact_phases(np.arange(10**5 + 1, dtype=np.uint64)) is not None, g
         assert _same_bits(g.values(10**5), _phase_loop(g, 10**5)), g
     # outside the integer kernel's domain the loop is the route
-    assert correlate.PhaseSequence.linear(2.0**-40 / 3)._exact_phases(5) is None
-    assert correlate.PhaseSequence.bracket(0.3, -0.2)._exact_phases(5) is None
-    assert correlate.PhaseSequence.bracket(0.3, 1.5)._exact_phases(5) is None
+    n = np.arange(6, dtype=np.uint64)
+    assert correlate.PhaseSequence.linear(2.0**-40 / 3)._exact_phases(n) is None
+    assert correlate.PhaseSequence.bracket(0.3, -0.2)._exact_phases(n) is None
+    assert correlate.PhaseSequence.bracket(0.3, 1.5)._exact_phases(n) is None
+
+
+def test_phase_values_are_the_same_block_by_block(monkeypatch):
+    # blocks of 7 entries: a partial last block, on both the integer
+    # kernel and the loop route
+    monkeypatch.setattr(correlate, "_PHASE_BLOCK", 7)
+    for g in [
+        correlate.PhaseSequence.linear(correlate.GOLDEN_CONJUGATE, 0.25),
+        correlate.PhaseSequence.quadratic(correlate.SQRT2_MINUS_1, 0.1, 0.2),
+        correlate.PhaseSequence.bracket(0.3, 0.7),
+        correlate.PhaseSequence.linear(2.0**-40 / 3),
+    ]:
+        for N in (0, 6, 7, 100):
+            assert _same_bits(g.values(N), _phase_loop(g, N)), (g, N)
+
+
+def test_phase_values_peak_below_24_bytes_per_entry():
+    # the complex result is 16 bytes per entry; one block of temporaries
+    # may add little more at N = 2^22
+    N = 1 << 22
+    for g in (correlate.PhaseSequence.linear(0.3), correlate.PhaseSequence.quadratic(0.3)):
+        tracemalloc.start()
+        try:
+            g.values(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * (N + 1), (g, peak / (N + 1))
 
 
 def test_phase_values_refuse_over_the_table_budget():

@@ -45,18 +45,19 @@ def test_oracle_stability():
 def test_dde_residual(rho_table):
     _, residuals = dickman.dde_residual_grid(rho_table, 1000, 1.0, 20.0)
     assert residuals.size >= 998
-    assert float(np.max(residuals)) <= 10.0 * rho_table.tol
+    assert float(np.max(residuals)) <= 1e-9
 
 
 def test_continuity_at_knots(rho_table):
     # adjacent pieces evaluated at the same knot
     from numpy.polynomial.chebyshev import chebval
 
-    assert abs(chebval(-1.0, rho_table.pieces[0]) - 1.0) <= rho_table.tol
-    for k in range(2, 20):
+    assert len(rho_table.pieces) == 20  # [20, 21] holds rho at the knot 20
+    assert abs(chebval(-1.0, rho_table.pieces[0]) - 1.0) <= 1e-10
+    for k in range(2, 21):
         left = chebval(1.0, rho_table.pieces[k - 2])
         right = chebval(-1.0, rho_table.pieces[k - 1])
-        assert abs(left - right) <= rho_table.tol
+        assert abs(left - right) <= 1e-10
 
 
 def test_strictly_positive_and_decreasing(rho_table):
@@ -68,14 +69,16 @@ def test_strictly_positive_and_decreasing(rho_table):
         assert 0.0 < rho_table.eval(u) < rho_table.eval(u - 1.0)
 
 
-def test_refinement_self_consistency(rho_table):
-    finer = dickman.build_rho_table(20.0, rho_table.tol / 4.0)
-    grid = np.linspace(0.0, 20.0, 2003)
-    assert float(np.max(np.abs(rho_table.eval(grid) - finer.eval(grid)))) <= rho_table.tol
+def test_both_sides_of_the_knots_match_the_quadrature_oracle(rho_table):
+    # each side of a knot k, and k itself, reads a different piece of the
+    # table than the other side: all three against one oracle pass
+    us = [u for k in range(2, 11) for u in (k - 1e-3, float(k), k + 1e-3)]
+    for u, expected in zip(us, oracles.rho_quadrature_at(us)):
+        assert abs(rho_table.eval(u) - expected) <= 1e-10, u
 
 
 def test_fractional_u_max():
-    t = dickman.build_rho_table(2.5, 1e-10)
+    t = dickman.build_rho_table(2.5)
     assert t.eval(2.5) == pytest.approx(RHO_ORACLE[2.5], abs=1e-10)
     with pytest.raises(ArgumentError):
         t.eval(2.6)
@@ -94,26 +97,25 @@ def test_module_level_rho_and_extension():
 
 
 def test_rho_does_not_depend_on_earlier_extensions(monkeypatch):
-    # u up to the default u_max always read the default table; at its
-    # integer end point an extended table would read the next piece
-    monkeypatch.setattr(dickman, "_extension", None)
+    # every table reads the right-hand piece at an integer knot, its own
+    # end point included, so extending the shared table moves no value
+    monkeypatch.setattr(dickman, "_table", None)
     before = dickman.rho(20.0)
-    assert before == 2.461782828764318e-29
-    assert dickman.rho(25.0) > 0.0
+    assert before == 2.4617828287642925e-29
+    at_25 = dickman.rho(25.0)
     assert dickman.rho(20.0) == before
     assert dickman.rho(np.array([20.0, 25.0]))[0] == before
-    assert dickman.rho_table(20.0, 1e-10) is dickman.default_table()
+    assert dickman.rho(30.0) > 0.0
+    assert dickman.rho(25.0) == at_25
+    assert dickman.rho(20.0) == before
+    assert dickman.default_table().u_max == 30.0
 
 
 def test_build_argument_errors():
     with pytest.raises(ArgumentError):
-        dickman.build_rho_table(0.5, 1e-10)
+        dickman.build_rho_table(0.5)
     with pytest.raises(ArgumentError):
-        dickman.build_rho_table(51.0, 1e-10)
-    with pytest.raises(ArgumentError):
-        dickman.build_rho_table(10.0, 1e-15)
-    with pytest.raises(ArgumentError):
-        dickman.build_rho_table(10.0, 1e-5)
+        dickman.build_rho_table(51.0)
 
 
 def test_eval_domain_errors(rho_table):
