@@ -7,7 +7,7 @@ optionally CSV tables, into the output directory.  Numeric output uses
 with identical parameters reproduces byte-identical result files.
 
 Exit codes: 0 success, 2 argument/precondition/numeric error,
-3 resource-budget error, 64 usage error.
+3 resource-budget error, 64 usage error, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import re
 import sys
 import time
@@ -575,7 +576,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (``| head``): send what is still buffered to
+        # devnull, so the flush at exit raises nothing, and exit as a shell
+        # reports a process ended by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -87,6 +87,17 @@ def _piece_definite_integral(coeffs: np.ndarray, left_knot: int, a, b):
     return 0.5 * (chebyshev.chebval(sb, anti) - chebyshev.chebval(sa, anti))
 
 
+def _chebyshev_fitter(x: np.ndarray):
+    """``chebyshev.chebfit(x, ., _DEGREE)`` on fixed nodes x: the same
+    column-scaled least squares with the same rcond, its matrix built once,
+    so the coefficients are chebfit's bit for bit."""
+    lhs = chebyshev.chebvander(x, _DEGREE).T
+    scl = np.sqrt(np.square(lhs).sum(1))  # no column vanishes on distinct nodes
+    design = lhs.T / scl
+    rcond = len(x) * np.finfo(x.dtype).eps
+    return lambda y: np.linalg.lstsq(design, y, rcond)[0] / scl
+
+
 def build_rho_table(u_max: float = 20.0) -> DickmanTable:
     """Iterate the averaged integral form of the delay equation up to u_max.
 
@@ -100,6 +111,7 @@ def build_rho_table(u_max: float = 20.0) -> DickmanTable:
     pieces: list[np.ndarray] = []
     n_intervals = math.floor(u_max)
     cheb_x = np.sort(np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)))
+    fit = _chebyshev_fitter(cheb_x)
 
     for k in range(1, n_intervals + 1):
         nodes = k + 0.5 + 0.5 * cheb_x
@@ -110,7 +122,7 @@ def build_rho_table(u_max: float = 20.0) -> DickmanTable:
             tail = _piece_definite_integral(pieces[-1], k - 1, nodes - 1.0, float(k))
         vals = tail / nodes  # ignore the (small) current-interval mass to start
         for _ in range(_MAX_PICARD):
-            coeffs = chebyshev.chebfit(cheb_x, vals, _DEGREE)
+            coeffs = fit(vals)
             head = _piece_definite_integral(coeffs, k, float(k), nodes)
             new_vals = (tail + head) / nodes
             change = float(np.max(np.abs(new_vals - vals)))
@@ -120,7 +132,7 @@ def build_rho_table(u_max: float = 20.0) -> DickmanTable:
                 break
         else:
             raise NumericError(f"fixed point failed to converge on [{k}, {k + 1}]")
-        pieces.append(chebyshev.chebfit(cheb_x, vals, _DEGREE))
+        pieces.append(fit(vals))
 
     return DickmanTable(u_max=float(u_max), pieces=pieces)
 

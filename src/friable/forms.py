@@ -654,12 +654,24 @@ def _fft_length(n: int) -> int:
 
 
 def _convolve(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Linear convolution of float64 arrays by one real FFT."""
+    """Linear convolution of float64 arrays by one real FFT.  An array
+    passed more than once (the same object) is transformed once and its
+    spectrum raised to that power."""
     size = sum(len(x) for x in arrays) - len(arrays) + 1
     n = _fft_length(size)
-    spectrum = np.fft.rfft(arrays[0], n)
-    for x in arrays[1:]:
-        spectrum *= np.fft.rfft(x, n)
+    spectrum = None
+    for i, x in enumerate(arrays):
+        if any(x is y for y in arrays[:i]):
+            continue
+        fx = np.fft.rfft(x, n)
+        power = sum(x is y for y in arrays)
+        factor = fx.copy() if power > 2 else fx  # at power 2, fx squares in place
+        for _ in range(power - 1):
+            factor *= fx
+        if spectrum is None:
+            spectrum = factor
+        else:
+            spectrum *= factor
     return np.fft.irfft(spectrum, n)[:size]
 
 
@@ -682,12 +694,15 @@ def _count_by_convolution(
         return math.prod(popcounts)
 
     form = system.forms[layout.other]
-    spread = []
-    for m, aj in zip(cut, form.coeffs):
-        x = np.zeros(aj * (len(m) - 1) + 1)
-        x[::aj] = m
-        spread.append(x)
-    conv = _convolve(spread)
+    spread: dict[tuple[int, int, int, int], np.ndarray] = {}
+    arrays = []
+    for i, m, aj, (lo, _) in zip(layout.coordinate_forms, cut, form.coeffs, ranges):
+        key = (id(form_masks[i]), lo, len(m), aj)  # equal keys spread equal masks
+        if key not in spread:
+            spread[key] = x = np.zeros(aj * (len(m) - 1) + 1)
+            x[::aj] = m
+        arrays.append(spread[key])
+    conv = _convolve(arrays)
     exact = np.rint(conv)
     error = float(np.max(np.abs(conv - exact)))
     if error >= _ROUNDING_TOL:

@@ -13,6 +13,24 @@ not change under shifts and conjugation, the terms at h and -h are equal
 (for complex f too): the sum runs over h = 0..floor(M/2), with weight 1 at
 h = 0 and h = M/2 (M even) and 2 elsewhere.
 
+At k = 4 the recursion is taken two levels at once,
+
+    ||f||_{U^4}^16 = M^-2 sum_{h1, h2} w(h1) w(h2) ||Delta_{h2} Delta_{h1} f||_{U^2}^4,
+
+with h1, h2 in 0..floor(M/2) and w the weights above.  Since
+Delta_{h2} Delta_{h1} f(n) = f(n + h1 + h2) conj(f(n + h1)) conj(f(n + h2)) f(n)
+is symmetric in (h1, h2), the sum runs over the pairs h1 <= h2 only, with
+weight w(h1) w(h2) on the diagonal and 2 w(h1) w(h2) off it: about half
+the rows of a U^3 norm taken at each h1.  Each derivative Delta_{h1} f
+whose imaginary part is identically 0 (|f|^2 at h1 = 0) takes the real
+path below.
+
+The derivative rows of U^3 and U^4 are transformed in blocks of
+``_BLOCK_ENTRIES`` = 2^18 row entries (at least one row), a block
+holding rows of consecutive h2 and, at k = 4, of several h1.  Its work
+arrays (rows, spectrum and fourth powers) take 5 MB for real rows and
+6 MB for complex ones, whatever M, and are reused from block to block.
+
 A real f has real derivatives Delta_h f(n) = f(n + h) f(n) and a
 Hermitian spectrum, |fhat(-xi)| = |fhat(xi)|, so the same folding applies
 to frequencies: sum_xi |fhat(xi)|^4 runs over xi = 0..floor(M/2) of one
@@ -56,7 +74,7 @@ from .errors import ArgumentError, NumericError, ResourceError
 from .forms import _fft_length
 
 _CYCLIC_GUARDRAIL = {2: 1 << 22, 3: 1 << 14, 4: 1 << 9}
-_BLOCK_ENTRIES = 1 << 22  # complex entries per batched FFT block
+_BLOCK_ENTRIES = 1 << 18  # derivative-row entries per block, sized for cache
 
 
 def _as_sequence(f) -> np.ndarray:
@@ -114,47 +132,79 @@ def _u2_rows(rows: np.ndarray, spectrum, mag) -> np.ndarray:
     return np.sum(_fourth_powers(fh, mag), axis=-1)
 
 
-def _u3_pow(vals: np.ndarray) -> float:
-    """||f||_{U^3}^8 = E_h ||Delta_h f||_{U^2}^4 over h = 0..floor(M/2), the
-    derivative rows taken in blocks of about ``_BLOCK_ENTRIES`` entries
-    through work arrays reused from block to block; complex rows are
-    transformed in place."""
-    M = vals.size
-    real = vals.dtype.kind == "f"
-    shifted = sliding_window_view(np.concatenate((vals, vals)), M)  # row h: f(n + h)
-    conj = np.conj(vals)
-    weights = _half_weights(M)
-    chunk = min(max(1, _BLOCK_ENTRIES // M), weights.size)
-    rows = np.empty((chunk, M), dtype=vals.dtype)
-    spectrum = np.empty((chunk, weights.size), dtype=np.complex128) if real else rows
-    mag = np.empty(spectrum.shape)
-    total = 0.0
-    for start in range(0, weights.size, chunk):
-        w = weights[start : start + chunk]
-        n = w.size
-        block = np.multiply(shifted[start : start + n], conj, out=rows[:n])
-        total += float(w @ _u2_rows(block, spectrum[:n], mag[:n]))
-    return total / M
+class _DerivativeBlocks:
+    """sum_r w_r ||r||_{U^2}^4 over derivative rows r = Delta_h g of one
+    dtype, gathered in blocks of ``_BLOCK_ENTRIES`` row entries (at least
+    one row) through work arrays reused from block to block; complex rows
+    are transformed in place.  ``rows`` bounds the number of rows added."""
+
+    def __init__(self, M: int, dtype, rows: int):
+        chunk = min(max(1, _BLOCK_ENTRIES // M), rows)
+        self.rows = np.empty((chunk, M), dtype=dtype)
+        real = self.rows.dtype.kind == "f"
+        self.spectrum = np.empty((chunk, M // 2 + 1), dtype=np.complex128) if real else self.rows
+        self.mag = np.empty(self.spectrum.shape)
+        self.weights = np.empty(chunk)
+        self.filled = 0
+        self.total = 0.0
+
+    def add(self, g: np.ndarray, h: int, weights: np.ndarray) -> None:
+        """The rows Delta_{h + i} g with weights[i], i = 0..len(weights) - 1."""
+        M = g.size
+        shifted = sliding_window_view(np.concatenate((g, g)), M)  # row h: g(n + h)
+        conj = np.conj(g)
+        chunk = self.weights.size
+        done = 0
+        while done < weights.size:
+            n = min(chunk - self.filled, weights.size - done)
+            stop = self.filled + n
+            np.multiply(shifted[h + done : h + done + n], conj, out=self.rows[self.filled : stop])
+            self.weights[self.filled : stop] = weights[done : done + n]
+            self.filled = stop
+            done += n
+            if stop == chunk:
+                self.flush()
+
+    def flush(self) -> float:
+        """Fold the rows added so far into ``total`` and return it."""
+        n = self.filled
+        if n:
+            u2 = _u2_rows(self.rows[:n], self.spectrum[:n], self.mag[:n])
+            self.total += float(self.weights[:n] @ u2)
+            self.filled = 0
+        return self.total
 
 
 def _uk_pow(vals: np.ndarray, k: int) -> float:
     """||f||_{U^k}^(2^k) by the derivative recursion with FFT base case,
-    summed over h = 0..floor(M/2) by the h <-> -h symmetry.  A complex f
-    whose imaginary part is identically 0 runs on its real part."""
+    summed over h = 0..floor(M/2) by the h <-> -h symmetry and, at k = 4,
+    over pairs h1 <= h2 by the (h1, h2) symmetry.  A complex f or
+    derivative Delta_{h1} f whose imaginary part is identically 0 runs on
+    its real part."""
     if vals.dtype.kind == "c" and not vals.imag.any():
         vals = vals.real
     if k == 2:
         return float(_u2_rows(vals, None, None))
-    if k == 3:
-        return _u3_pow(vals)
-    # k == 4: average U^3 powers of the derivatives
     M = vals.size
+    half = _half_weights(M)
+    if k == 3:
+        rows = _DerivativeBlocks(M, vals.dtype, half.size)
+        rows.add(vals, 0, half)
+        return rows.flush() / M
     shifted = sliding_window_view(np.concatenate((vals, vals)), M)
     conj = np.conj(vals)
-    total = 0.0
-    for h, w in enumerate(_half_weights(M).tolist()):
-        total += w * _uk_pow(shifted[h] * conj, 3)
-    return total / M
+    pairs = half.size * (half.size + 1) // 2
+    by_kind: dict[str, _DerivativeBlocks] = {}  # real and complex derivatives
+    for h1 in range(half.size):
+        g = shifted[h1] * conj
+        if g.dtype.kind == "c" and not g.imag.any():
+            g = g.real  # as |f|^2 at h1 = 0
+        if g.dtype.kind not in by_kind:
+            by_kind[g.dtype.kind] = _DerivativeBlocks(M, g.dtype, pairs)
+        weights = (2.0 * half[h1]) * half[h1:]  # the pairs (h1, h2) and (h2, h1)
+        weights[0] = half[h1] * half[h1]  # the diagonal pair, once
+        by_kind[g.dtype.kind].add(g, h1, weights)
+    return sum(rows.flush() for rows in by_kind.values()) / (M * M)
 
 
 def _root(power: float, k: int) -> float:

@@ -226,6 +226,25 @@ def test_the_cli_imports_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [("dickman", "--u", "2"), ("dickman", "--table", "3", "0.5")])
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, argv):
+    # stdout is a pipe whose read end is closed before the CLI starts, as
+    # after `friable ... | head -0`
+    src = os.path.dirname(os.path.dirname(friable.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "friable", "--out", str(tmp_path / "out"), *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 141
+    assert out.stderr == ""
+
+
 def test_threads_flag_is_applied_and_validated(tmp_path, monkeypatch, capsys):
     seen = []
     friable_masks = sieve.friable_masks

@@ -77,6 +77,15 @@ def test_both_sides_of_the_knots_match_the_quadrature_oracle(rho_table):
         assert abs(rho_table.eval(u) - expected) <= 1e-10, u
 
 
+def test_fit_matrix_built_once_gives_chebfits_bits():
+    x = np.sort(np.cos(np.pi * (np.arange(dickman._DEGREE + 1) + 0.5) / (dickman._DEGREE + 1)))
+    fit = dickman._chebyshev_fitter(x)
+    rng = np.random.default_rng(2)
+    for scale in (1.0, 1e-12, 1e-40):
+        y = scale * rng.uniform(0.0, 1.0, x.size)
+        assert np.array_equal(fit(y), np.polynomial.chebyshev.chebfit(x, y, dickman._DEGREE))
+
+
 def test_fractional_u_max():
     t = dickman.build_rho_table(2.5)
     assert t.eval(2.5) == pytest.approx(RHO_ORACLE[2.5], abs=1e-10)

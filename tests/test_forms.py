@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -521,6 +522,48 @@ def test_benchmark_shapes_take_the_convolution(spec, kind, N):
         assert forms.count_friable_values(system, body, N, u) == slab_count(system, body, N, u)
     if spec == "x1; x2; x1+x2":  # the count the FFT and the walker gave before the dispatch
         assert forms.count_friable_values(system, body, N, (2.0, 2.0, 2.0)) == 174658
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(20, 400),
+    st.integers(1, 3),
+    st.sampled_from(U_CHOICES),
+    st.sampled_from(U_CHOICES),
+    st.booleans(),
+)
+def test_equal_coordinate_masks_match_slab_walker(d, N, a, u, v, equal_last):
+    # x_1..x_d and a (x_1 + ... + x_d) on the simplex: coordinates with one
+    # u share a spread mask, and so one spectrum, in the convolution
+    N = N if d == 2 else min(N, 80)
+    system = forms.FormSystem(
+        tuple(forms.AffineForm(tuple(int(i == j) for i in range(d))) for j in range(d))
+        + (forms.AffineForm((a,) * d),)
+    )
+    body = forms.ConvexBody.simplex(d, 1, N // a)
+    us = (u,) * (d - 1) + ((u if equal_last else v), v)
+    assert forms._separable_layout(system, body) is not None
+    assert forms.count_friable_values(system, body, N, us) == slab_count(system, body, N, us)
+
+
+def test_equal_coordinate_masks_take_one_spectrum(monkeypatch):
+    calls = []
+    rfft = np.fft.rfft
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    system = forms.parse_form_system("x1; x2; x1+x2")
+    body = forms.ConvexBody.simplex(2, 1, 2000)
+    assert forms.count_friable_values(system, body, 2000, (2.0, 2.0, 2.0)) == 174658
+    assert len(calls) == 1  # and one irfft: two FFTs where distinct masks take three
+    assert forms.count_friable_values(system, body, 2000, (2.0, 2.5, 2.0)) == slab_count(
+        system, body, 2000, (2.0, 2.5, 2.0)
+    )
+    assert len(calls) == 3
 
 
 def test_non_separable_inputs_take_the_walker():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,13 +248,43 @@ def test_real_path_agrees_with_the_complex_kernel(M, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("real", [False, True])
-def test_row_blocks_reuse_their_work_arrays(real, monkeypatch):
-    M = 34  # rows h = 0..17 in blocks of 5, 5, 5 and 3
+@pytest.mark.parametrize(
+    "M, k, real",
+    [pytest.param(34, 3, real, id=str(real)) for real in (False, True)]
+    + [
+        pytest.param(M, 4, real, id=f"{M}-4" + ("-real" if real else ""))
+        for M in (33, 34)
+        for real in (False, True)
+    ],
+)
+def test_row_blocks_reuse_their_work_arrays(M, k, real, monkeypatch):
+    # blocks of 5 rows: at k = 3, the rows h = 0..17 of M = 34 in blocks of
+    # 5, 5, 5 and 3; at k = 4, the 153 (M = 33) or 171 (M = 34) pairs
+    # h1 <= h2 in 31 or 35 blocks, the last ones holding rows of several h1
     f = _random_bounded(np.random.default_rng(9), M, real).astype(complex)
-    expected = oracles.gowers_pow_complex(f, 3)
+    expected = oracles.gowers_pow_complex(f, k)
     monkeypatch.setattr(gowers, "_BLOCK_ENTRIES", 5 * M)
-    assert gowers._uk_pow(f, 3) == pytest.approx(expected, rel=1e-12)
+    assert gowers._uk_pow(f, k) == pytest.approx(expected, rel=1e-12)
+
+
+def test_uk_pow_returns_a_python_float():
+    for real in (False, True):
+        f = _random_bounded(np.random.default_rng(4), 16, real)
+        for k in (2, 3, 4):
+            assert type(gowers._uk_pow(gowers._as_sequence(f), k)) is float
+
+
+def test_u3_cyclic_peak_is_bounded():
+    # M = 4096 in blocks of _BLOCK_ENTRIES row entries; whole-row blocks of
+    # 2^22 entries peaked at 80 MB
+    h = correlate.balanced_friable(4095, 2.0).values
+    tracemalloc.start()
+    try:
+        gowers.gowers_norm_cyclic(h, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("M", [15, 16])
