@@ -180,26 +180,6 @@ def harper_prediction(N: int, y: float) -> HarperPrediction:
     )
 
 
-def _sifted_terms(N: int, u: float) -> tuple[np.ndarray, np.ndarray]:
-    if N < 2:
-        raise ArgumentError(f"N must be >= 2, got {N}")
-    if u < 1:
-        raise ArgumentError(f"u must be >= 1, got {u}")
-    if N > _MERTENS_MAX_N:
-        raise ResourceError(f"N = {N} exceeds enumeration budget {_MERTENS_MAX_N}")
-    return sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
-
-
-def sifted_mobius_sum(N: int, u: float) -> float:
-    """sum mu(k)/k over squarefree k <= N with P-(k) > N^(1/u), exact terms.
-
-    Summed with math.fsum, so the result is the correctly rounded value of
-    the exact sum of the floating-point terms.
-    """
-    ks, mus = _sifted_terms(N, u)
-    return math.fsum((mus / ks).tolist())
-
-
 def _cutoff(N: int, tau: float) -> int:
     """The truncation point floor(N^(1-tau)) of the Mobius split, in integers.
 
@@ -216,11 +196,34 @@ def _cutoff(N: int, tau: float) -> int:
     return sieve._iroot(N ** (q.denominator - q.numerator), q.denominator)
 
 
+def sifted_sums(N: int, u: float, tau: float | None = None) -> tuple[float, float | None]:
+    """From one sieve pass over the squarefree k <= N with P-(k) > N^(1/u):
+    sum mu(k)/k, and, when tau is given, sum mu(k)^2/k over those k > N^(1-tau)
+    (None otherwise).
+
+    Each is summed with math.fsum, so it is the correctly rounded value of
+    the exact sum of the floating-point terms.
+    """
+    if N < 2:
+        raise ArgumentError(f"N must be >= 2, got {N}")
+    if u < 1:
+        raise ArgumentError(f"u must be >= 1, got {u}")
+    if N > _MERTENS_MAX_N:
+        raise ResourceError(f"N = {N} exceeds enumeration budget {_MERTENS_MAX_N}")
+    if tau is not None:
+        cutoff = _cutoff(N, tau)
+        if tau * u >= 1.0:
+            raise ArgumentError(f"need tau * u < 1, got tau * u = {tau * u}")
+    ks, mus = sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
+    tail = None if tau is None else math.fsum((1.0 / ks[ks > cutoff]).tolist())
+    return math.fsum((mus / ks).tolist()), tail
+
+
+def sifted_mobius_sum(N: int, u: float) -> float:
+    """sum mu(k)/k over squarefree k <= N with P-(k) > N^(1/u) (``sifted_sums``)."""
+    return sifted_sums(N, u)[0]
+
+
 def sifted_mu2_tail(N: int, u: float, tau: float) -> float:
-    """sum mu(k)^2 / k over N^(1-tau) < k <= N with P-(k) > N^(1/u)."""
-    cutoff = _cutoff(N, tau)
-    if tau * u >= 1.0:
-        raise ArgumentError(f"need tau * u < 1, got tau * u = {tau * u}")
-    ks, _ = _sifted_terms(N, u)
-    ks = ks[ks > cutoff]
-    return math.fsum((1.0 / ks).tolist())
+    """sum mu(k)^2 / k over N^(1-tau) < k <= N with P-(k) > N^(1/u) (``sifted_sums``)."""
+    return sifted_sums(N, u, tau)[1]

@@ -349,7 +349,7 @@ def _cmd_harper(args) -> tuple[dict, dict, dict]:
 
 
 def _cmd_mertens(args) -> tuple[dict, dict, dict]:
-    value = analytic.sifted_mobius_sum(args.N, args.u)
+    value, tail = analytic.sifted_sums(args.N, args.u, args.tau)
     rho_u = float(dickman.rho(args.u))
     result = {
         "sum": value,
@@ -359,7 +359,7 @@ def _cmd_mertens(args) -> tuple[dict, dict, dict]:
     }
     params = {"N": args.N, "u": args.u}
     if args.tau is not None:
-        result["mu2_tail"] = analytic.sifted_mu2_tail(args.N, args.u, args.tau)
+        result["mu2_tail"] = tail
         result["mu2_tail_scale"] = args.tau * args.u**2
         params["tau"] = args.tau
     return params, result, {}

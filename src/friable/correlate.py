@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -48,45 +47,42 @@ _PHASE_BLOCK = 1 << 18  # phases computed per step of PhaseSequence.values
 # ---------------------------------------------------------------------------
 
 
-def _frac_mod1(theta: float, k: int) -> float:
-    """Exact fractional part of theta * k for the IEEE value of theta.
-
-    theta = a / 2^s exactly, so theta * k mod 1 = (a k mod 2^s) / 2^s with
-    integer arithmetic; float rounding of huge theta * k never leaks in.
-    """
-    a, b = float(theta).as_integer_ratio()
-    return (a * k % b) / b if b > 1 else 0.0
-
-
 _U64 = 1 << 64
 
 
-def _frac_mod1_array(theta: float, k: np.ndarray) -> np.ndarray | None:
-    """``_frac_mod1(theta, k)`` for every entry of a uint64 array, bit for bit.
+def _frac_mod1(theta: float, k: np.ndarray) -> np.ndarray:
+    """Exact fractional part of theta * k for the IEEE value of theta and
+    every entry of an integer array k, as float64.
 
-    With theta = a / 2^s and s <= 64, a k mod 2^s is (a mod 2^64) k in
-    wrapping uint64 arithmetic, masked to s bits.  The uint64 -> float64
-    cast rounds correctly, as Python's int division does, and dividing by
-    2^s is exact.  None when s > 64 (|theta| below about 2^-11).
+    theta = a / 2^s exactly, so theta * k mod 1 = (a k mod 2^s) / 2^s, in
+    integers, rounded once: float rounding of a huge theta * k never leaks
+    in.  For s <= 64 and a uint64 k, a k mod 2^s is (a mod 2^64) k in
+    wrapping uint64 arithmetic, masked to s bits; the uint64 -> float64
+    cast rounds correctly and dividing by 2^s is exact.  Any other input (s
+    above 64, that is |theta| below about 2^-11, or an object array k) is
+    computed in Python integers, whose true division rounds correctly too.
     """
     a, b = float(theta).as_integer_ratio()
     if b == 1:
         return np.zeros(k.size)
-    if b > _U64:
-        return None
+    if b > _U64 or k.dtype != np.uint64:
+        return (k.astype(object) * a % b / b).astype(np.float64)
     x = k * np.uint64(a % _U64)
     x &= np.uint64(b - 1)
     return x.astype(np.float64) / b
 
 
 def _floor_mul(phi: float, n: np.ndarray) -> np.ndarray:
-    """floor(phi n), exactly, for 0 <= phi < 1 and a uint64 array n < 2^32.
+    """floor(phi n), exactly, for a uint64 array n < 2^32.
 
-    phi = p / 2^q with p < 2^53; the product p n < 2^85 is held as
-    H 2^32 + L with L < 2^32, from the 32-bit limbs of p, and shifted right
-    by q.  For q < 32, p < 2^q, so p n < 2^64 needs no limbs.
+    For 0 <= phi < 1 the result is uint64: phi = p / 2^q with p < 2^53; the
+    product p n < 2^85 is held as H 2^32 + L with L < 2^32, from the 32-bit
+    limbs of p, and shifted right by q.  For q < 32, p < 2^q, so p n < 2^64
+    needs no limbs.  Any other phi gives Python integers in an object array.
     """
     p, b = phi.as_integer_ratio()
+    if not 0.0 <= phi < 1.0:
+        return n.astype(object) * p // b
     q = b.bit_length() - 1
     if q < 32:
         return (n * np.uint64(p)) >> np.uint64(q)
@@ -105,7 +101,11 @@ class PhaseSequence:
       quadratic(t2, t1, t0)    phase = t2 n^2 + t1 n + t0
       bracket(theta, phi)      phase = theta n floor(phi n)
 
-    Raises ArgumentError for a parameter that is not finite.
+    ``values`` computes the phases exactly for the IEEE parameters, in one
+    array pass per block: in uint64 arithmetic, or in Python integers held
+    in object arrays for a theta whose denominator exceeds 2^64 and for a
+    bracket phi outside [0, 1).  Raises ArgumentError for a parameter that
+    is not finite.
     """
 
     kind: str
@@ -131,20 +131,6 @@ class PhaseSequence:
     def bracket(theta: float, phi: float) -> "PhaseSequence":
         return PhaseSequence("bracket", (float(theta), float(phi)))
 
-    def phase(self, n: int) -> float:
-        """Fractional phase at n, computed exactly for the IEEE parameters."""
-        if self.kind == "constant":
-            return self.params[0] % 1.0
-        if self.kind == "linear":
-            theta, beta = self.params
-            return (_frac_mod1(theta, n) + beta) % 1.0
-        if self.kind == "quadratic":
-            t2, t1, t0 = self.params
-            return (_frac_mod1(t2, n * n) + _frac_mod1(t1, n) + t0) % 1.0
-        theta, phi = self.params
-        m = math.floor(Fraction(phi) * n) if n else 0
-        return _frac_mod1(theta, n * m)
-
     def values(self, N: int) -> np.ndarray:
         """e(phase(n)) for n = 0..N as a complex array.
 
@@ -162,36 +148,27 @@ class PhaseSequence:
         out = np.empty(N + 1, dtype=complex)
         for lo in range(0, N + 1, _PHASE_BLOCK):
             hi = min(lo + _PHASE_BLOCK, N + 1)
-            phases = self._exact_phases(np.arange(lo, hi, dtype=np.uint64))
-            if phases is None:
-                phases = np.fromiter(
-                    (self.phase(n) for n in range(lo, hi)), dtype=float, count=hi - lo
-                )
+            phases = self._phases(np.arange(lo, hi, dtype=np.uint64))
             np.exp(2j * np.pi * phases, out=out[lo:hi])
         return out
 
-    def _exact_phases(self, n: np.ndarray) -> np.ndarray | None:
-        """phase(n) for every entry of a uint64 array n, bit for bit.
+    def _phases(self, n: np.ndarray) -> np.ndarray:
+        """The fractional phase at every entry of a uint64 array n.
 
-        The integer steps are exact (see ``_frac_mod1_array``) and the float
-        steps are those of ``phase`` in the same order.  None where that
-        arithmetic does not cover the input: a theta with denominator above
-        2^64, or a bracket phi outside [0, 1); ``phase`` then stays the
-        route.
+        The integer steps are exact (see ``_frac_mod1`` and ``_floor_mul``),
+        and ``+ beta``, ``+ t0`` and ``mod 1`` are float steps in that
+        order, so every value is a function of the IEEE parameters and n
+        alone.
         """
         if self.kind == "linear":
             theta, beta = self.params
-            fr = _frac_mod1_array(theta, n)
-            return None if fr is None else (fr + beta) % 1.0
+            return (_frac_mod1(theta, n) + beta) % 1.0
         if self.kind == "quadratic":
             t2, t1, t0 = self.params
-            f2 = _frac_mod1_array(t2, n * n)
-            f1 = _frac_mod1_array(t1, n)
-            return None if f2 is None or f1 is None else (f2 + f1 + t0) % 1.0
+            return (_frac_mod1(t2, n * n) + _frac_mod1(t1, n) + t0) % 1.0
         theta, phi = self.params
-        if not 0.0 <= phi < 1.0:
-            return None
-        return _frac_mod1_array(theta, n * _floor_mul(phi, n))
+        m = _floor_mul(phi, n)
+        return _frac_mod1(theta, (n if m.dtype == np.uint64 else n.astype(object)) * m)
 
 
 PHASE_PRESETS = {

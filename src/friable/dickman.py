@@ -98,22 +98,20 @@ def _chebyshev_fitter(x: np.ndarray):
     return lambda y: np.linalg.lstsq(design, y, rcond)[0] / scl
 
 
-def build_rho_table(u_max: float = 20.0) -> DickmanTable:
-    """Iterate the averaged integral form of the delay equation up to u_max.
+def _grow(pieces: list[np.ndarray], n_intervals: int) -> list[np.ndarray]:
+    """``pieces`` followed by the pieces on [k, k + 1] for
+    k = len(pieces) + 1..n_intervals, each built from the one before it.
 
     The fixed-point iteration per interval stops once the relative change
-    is below _TOL/100, so |table - rho| <= _TOL * max(rho, 1) on [0, u_max]
-    (in practice the error is near machine precision in relative terms).
+    is below _TOL/100, so |table - rho| <= _TOL * max(rho, 1) on every
+    piece (in practice the error is near machine precision in relative
+    terms).
     """
-    if not 1.0 <= u_max <= 50.0:
-        raise ArgumentError(f"u_max must lie in [1, 50], got {u_max}")
-
-    pieces: list[np.ndarray] = []
-    n_intervals = math.floor(u_max)
+    pieces = list(pieces)
     cheb_x = np.sort(np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)))
     fit = _chebyshev_fitter(cheb_x)
 
-    for k in range(1, n_intervals + 1):
+    for k in range(len(pieces) + 1, n_intervals + 1):
         nodes = k + 0.5 + 0.5 * cheb_x
         if k == 1:
             # rho = 1 on [0, 1]: integral_{x-1}^{1} dt = 2 - x
@@ -133,8 +131,15 @@ def build_rho_table(u_max: float = 20.0) -> DickmanTable:
         else:
             raise NumericError(f"fixed point failed to converge on [{k}, {k + 1}]")
         pieces.append(fit(vals))
+    return pieces
 
-    return DickmanTable(u_max=float(u_max), pieces=pieces)
+
+def build_rho_table(u_max: float = 20.0) -> DickmanTable:
+    """Iterate the averaged integral form of the delay equation up to u_max
+    (see ``_grow``, which builds the pieces from none)."""
+    if not 1.0 <= u_max <= 50.0:
+        raise ArgumentError(f"u_max must lie in [1, 50], got {u_max}")
+    return DickmanTable(u_max=float(u_max), pieces=_grow([], math.floor(u_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,8 @@ _table: DickmanTable | None = None
 
 def default_table() -> DickmanTable:
     """The shared table: built to config.DEFAULT_DICKMAN_UMAX on first use,
-    and rebuilt further out by ``rho`` when a larger u asks for it."""
+    and extended by ``rho``, with only the missing pieces built, when a
+    larger u asks for it."""
     global _table
     if _table is None:
         from . import config
@@ -166,7 +172,8 @@ def rho(u):
         raise ArgumentError(f"u = {top} beyond the supported range [0, 50]")
     table = default_table()
     if top > table.u_max:
-        _table = table = build_rho_table(float(math.ceil(top)))
+        u_max = math.ceil(top)
+        _table = table = DickmanTable(float(u_max), _grow(table.pieces, u_max))
     return table.eval(u)
 
 

@@ -192,7 +192,9 @@ def _check_bounds(lo: int, hi: int, max_n: int) -> None:
 
 
 def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
-    """Build lpf/spf/mu tables for [lo, hi], sieving in cache-sized segments.
+    """Build lpf/spf/mu tables for [lo, hi], sieving in cache-sized segments
+    copied into the preallocated result, so the peak is the result plus one
+    segment.
 
     Raises ResourceError, before allocating, when the table would exceed
     the budget ``config.DEFAULT_MAX_TABLE`` entries, and ArgumentError for
@@ -206,19 +208,14 @@ def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
             f"segment of {total} entries exceeds memory budget of {config.DEFAULT_MAX_TABLE}"
         )
     base = primes_up_to(math.isqrt(hi))
-    parts = [
-        _sieve_segment(a, min(a + segment_size - 1, hi), base)
-        for a in range(lo, hi + 1, segment_size)
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    return FactorSieve(
-        lo,
-        hi,
-        np.concatenate([s.lpf for s in parts]),
-        np.concatenate([s.spf for s in parts]),
-        np.concatenate([s.mu for s in parts]),
+    table = FactorSieve(
+        lo, hi, np.empty(total, np.int64), np.empty(total, np.int64), np.empty(total, np.int8)
     )
+    for a in range(lo, hi + 1, segment_size):
+        part = _sieve_segment(a, min(a + segment_size - 1, hi), base)
+        at = slice(a - lo, part.hi - lo + 1)
+        table.lpf[at], table.spf[at], table.mu[at] = part.lpf, part.spf, part.mu
+    return table
 
 
 # ---------------------------------------------------------------------------

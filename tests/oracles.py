@@ -7,7 +7,8 @@ collocation, Monte Carlo and qhull instead of exact geometry, long-double
 bisection instead of double bisection + Newton, tanh-sinh quadrature
 instead of the Beta closed form of S1, per-n divisor scans
 instead of sieve passes, one strided slice per k instead of the ordered
-divisor scatter, membership tests of every bounding-box point
+divisor scatter, one Fraction floor and big-integer step per n instead of
+the phase kernel's integer arrays, membership tests of every bounding-box point
 instead of slab walks, the pair of rows x_0 <= <c, x> <= x_0 instead of
 substituting x_0 = <c, x> out for the range of <c, x>, O(M^2)
 autocorrelation sums and direct (k+1)-fold Gowers sums instead of FFTs,
@@ -388,6 +389,28 @@ def s1_quad(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # correlation oracles
 # ---------------------------------------------------------------------------
+
+
+def _frac_mod1(theta: float, k: int) -> float:
+    """theta * k mod 1 for the IEEE value theta = a / b: (a k mod b) / b."""
+    a, b = float(theta).as_integer_ratio()
+    return (a * k % b) / b if b > 1 else 0.0
+
+
+def phase(g, n: int) -> float:
+    """The fractional phase of the ``PhaseSequence`` g at n, one exact Python
+    step per n: a ``Fraction`` floor and big-integer ``a k mod b``."""
+    if g.kind == "constant":
+        return g.params[0] % 1.0
+    if g.kind == "linear":
+        theta, beta = g.params
+        return (_frac_mod1(theta, n) + beta) % 1.0
+    if g.kind == "quadratic":
+        t2, t1, t0 = g.params
+        return (_frac_mod1(t2, n * n) + _frac_mod1(t1, n) + t0) % 1.0
+    theta, phi = g.params
+    m = math.floor(Fraction(phi) * n) if n else 0
+    return _frac_mod1(theta, n * m)
 
 
 def h_tau_per_n(N: int, u: float, tau: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import friable
 import oracles
-from friable import cli, config, correlate, criteria, dickman, forms, sieve
+from friable import analytic, cli, config, correlate, criteria, dickman, forms, sieve
 from friable.errors import ArgumentError
 
 
@@ -203,6 +203,22 @@ def test_verify_mertens_suite(tmp_path):
     assert payload["result"]["passed"] is True
     rows = (tmp_path / "out" / "verify_errors.csv").read_text().strip().splitlines()
     assert len(rows) == 5
+
+
+def test_mertens_sifts_once(tmp_path, monkeypatch):
+    calls = []
+    sift = sieve.sifted_squarefree_arrays
+
+    def spy(limit, y):
+        calls.append((limit, y))
+        return sift(limit, y)
+
+    monkeypatch.setattr(sieve, "sifted_squarefree_arrays", spy)
+    assert run_cli(tmp_path, "mertens", "--N", "100000", "--u", "2", "--tau", "0.2") == 0
+    result = read_result(tmp_path, "mertens")["result"]
+    assert calls == [(100000, 316)]
+    assert result["sum"] == analytic.sifted_mobius_sum(100000, 2.0)
+    assert result["mu2_tail"] == analytic.sifted_mu2_tail(100000, 2.0, 0.2)
 
 
 def test_verify_product_suite(tmp_path):
@@ -557,4 +573,4 @@ def test_dickman_builds_no_table_up_to_the_default_extent(tmp_path, monkeypatch,
     for u in (2.0, 3.0, 19.5, 20.0, 25.0, 50.0):
         assert run_cli(tmp_path, "dickman", "--u", repr(u)) == 0
         assert float(capsys.readouterr().out.splitlines()[0]) == dickman.rho(u), u
-    assert builds == [25.0, 50.0]
+    assert builds == []  # the shared table grows by its missing pieces, never rebuilt

@@ -209,19 +209,21 @@ def test_phase_exact_arithmetic():
     n = 10**6 + 7
     a, b = theta.as_integer_ratio()
     expected = (a * n % b) / b
-    assert g.phase(n) == expected
+    assert oracles.phase(g, n) == expected
+    assert g._phases(np.array([n], dtype=np.uint64))[0] == expected
 
 
 def test_bracket_phase_definition():
     g = correlate.PhaseSequence.bracket(0.5, 0.75)
     # floor(0.75 * 3) = 2, phase = 0.5 * 3 * 2 mod 1 = 0
-    assert g.phase(3) == 0.0
+    assert oracles.phase(g, 3) == 0.0
+    assert g._phases(np.arange(4, dtype=np.uint64))[3] == 0.0
     assert g.values(3)[3] == pytest.approx(1.0 + 0j)
 
 
 def _phase_loop(g, N):
     """e(phase(n)) for n = 0..N, one exact Python step per n: the oracle."""
-    phases = np.fromiter((g.phase(n) for n in range(N + 1)), dtype=float, count=N + 1)
+    phases = np.fromiter((oracles.phase(g, n) for n in range(N + 1)), dtype=float, count=N + 1)
     return np.exp(2j * np.pi * phases)
 
 
@@ -229,13 +231,15 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-# negative values, values above 1, |x| < 2^-11 (the loop's domain), short
-# mantissas such as 0.75, integers, and values just below j/m, where a float
-# product phi * m rounds up to j
+# negative values, values above 1, |x| < 2^-11 (denominators above 2^64),
+# huge and subnormal magnitudes, short mantissas such as 0.75, integers, and
+# values just below j/m, where a float product phi * m rounds up to j
 PHASE_PARAMS = st.one_of(
     st.floats(-3.0, 3.0),
     st.floats(0.0, 1.0, exclude_max=True),
     st.floats(-(2.0**-11), 2.0**-11),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),
     st.builds(lambda a, s: a / 2**s, st.integers(-96, 96), st.integers(0, 6)),
     st.integers(2, 2000).flatmap(
         lambda m: st.integers(1, m - 1).map(lambda j: math.nextafter(j / m, 0.0))
@@ -260,29 +264,33 @@ def test_phase_values_match_the_phase_loop(kind, params, N):
 
 def test_phase_values_take_the_integer_kernel():
     # the presets, the benchmark's seed-1 bracket, and a phi just below 5/6
-    # (the float product phi * 6 rounds up to 5), bit for bit at N = 10^5
+    # (the float product phi * 6 rounds up to 5), then inputs in Python
+    # integers: a theta with denominator above 2^64 and a bracket phi outside
+    # [0, 1); bit for bit at N = 10^5
     bench = correlate.PhaseSequence.bracket(0.07373202094529699, 0.13303531932366952)
     below = correlate.PhaseSequence.bracket(correlate.GOLDEN_CONJUGATE, math.nextafter(5 / 6, 0))
     cases = [g for g in correlate.PHASE_PRESETS.values() if g.kind != "constant"]
-    for g in cases + [bench, below]:
-        assert g._exact_phases(np.arange(10**5 + 1, dtype=np.uint64)) is not None, g
+    big = [
+        correlate.PhaseSequence.linear(2.0**-40 / 3),
+        correlate.PhaseSequence.bracket(0.3, -0.2),
+        correlate.PhaseSequence.bracket(0.3, 1.5),
+        correlate.PhaseSequence.linear(1e-5),
+        correlate.PhaseSequence.quadratic(1e-7, 0.3),
+    ]
+    for g in cases + [bench, below] + big:
         assert _same_bits(g.values(10**5), _phase_loop(g, 10**5)), g
-    # outside the integer kernel's domain the loop is the route
-    n = np.arange(6, dtype=np.uint64)
-    assert correlate.PhaseSequence.linear(2.0**-40 / 3)._exact_phases(n) is None
-    assert correlate.PhaseSequence.bracket(0.3, -0.2)._exact_phases(n) is None
-    assert correlate.PhaseSequence.bracket(0.3, 1.5)._exact_phases(n) is None
 
 
 def test_phase_values_are_the_same_block_by_block(monkeypatch):
-    # blocks of 7 entries: a partial last block, on both the integer
-    # kernel and the loop route
+    # blocks of 7 entries: a partial last block, on both the uint64
+    # kernel and the Python-integer inputs
     monkeypatch.setattr(correlate, "_PHASE_BLOCK", 7)
     for g in [
         correlate.PhaseSequence.linear(correlate.GOLDEN_CONJUGATE, 0.25),
         correlate.PhaseSequence.quadratic(correlate.SQRT2_MINUS_1, 0.1, 0.2),
         correlate.PhaseSequence.bracket(0.3, 0.7),
         correlate.PhaseSequence.linear(2.0**-40 / 3),
+        correlate.PhaseSequence.bracket(0.3, -0.2),
     ]:
         for N in (0, 6, 7, 100):
             assert _same_bits(g.values(N), _phase_loop(g, N)), (g, N)
@@ -300,6 +308,27 @@ def test_phase_values_peak_below_24_bytes_per_entry():
         finally:
             tracemalloc.stop()
         assert peak < 24 * (N + 1), (g, peak / (N + 1))
+
+
+def test_phase_values_in_python_integers_peak_below_32_bytes_per_entry(monkeypatch):
+    # the object arrays of one block add a bounded amount, not one per entry.
+    # N spans 16 blocks, as N = 2^22 does under the real 2^18-entry block,
+    # so the peak per entry is the same (22.5, 23.3 and 27.5 bytes there);
+    # the scaled block keeps tracemalloc's per-object cost to seconds
+    monkeypatch.setattr(correlate, "_PHASE_BLOCK", 1 << 12)
+    N = 1 << 16
+    for g in (
+        correlate.PhaseSequence.linear(1e-5),
+        correlate.PhaseSequence.quadratic(1e-7, 0.3),
+        correlate.PhaseSequence.bracket(0.3, -0.2),
+    ):
+        tracemalloc.start()
+        try:
+            g.values(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * (N + 1), (g, peak / (N + 1))
 
 
 def test_phase_values_refuse_over_the_table_budget():

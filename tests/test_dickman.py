@@ -120,6 +120,26 @@ def test_rho_does_not_depend_on_earlier_extensions(monkeypatch):
     assert dickman.default_table().u_max == 30.0
 
 
+def test_rho_extends_the_shared_table_by_the_missing_pieces_only(monkeypatch):
+    monkeypatch.setattr(dickman, "_table", None)
+    dickman.rho(20.0)
+    grown = []
+    grow = dickman._grow
+
+    def spy(pieces, n_intervals):
+        grown.append((len(pieces), n_intervals))
+        return grow(pieces, n_intervals)
+
+    monkeypatch.setattr(dickman, "_grow", spy)
+    dickman.rho(25.0)
+    assert grown == [(20, 25)]  # fits the pieces on [21, 22] .. [25, 26] alone
+    table, built = dickman.default_table(), dickman.build_rho_table(25.0)
+    assert table.u_max == built.u_max == 25.0
+    assert len(table.pieces) == len(built.pieces) == 25
+    for mine, fresh in zip(table.pieces, built.pieces):
+        assert np.array_equal(mine, fresh)
+
+
 def test_build_argument_errors():
     with pytest.raises(ArgumentError):
         dickman.build_rho_table(0.5)

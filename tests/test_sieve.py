@@ -168,6 +168,20 @@ def test_segment_independence(monkeypatch):
     assert np.array_equal(one.mu, many.mu)
 
 
+def test_factor_sieve_peak_is_the_result_plus_one_segment(monkeypatch):
+    # 17 bytes per entry of result; sixteen 2^16-entry segments add little
+    monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 1 << 16)
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        table = sieve.build_factor_sieve(0, n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n
+    assert peak < 24 * n, peak / n
+
+
 def test_streaming_matches_block_build():
     # psi_count counts without a table; friable_masks holds [0, 5000] whole
     ys = [2, 7, 70, 71, 5000]
