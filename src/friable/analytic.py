@@ -222,8 +222,3 @@ def sifted_sums(N: int, u: float, tau: float | None = None) -> tuple[float, floa
 def sifted_mobius_sum(N: int, u: float) -> float:
     """sum mu(k)/k over squarefree k <= N with P-(k) > N^(1/u) (``sifted_sums``)."""
     return sifted_sums(N, u)[0]
-
-
-def sifted_mu2_tail(N: int, u: float, tau: float) -> float:
-    """sum mu(k)^2 / k over N^(1-tau) < k <= N with P-(k) > N^(1/u) (``sifted_sums``)."""
-    return sifted_sums(N, u, tau)[1]

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 argument/precondition/numeric error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -21,6 +22,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -170,27 +172,93 @@ def parse_phase_spec(text: str) -> correlate.PhaseSequence:
 
 _QUOTED = re.compile(r'[,"\r\n\x00]')  # what csv would quote, and the pad byte
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+_BLOCK_ROWS = 2**15  # rows per rendered block: the block buffer stays cache-sized
+_FLOAT_CELL = b"%24.17g"  # 24 bytes hold the widest, "-2.2250738585072014e-308"
+_SPACE_TO_PAD = bytes.maketrans(b" ", b"\0")
 
 
-def _int_matrix(col: np.ndarray) -> np.ndarray:
-    """Decimal digits of an integer column as a ``(rows, width)`` uint8
-    matrix: right-aligned, zero bytes before the number, ``-`` before the
-    first digit of a negative.  The magnitude is taken as ``uint64``, so
-    ``-2^63`` and ``uint64`` values above ``2^63`` need no special case."""
-    neg = col < 0
-    mag = col.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # wraps to |x| for every int64
-    digits = 1 + np.searchsorted(_POWERS_OF_TEN, mag, side="right")
-    width = int(digits.max(initial=1)) + 1  # one more for a sign
-    mat = np.empty((width, mag.size), dtype=np.uint8)  # digit-major: rows contiguous
-    for j in range(width - 1, 0, -1):
-        mat[j] = mag % np.uint64(10)
-        mag //= np.uint64(10)
-    mat += ord("0")
-    mat[np.arange(width)[:, None] < width - digits] = 0
-    rows = np.flatnonzero(neg)
-    mat[width - 1 - digits[rows], rows] = ord("-")
-    return mat.T
+@functools.cache
+def _group_table() -> np.ndarray:
+    """The four ASCII bytes of each 4-digit group g < 10^4 read as one
+    uint32, in three variants: entry g zero-padded (``0042``), entry
+    10^4 + g with pad bytes for its leading zeros (``\\0\\042``, all pad
+    for 0), entry 2 * 10^4 + g the same but ``0`` for 0.  Built on first
+    use, so an import that writes no CSV does not pay for it."""
+    g = np.arange(10**4)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    digits = (g // place % 10 + ord("0")).astype(np.uint8)
+    lead = g < place
+    units = lead & (place > 1)
+    variants = np.concatenate((digits, np.where(lead, 0, digits), np.where(units, 0, digits)))
+    return variants.astype(np.uint8).view(np.uint32).ravel()
+
+
+def _int_cells(col: np.ndarray):
+    """Width and block renderer of an integer column, planned from its
+    extremes.  The magnitude (``uint32`` when every one fits, ``uint64``
+    otherwise) is split into 4-digit groups, each one gather from
+    ``_group_table()``: zero-padded below a row's leading group, pad bytes
+    from it on.  A ``-`` goes in before the first digit of each negative."""
+    lo, hi = (int(col.min()), int(col.max())) if col.size else (0, 0)
+    width = max(len(str(lo)), len(str(hi)))
+    digits = len(str(max(-lo, hi)))
+    groups = -(-digits // 4)
+    kind = np.uint32 if max(-lo, hi) < 2**32 else np.uint64
+
+    def render(start: int, stop: int, out: np.ndarray) -> None:
+        part = col[start:stop]
+        # |-2^63| wraps to -2^63 in int64 and back to 2^63 in uint64
+        mag = (np.abs(part.astype(np.int64)) if lo < 0 else part).astype(kind)
+        out[:, : width - digits] = 0  # the sign byte of the widest negative
+        rest = mag
+        for j in range(groups):
+            pad = kind(2 * 10**4 if j == 0 else 10**4)  # offset of the padded variant
+            if j == groups - 1:  # no row has a digit above this group
+                index = rest + pad
+            else:
+                q = rest // kind(10**4)
+                index = rest - q * kind(10**4)
+                index += (q == 0) * pad
+                rest = q
+            cells = _group_table().take(index)
+            end = width - 4 * j
+            if j < groups - 1 or digits % 4 == 0:
+                out[:, end - 4 : end].view(np.uint32)[:, 0] = cells
+            else:  # the top group is narrower: byte by byte, each one strided copy
+                cell_bytes = cells.view(np.uint8).reshape(-1, 4)
+                for k in range(1, digits % 4 + 1):
+                    out[:, end - k] = cell_bytes[:, 4 - k]
+        if lo < 0:
+            neg = np.flatnonzero(part < 0)
+            lengths = 1 + np.searchsorted(_POWERS_OF_TEN, mag[neg], side="right")
+            out[neg, width - 1 - lengths] = ord("-")
+
+    return width, render
+
+
+def _float_cells(col: np.ndarray):
+    """Width and block renderer of a float column: one ``%``-format pass
+    over a block, each cell 17 significant digits space-padded to 24 bytes,
+    the spaces turned into pad bytes."""
+
+    def render(start: int, stop: int, out: np.ndarray) -> None:
+        text = (_FLOAT_CELL * (stop - start)) % tuple(col[start:stop].tolist())
+        out[:] = np.frombuffer(text.translate(_SPACE_TO_PAD), np.uint8).reshape(out.shape)
+
+    return len(_FLOAT_CELL % 0.0), render
+
+
+def _text_cells(cells):
+    """Width and block renderer of any other column, rendered cell by cell
+    by ``_texts`` (which refuses a cell csv would quote) into an
+    ``S``-dtype byte matrix."""
+    data = np.array([t.encode("utf-8") for t in _texts(cells)], dtype=bytes)
+    mat = data.view(np.uint8).reshape(len(data), data.itemsize)
+
+    def render(start: int, stop: int, out: np.ndarray) -> None:
+        out[:] = mat[start:stop]
+
+    return data.itemsize, render
 
 
 def _texts(cells) -> list[str]:
@@ -203,30 +271,47 @@ def _texts(cells) -> list[str]:
     return texts
 
 
-def csv_bytes(header: list[str], columns: list) -> bytes:
+def csv_chunks(header: list[str], columns: list) -> Iterator[bytes]:
     """The CSV bytes of a table given column by column, one ``\\r\\n`` line
-    per row.  A numpy integer column is rendered by the digit kernel; every
-    other column cell by cell into an ``S``-dtype byte matrix.  The matrices
-    are joined with ``,`` and ``\\r\\n`` columns and the pad bytes dropped."""
+    per row, as a generator of chunks: the header line, then one chunk per
+    block of ``_BLOCK_ROWS`` rows.
+
+    A planning pass, before any chunk, finds each integer column's widest
+    cell and sign and renders the header and every text column, so a cell
+    csv would quote raises ValueError here, not halfway through a file.
+    Each block is rendered column by column into one reused ``(rows,
+    width)`` byte buffer, cells right-aligned after zero pad bytes between
+    fixed ``,`` and ``\\r\\n`` columns, and the pad bytes are dropped.  So
+    the writer holds the table plus one block."""
     if not header or len(columns) != len(header):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     lengths = {len(col) for col in columns}
     if len(lengths) != 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
-    n = lengths.pop()
-    parts = []
+    head = (",".join(_texts(header)) + "\r\n").encode("utf-8")
+    plans = []
     for col in columns:
         if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-            parts.append(_int_matrix(col))
+            plans.append(_int_cells(col))
+        elif isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            plans.append(_float_cells(col))
         else:
-            cells = col.tolist() if isinstance(col, np.ndarray) else col
-            data = np.array([t.encode("utf-8") for t in _texts(cells)], dtype=bytes)
-            parts.append(data.view(np.uint8).reshape(n, data.itemsize))
-        parts.append(np.full((n, 1), ord(","), dtype=np.uint8))
-    parts[-1] = np.tile(np.frombuffer(b"\r\n", dtype=np.uint8), (n, 1))
-    mat = np.hstack(parts)
-    head = ",".join(_texts(header)) + "\r\n"
-    return head.encode("utf-8") + mat[mat != 0].tobytes()
+            plans.append(_text_cells(col.tolist() if isinstance(col, np.ndarray) else col))
+    return _blocks(head, lengths.pop(), plans)
+
+
+def _blocks(head: bytes, n: int, plans: list) -> Iterator[bytes]:
+    yield head
+    starts = np.cumsum([0] + [width + 1 for width, _ in plans])  # column c at starts[c]
+    buf = np.zeros((min(n, _BLOCK_ROWS), starts[-1] + 1), dtype=np.uint8)
+    buf[:, starts[1:] - 1] = ord(",")
+    buf[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        block = buf[: stop - start]
+        for (width, render), at in zip(plans, starts.tolist()):
+            render(start, stop, block[:, at : at + width])
+        yield block.tobytes().translate(None, b"\0")
 
 
 def _write_outputs(
@@ -238,6 +323,8 @@ def _write_outputs(
     elapsed: float,
     tables: dict[str, tuple[list[str], list]] | None = None,
 ) -> None:
+    # every table is planned, so a refused cell raises, before any file is written
+    csvs = {name: csv_chunks(*table) for name, table in (tables or {}).items()}
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
     result_text = dump_json({"command": command, "params": params, "result": result})
@@ -247,9 +334,10 @@ def _write_outputs(
     # wall-clock fields are excluded from the digest so reruns reproduce it
     stable = {k: v for k, v in result.items() if k != "elapsed"}
     digest_text = dump_json({"command": command, "params": params, "result": stable})
-    for name, (header, columns) in (tables or {}).items():
+    for name, chunks in csvs.items():
         csv_path = outdir / f"{command}_{name}.csv"
-        csv_path.write_bytes(csv_bytes(header, columns))
+        with csv_path.open("wb") as fh:
+            fh.writelines(chunks)
         files.append(csv_path.name)
     manifest = {
         "command": command,

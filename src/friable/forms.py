@@ -59,9 +59,6 @@ class AffineForm:
     def dimension(self) -> int:
         return len(self.coeffs)
 
-    def __call__(self, point: Sequence[int]) -> int:
-        return evaluate(self, point)
-
     def __str__(self) -> str:
         parts = []
         for j, c in enumerate(self.coeffs):
@@ -73,18 +70,6 @@ class AffineForm:
         if self.constant:
             parts.append(f"{'+' if self.constant > 0 and parts else ''}{self.constant}")
         return "".join(parts) or "0"
-
-
-def evaluate(form: AffineForm, point: Sequence[int]) -> int:
-    """Exact form value at an integer point; rejects results beyond 64 bits."""
-    if len(point) != form.dimension:
-        raise ArgumentError(
-            f"point has {len(point)} coordinates, form expects {form.dimension}"
-        )
-    value = form.constant + sum(c * int(x) for c, x in zip(form.coeffs, point))
-    if abs(value) > _INT64_MAX:
-        raise OverflowError(f"form value {value} exceeds 64-bit range")
-    return value
 
 
 @dataclass(frozen=True)

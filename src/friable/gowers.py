@@ -136,7 +136,9 @@ class _DerivativeBlocks:
     """sum_r w_r ||r||_{U^2}^4 over derivative rows r = Delta_h g of one
     dtype, gathered in blocks of ``_BLOCK_ENTRIES`` row entries (at least
     one row) through work arrays reused from block to block; complex rows
-    are transformed in place.  ``rows`` bounds the number of rows added."""
+    are transformed in place.  ``rows`` bounds the number of rows added.
+    Each g is copied twice into one doubled buffer, whose windows are the
+    shifts g(n + h), and a complex g's conjugate into one more."""
 
     def __init__(self, M: int, dtype, rows: int):
         chunk = min(max(1, _BLOCK_ENTRIES // M), rows)
@@ -145,20 +147,25 @@ class _DerivativeBlocks:
         self.spectrum = np.empty((chunk, M // 2 + 1), dtype=np.complex128) if real else self.rows
         self.mag = np.empty(self.spectrum.shape)
         self.weights = np.empty(chunk)
+        self.doubled = np.empty(2 * M, dtype=self.rows.dtype)
+        self.shifted = sliding_window_view(self.doubled, M)  # row h: g(n + h)
+        self.conj = None if real else np.empty(M, dtype=self.rows.dtype)
         self.filled = 0
         self.total = 0.0
 
     def add(self, g: np.ndarray, h: int, weights: np.ndarray) -> None:
         """The rows Delta_{h + i} g with weights[i], i = 0..len(weights) - 1."""
         M = g.size
-        shifted = sliding_window_view(np.concatenate((g, g)), M)  # row h: g(n + h)
-        conj = np.conj(g)
+        self.doubled[:M] = g
+        self.doubled[M:] = g
+        conj = self.doubled[:M] if self.conj is None else np.conjugate(g, out=self.conj)
         chunk = self.weights.size
         done = 0
         while done < weights.size:
             n = min(chunk - self.filled, weights.size - done)
             stop = self.filled + n
-            np.multiply(shifted[h + done : h + done + n], conj, out=self.rows[self.filled : stop])
+            rows = self.shifted[h + done : h + done + n]
+            np.multiply(rows, conj, out=self.rows[self.filled : stop])
             self.weights[self.filled : stop] = weights[done : done + n]
             self.filled = stop
             done += n

@@ -150,13 +150,15 @@ def _sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> FactorSieve:
     slices, one per power of p.  The writes in ascending order of p leave
     the largest small prime in ``lpf``, those in descending order the
     smallest in ``spf``.  What stays in ``rem`` is 1 or a single prime
-    above sqrt(hi), which is then the largest prime factor.
+    above sqrt(hi), which is then the largest prime factor.  ``rem`` runs
+    in ``int32`` below 2^31, as in ``_remainder_kernel``; the tables are
+    ``int64`` whatever the segment.
     """
     n = hi - lo + 1
     lpf = np.zeros(n, dtype=np.int64)
     spf = np.zeros(n, dtype=np.int64)
     mu = np.ones(n, dtype=np.int8)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    rem = np.arange(lo, hi + 1, dtype=np.int32 if hi < 2**31 else np.int64)
     small = base_primes[: int(np.searchsorted(base_primes, math.isqrt(hi), side="right"))]
     strides = [(p, _power_slices(lo, hi, p)) for p in small.tolist()]
     for p, slices in strides:

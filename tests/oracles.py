@@ -13,7 +13,7 @@ instead of slab walks, the pair of rows x_0 <= <c, x> <= x_0 instead of
 substituting x_0 = <c, x> out for the range of <c, x>, O(M^2)
 autocorrelation sums and direct (k+1)-fold Gowers sums instead of FFTs,
 full complex FFTs instead of the real path's folded half spectrum, and
-Python's csv module row by row instead of the columnar CSV writer.
+Python's csv module row by row instead of the blocked CSV writer.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from friable.errors import ArgumentError, PreconditionError, ResourceError
-from friable.forms import ConvexBody, _eliminate
+from friable.forms import AffineForm, ConvexBody, _eliminate
 from friable.gowers import _check_bounded, _root
 
 
@@ -144,9 +144,27 @@ def sifted_squarefree(limit: int, y: float) -> list[tuple[int, int]]:
     return out
 
 
+def sifted_mu2_tail(N: int, u: float, tau: float) -> float:
+    """sum mu(k)^2 / k over N^(1-tau) < k <= N with P-(k) > N^(1/u), the
+    bounds as floats."""
+    return math.fsum(1.0 / k for k, _ in sifted_squarefree(N, N ** (1 / u)) if k > N ** (1 - tau))
+
+
 # ---------------------------------------------------------------------------
 # lattice points by membership tests
 # ---------------------------------------------------------------------------
+
+
+def evaluate(form: AffineForm, point) -> int:
+    """Exact form value at an integer point; rejects results beyond 64 bits."""
+    if len(point) != form.dimension:
+        raise ArgumentError(
+            f"point has {len(point)} coordinates, form expects {form.dimension}"
+        )
+    value = form.constant + sum(c * int(x) for c, x in zip(form.coeffs, point))
+    if abs(value) > 2**63 - 1:
+        raise OverflowError(f"form value {value} exceeds 64-bit range")
+    return value
 
 
 def enumerate_lattice_points(body: ConvexBody, N: int) -> list[tuple[int, ...]]:
@@ -517,8 +535,8 @@ def gowers_pow_complex(vals: np.ndarray, k: int) -> float:
 
 def csv_table_bytes(header: list[str], columns: list) -> bytes:
     """A table of columns written row by row through ``csv.writer``, each
-    float cell with 17 significant digits: the reference bytes of
-    ``friable.cli.csv_bytes``."""
+    float cell with 17 significant digits: the reference bytes of the
+    chunks of ``friable.cli.csv_chunks``."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)

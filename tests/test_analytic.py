@@ -227,13 +227,9 @@ def test_mobius_sum_near_rho(rho_table):
 
 
 def test_mu2_tail_examples():
-    assert analytic.sifted_mu2_tail(10**4, 1.0, 0.2) == 0.0
-    got = analytic.sifted_mu2_tail(10**4, 2.0, 0.2)
-    cutoff = (10**4) ** 0.8
-    expected = math.fsum(
-        1.0 / k for k, _ in oracles.sifted_squarefree(10**4, 100.0) if k > cutoff
-    )
-    assert got == pytest.approx(expected, abs=1e-15)
+    assert analytic.sifted_sums(10**4, 1.0, 0.2)[1] == 0.0
+    got = analytic.sifted_sums(10**4, 2.0, 0.2)[1]
+    assert got == pytest.approx(oracles.sifted_mu2_tail(10**4, 2.0, 0.2), abs=1e-15)
 
 
 def test_cutoff_is_an_integer_root():
@@ -244,14 +240,14 @@ def test_cutoff_is_an_integer_root():
     with pytest.raises(ArgumentError):
         analytic._cutoff(100, 1.0)
     with pytest.raises(ArgumentError):
-        analytic.sifted_mu2_tail(1, 2.0, 0.5)  # log N = 0: no tau is admissible
+        analytic.sifted_sums(1, 2.0, 0.5)  # log N = 0: no tau is admissible
 
 
 def test_mu2_tail_growth_constant():
     # value <= C * tau * u^2 with a uniformly bounded C across the grid
     u, tau = 2.0, 0.2
     for N in (10**4, 10**5, 10**6):
-        val = analytic.sifted_mu2_tail(N, u, tau)
+        val = analytic.sifted_sums(N, u, tau)[1]
         assert val <= 20.0 * tau * u * u
 
 
@@ -263,6 +259,6 @@ def test_mertens_argument_and_resource_errors():
     with pytest.raises(ResourceError):
         analytic.sifted_mobius_sum(2 * 10**8, 2.0)
     with pytest.raises(ArgumentError):
-        analytic.sifted_mu2_tail(100, 2.0, 0.9)  # tau * u >= 1
+        analytic.sifted_sums(100, 2.0, 0.9)  # tau * u >= 1
     with pytest.raises(ArgumentError):
-        analytic.sifted_mu2_tail(100, 2.0, 0.1)  # below 1/log N
+        analytic.sifted_sums(100, 2.0, 0.1)  # below 1/log N

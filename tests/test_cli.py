@@ -218,7 +218,7 @@ def test_mertens_sifts_once(tmp_path, monkeypatch):
     result = read_result(tmp_path, "mertens")["result"]
     assert calls == [(100000, 316)]
     assert result["sum"] == analytic.sifted_mobius_sum(100000, 2.0)
-    assert result["mu2_tail"] == analytic.sifted_mu2_tail(100000, 2.0, 0.2)
+    assert result["mu2_tail"] == analytic.sifted_sums(100000, 2.0, 0.2)[1]
 
 
 def test_verify_product_suite(tmp_path):
@@ -496,8 +496,12 @@ def test_gowers_refuses_before_building(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the columnar CSV writer against csv.writer row by row
+# the blocked CSV writer against csv.writer row by row
 # ---------------------------------------------------------------------------
+
+
+def csv_bytes(header, columns) -> bytes:
+    return b"".join(cli.csv_chunks(header, columns))
 
 _CELLS = {  # kind: (cells, numpy dtype of the column or None for a list)
     "int64": (st.integers(-(2**63), 2**63 - 1), np.int64),
@@ -534,22 +538,65 @@ def _tables(draw):
     np.array([1e300, -1.5, 0.1, 1 / 3, 2.0**-1074, -0.0, 1e16]),
 ]))
 @example((["b", "t"], [np.array([True, False]), [True, "bracket_golden"]]))
+# the 4-digit group boundaries, in the uint32 and the uint64 magnitude
+@example((["x", "y"], [np.array([9999, 10**4, 10**8 - 1, 10**8, -9999, -(10**4), -(10**8)]),
+                       np.array([10**8, 10**8 - 1, 10**4, 9999, 0, 1, 2**32 - 1])]))
+@example((["x", "y"], [np.array([2**63 - 1, -(2**63 - 1), -(2**63)], dtype=np.int64),
+                       np.array([2**64 - 1, 10**16, 9999], dtype=np.uint64)]))
+@example((["x", "mu"], [np.array([-12345, 7, 99]), np.array([-1, 0, 1], dtype=np.int8)]))
+@example((["n", "f", "t"], [np.array([], dtype=np.int64), np.array([]), []]))
+@example((["n", "f", "t"], [np.array([-7]), np.array([0.5]), ["x"]]))
 def test_csv_writer_matches_csv_module(table):
     header, columns = table
-    assert cli.csv_bytes(header, columns) == oracles.csv_table_bytes(header, columns)
+    assert csv_bytes(header, columns) == oracles.csv_table_bytes(header, columns)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_csv_writer_bytes_do_not_depend_on_the_block(monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    n = 40
+    header = ["n", "mu", "big", "f", "t", "b"]
+    columns = [np.arange(-20, 20), rng.integers(-1, 2, n, dtype=np.int8),
+               rng.integers(0, 2**64, n, dtype=np.uint64), rng.standard_normal(n) * 1e10,
+               [f"row{i}" for i in range(n)], np.arange(n) % 3 == 0]
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+    chunks = list(cli.csv_chunks(header, columns))
+    assert len(chunks) == 1 + -(-n // rows)  # the header, then one chunk per block
+    assert b"".join(chunks) == oracles.csv_table_bytes(header, columns)
+
+
+def test_csv_writer_holds_one_block():
+    n = 2**20
+    ns = np.arange(n)
+    columns = [ns, 3 * ns - n, ns % 1000, (ns % 3 - 1).astype(np.int8)]
+    tracemalloc.start()
+    try:
+        size = sum(len(chunk) for chunk in cli.csv_chunks(["a", "b", "c", "d"], columns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 20 * 2**20
+    assert peak < 8 * 2**20, peak
+
+
+def test_refused_csv_cell_leaves_no_file(tmp_path):
+    tables = {"ok": (["n"], [np.arange(3)]), "bad": (["name"], [["ok", "a,b", "c"]])}
+    with pytest.raises(ValueError):
+        cli._write_outputs(tmp_path / "out", "verify", {}, {}, 1, 0.0, tables)
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_csv_writer_refuses_cells_csv_would_quote():
     # a lone surrogate has no UTF-8 encoding
     for bad in ("a,b", 'say "x"', "line\r", "line\n", "", "\ud800"):
         with pytest.raises(ValueError):
-            cli.csv_bytes(["name"], [["ok", bad]])
+            csv_bytes(["name"], [["ok", bad]])
         with pytest.raises(ValueError):
-            cli.csv_bytes(["ok", bad], [[1], [2]])
+            csv_bytes(["ok", bad], [[1], [2]])
     with pytest.raises(ValueError):
-        cli.csv_bytes(["a", "b"], [np.arange(3), np.arange(4)])
+        csv_bytes(["a", "b"], [np.arange(3), np.arange(4)])
     with pytest.raises(ValueError):
-        cli.csv_bytes(["a", "b"], [np.arange(3)])
+        csv_bytes(["a", "b"], [np.arange(3)])
 
 
 def test_dickman_builds_no_table_up_to_the_default_extent(tmp_path, monkeypatch, capsys):

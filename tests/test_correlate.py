@@ -454,7 +454,7 @@ def test_subset_sums_match_a_pointwise_sum():
     exps = [Fraction(ui) for ui in u]
     hs = [
         [
-            float(oracles.lpf(f(p)) ** q.numerator <= N**q.denominator) - r
+            float(oracles.lpf(oracles.evaluate(f, p)) ** q.numerator <= N**q.denominator) - r
             for f, q, r in zip(system.forms, exps, rhos)
         ]
         for p in oracles.enumerate_lattice_points(body, N)
