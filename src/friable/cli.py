@@ -2,7 +2,8 @@
 
 Every invocation writes a result JSON, a manifest JSON (parameters,
 version, thread count, wall clock, sha256 digest of the result), and
-optionally CSV tables, into the output directory.  Numeric output uses
+optionally CSV tables, into the output directory; a table is written
+block by block as it is rendered (``csv_chunks``).  Numeric output uses
 17 significant digits for floats and exact decimal integers, so a rerun
 with identical parameters reproduces byte-identical result files.
 
@@ -323,7 +324,9 @@ def _write_outputs(
     elapsed: float,
     tables: dict[str, tuple[list[str], list]] | None = None,
 ) -> None:
-    # every table is planned, so a refused cell raises, before any file is written
+    """Write the result, each ``(header, columns)`` table as CSV and the
+    manifest.  Every table is planned first, so a refused cell raises
+    before any file is written; each is then streamed chunk by chunk."""
     csvs = {name: csv_chunks(*table) for name, table in (tables or {}).items()}
     outdir.mkdir(parents=True, exist_ok=True)
     files = []

@@ -164,8 +164,8 @@ class _DerivativeBlocks:
         while done < weights.size:
             n = min(chunk - self.filled, weights.size - done)
             stop = self.filled + n
-            rows = self.shifted[h + done : h + done + n]
-            np.multiply(rows, conj, out=self.rows[self.filled : stop])
+            shifted = self.shifted[h + done : h + done + n]
+            np.multiply(shifted, conj, out=self.rows[self.filled : stop])
             self.weights[self.filled : stop] = weights[done : done + n]
             self.filled = stop
             done += n

@@ -147,7 +147,8 @@ def sifted_squarefree(limit: int, y: float) -> list[tuple[int, int]]:
 def sifted_mu2_tail(N: int, u: float, tau: float) -> float:
     """sum mu(k)^2 / k over N^(1-tau) < k <= N with P-(k) > N^(1/u), the
     bounds as floats."""
-    return math.fsum(1.0 / k for k, _ in sifted_squarefree(N, N ** (1 / u)) if k > N ** (1 - tau))
+    ks = [k for k, _ in sifted_squarefree(N, N ** (1 / u)) if k > N ** (1 - tau)]
+    return math.fsum(1.0 / k for k in ks)
 
 
 # ---------------------------------------------------------------------------

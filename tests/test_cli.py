@@ -503,6 +503,7 @@ def test_gowers_refuses_before_building(tmp_path):
 def csv_bytes(header, columns) -> bytes:
     return b"".join(cli.csv_chunks(header, columns))
 
+
 _CELLS = {  # kind: (cells, numpy dtype of the column or None for a list)
     "int64": (st.integers(-(2**63), 2**63 - 1), np.int64),
     "uint64": (st.integers(0, 2**64 - 1), np.uint64),
@@ -575,7 +576,7 @@ def test_csv_writer_holds_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert size > 20 * 2**20
+    assert size > 20 * 2**20  # the CSV itself is far above the bound
     assert peak < 8 * 2**20, peak
 
 
@@ -584,6 +585,7 @@ def test_refused_csv_cell_leaves_no_file(tmp_path):
     with pytest.raises(ValueError):
         cli._write_outputs(tmp_path / "out", "verify", {}, {}, 1, 0.0, tables)
     assert not list(tmp_path.rglob("*.csv"))
+    assert not (tmp_path / "out").exists()  # every table is planned before any file
 
 
 def test_csv_writer_refuses_cells_csv_would_quote():
