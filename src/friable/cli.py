@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import __version__, analytic, correlate, criteria, dickman, forms, gowers, sieve
+from . import __version__, analytic, config, correlate, criteria, dickman, forms, gowers, sieve
 from .errors import ArgumentError, FriableError, ResourceError
 
 
@@ -496,9 +496,9 @@ def _load_gowers_input(spec: str, k: int, interval: bool) -> np.ndarray:
 def _cmd_gowers(args) -> tuple[dict, dict, dict]:
     seq = _load_gowers_input(args.input, args.k, args.mode == "interval")
     if args.mode == "cyclic":
-        norm = gowers.gowers_norm_cyclic(seq, args.k)
+        norm = gowers.gowers_norm_cyclic(seq, args.k, threads=args.threads)
     else:
-        norm = gowers.gowers_norm_interval(seq, args.k)
+        norm = gowers.gowers_norm_interval(seq, args.k, threads=args.threads)
     params = {"input": args.input, "k": args.k, "mode": args.mode}
     result = {"k": args.k, "mode": args.mode, "length": len(seq), "norm": norm}
     return params, result, {}
@@ -563,8 +563,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="friable", description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument(
-        "--threads", type=int, default=1,
-        help="threads splitting count's mask sieve once N + 1 > 2^20 (default 1)",
+        "--threads", type=int, default=config.usable_cpus(),
+        help="threads for count's mask sieve once N + 1 > 2^20 and for the U^3/U^4 "
+        "derivative blocks of gowers, two blocks per thread at least; results are "
+        "the same for every count (default: the usable CPUs, here %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,10 +1,27 @@
-"""The library's default budgets, and the extent of the shared Dickman table.
+"""The library's default budgets, the extent of the shared Dickman table,
+and the default thread count.
 
-The only runtime setting, the thread count, is the CLI's ``--threads``
-flag, passed as an argument to the functions it splits.
+The only runtime setting, the thread count T, is the CLI's ``--threads``
+flag, passed as an argument to the functions it splits; it defaults to
+``usable_cpus()``.  Threads split the segments of the mask sieve behind
+``count`` (once N + 1 > ``DEFAULT_SEGMENT_SIZE``) and the U^3/U^4
+derivative blocks of the Gowers norms (at least two blocks per thread;
+two threads ran U^3 1.39-1.51x faster at 9 blocks and 1.74x at 33 on a
+2-vCPU host, see ``friable.gowers``).  Results are identical for every T.
 """
+
+import os
 
 DEFAULT_SEGMENT_SIZE = 1 << 20   # entries per sieve segment
 DEFAULT_MAX_TABLE = 1 << 26      # largest in-memory factor table
 DEFAULT_MAX_SIEVE_N = 1 << 40    # largest supported sieve bound
 DEFAULT_DICKMAN_UMAX = 20.0      # u_max of the shared rho table's first build
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (``os.cpu_count()`` where the
+    platform has no affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1

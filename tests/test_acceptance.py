@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 import oracles
-from friable import config, criteria, dickman, forms, gowers, sieve
+from friable import config, correlate, criteria, dickman, forms, gowers, sieve
 
 
 def _fmt(value) -> str:
@@ -112,9 +112,13 @@ def test_criterion_9_thread_determinism(monkeypatch):
     masks = [sieve.friable_masks(10**5, [316], threads=t)[316] for t in (1, 4, 8)]
     masks_ok = all(np.array_equal(m, masks[0]) for m in masks[1:])
     masks_ok = masks_ok and int(np.count_nonzero(masks[0][1:])) == sieve.psi_count(10**5, 316)
-    ok = all(len(c) == 1 for c in counts.values()) and masks_ok
+    # the U^3 norm of M = 4096 runs its 33 derivative blocks on the workers
+    h = correlate.balanced_friable(4095, 2.0).values
+    norms = {gowers.gowers_norm_cyclic(h, 3, threads=t) for t in (1, 2, 4)}
+    ok = all(len(c) == 1 for c in counts.values()) and masks_ok and len(norms) == 1
     print(
         f"[{'PASS' if ok else 'FAIL'}] criterion 9: counts={counts}, "
-        f"friable masks at N = 10^5, y = 316 identical for 1, 4, 8 threads: {masks_ok}"
+        f"friable masks at N = 10^5, y = 316 identical for 1, 4, 8 threads: {masks_ok}, "
+        f"U^3 norms at M = 4096 for 1, 2, 4 threads: {norms}"
     )
     assert ok

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import friable
 import oracles
-from friable import analytic, cli, config, correlate, criteria, dickman, forms, sieve
+from friable import analytic, cli, config, correlate, criteria, dickman, forms, gowers, sieve
 from friable.errors import ArgumentError
 
 
@@ -288,6 +288,30 @@ def test_threads_flag_is_applied_and_validated(tmp_path, monkeypatch, capsys):
         assert err.splitlines() == ["error: thread count must be >= 1"], err
     assert seen == [1, 3]  # refused before any work
     assert run_cli(tmp_path, "--config", "f", *count) == 64
+    # gowers: the flag reaches the norm, and the default is the usable CPUs
+    norm_cyclic = gowers.gowers_norm_cyclic
+    norm_threads = []
+
+    def norm_spy(f, k, *, threads=1):
+        norm_threads.append(threads)
+        return norm_cyclic(f, k, threads=threads)
+
+    monkeypatch.setattr(gowers, "gowers_norm_cyclic", norm_spy)
+    u3 = ("gowers", "--input", "balanced:1023:2", "--k", "3", "--mode", "cyclic")
+    assert run_cli(tmp_path, "--threads", "3", *u3) == 0
+    assert read_manifest(tmp_path, "gowers")["threads"] == 3
+    assert run_cli(tmp_path, *u3) == 0
+    assert read_manifest(tmp_path, "gowers")["threads"] == config.usable_cpus()
+    assert norm_threads == [3, config.usable_cpus()]
+    for threads in ("0", "-1"):
+        assert run_cli(tmp_path, "--threads", threads, *u3) == 2
+    assert norm_threads == [3, config.usable_cpus()]
+    # without an affinity mask the default is the CPU count, and 1 if unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert config.usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert config.usable_cpus() == 6
 
 
 def _as_hpoly_spec(lows_highs):

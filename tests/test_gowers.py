@@ -1,11 +1,13 @@
 import itertools
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import oracles
-from friable import correlate, gowers
+from friable import config, correlate, gowers
 from friable.errors import ArgumentError, ResourceError
 
 # Regression value of the balanced-friable interval norm at N = 4096, u = 2,
@@ -260,11 +262,70 @@ def test_real_path_agrees_with_the_complex_kernel(M, monkeypatch):
 def test_row_blocks_reuse_their_work_arrays(M, k, real, monkeypatch):
     # blocks of 5 rows: at k = 3, the rows h = 0..17 of M = 34 in blocks of
     # 5, 5, 5 and 3; at k = 4, the 153 (M = 33) or 171 (M = 34) pairs
-    # h1 <= h2 in 31 or 35 blocks, the last ones holding rows of several h1
+    # h1 <= h2 in 31 or 35 blocks, the last ones holding rows of several h1;
+    # on the interval, f[:17] embedded in M = 36, blocks of 4 rows.  Four
+    # usable CPUs, so three threads run three workers at k = 4
     f = _random_bounded(np.random.default_rng(9), M, real).astype(complex)
     expected = oracles.gowers_pow_complex(f, k)
     monkeypatch.setattr(gowers, "_BLOCK_ENTRIES", 5 * M)
-    assert gowers._uk_pow(f, k) == pytest.approx(expected, rel=1e-12)
+    monkeypatch.setattr(config, "usable_cpus", lambda: 4)
+    serial = gowers._uk_pow(f, k)
+    assert serial == pytest.approx(expected, rel=1e-12)
+    cyclic = gowers.gowers_norm_cyclic(f, k)
+    interval = gowers.gowers_norm_interval(f[:17], k)
+    for threads in (2, 3):
+        assert gowers._uk_pow(f, k, threads) == serial
+        assert gowers.gowers_norm_cyclic(f, k, threads=threads) == cyclic
+        assert gowers.gowers_norm_interval(f[:17], k, threads=threads) == interval
+
+
+@pytest.mark.parametrize("M, power", [(64, "0x1.0a613d16d0226p-15"), (100, "0x1.9d0e1c17567a1p-19")])
+def test_real_and_complex_rows_are_summed_apart(M, power, monkeypatch):
+    # one imaginary entry: Delta_0 f = |f|^2 takes real blocks, every other
+    # derivative complex ones; each kind's block totals are added in block
+    # order, then the two kinds.  The bits were recorded from the serial
+    # kernel before the blocks had workers; one running sum over all blocks
+    # moves them
+    monkeypatch.setattr(gowers, "_BLOCK_ENTRIES", 5 * M)
+    monkeypatch.setattr(config, "usable_cpus", lambda: 4)
+    rng = np.random.default_rng(M)
+    f = rng.uniform(-1.0, 1.0, M).astype(complex)
+    f /= np.max(np.abs(f))
+    f[M // 3] = 0.5j
+    for threads in (1, 3):
+        assert gowers._uk_pow(f, 4, threads) == float.fromhex(power)
+
+
+def test_worker_pool_is_bounded(monkeypatch):
+    # 35 blocks of 5 rows (k = 4, M = 34) and three usable CPUs: any thread
+    # count above three runs three workers, each with one set of work
+    # arrays, allocated in the calling thread (a worker thread's allocations
+    # stay in its own malloc arena)
+    monkeypatch.setattr(config, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(gowers, "_BLOCK_ENTRIES", 5 * 34)
+    sets, pools = [], []
+
+    class CountedArrays(gowers._WorkArrays):
+        def __init__(self, *args):
+            sets.append(threading.get_ident())
+            super().__init__(*args)
+
+    def pool(*, max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(gowers, "_WorkArrays", CountedArrays)
+    monkeypatch.setattr(gowers, "ThreadPoolExecutor", pool)
+    f = _random_bounded(np.random.default_rng(10), 34, real=True)
+    serial = gowers._uk_pow(f, 4)
+    assert (len(sets), pools) == (1, [])  # one worker runs in the calling thread
+    sets.clear()
+    assert gowers._uk_pow(f, 4, 100_000) == serial
+    assert (sets, pools) == ([threading.get_ident()] * 3, [3])
+    assert gowers._workers(100_000, 10**6) == 3
+    assert gowers._workers(2, 10**6) == 2
+    assert gowers._workers(100_000, 5) == 2  # two blocks per worker at least
+    assert gowers._workers(100_000, 3) == gowers._workers(8, 1) == 1
 
 
 def test_uk_pow_returns_a_python_float():
@@ -274,17 +335,20 @@ def test_uk_pow_returns_a_python_float():
             assert type(gowers._uk_pow(gowers._as_sequence(f), k)) is float
 
 
-def test_u3_cyclic_peak_is_bounded():
-    # M = 4096 in blocks of _BLOCK_ENTRIES row entries; whole-row blocks of
-    # 2^22 entries peaked at 80 MB
+def test_u3_cyclic_peak_is_bounded(monkeypatch):
+    # M = 4096 in 33 blocks of _BLOCK_ENTRIES row entries, 5 MB of work
+    # arrays per worker, at one and two workers; whole-row blocks of 2^22
+    # entries peaked at 80 MB
+    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
     h = correlate.balanced_friable(4095, 2.0).values
-    tracemalloc.start()
-    try:
-        gowers.gowers_norm_cyclic(h, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            gowers.gowers_norm_cyclic(h, 3, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, threads
 
 
 @pytest.mark.parametrize("M", [15, 16])
