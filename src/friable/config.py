@@ -2,12 +2,12 @@
 and the default thread count.
 
 The only runtime setting, the thread count T, is the CLI's ``--threads``
-flag, passed as an argument to the functions it splits; it defaults to
-``usable_cpus()``.  Threads split the segments of the mask sieve behind
-``count`` (once N + 1 > ``DEFAULT_SEGMENT_SIZE``) and the U^3/U^4
-derivative blocks of the Gowers norms (at least two blocks per thread;
-two threads ran U^3 1.39-1.51x faster at 9 blocks and 1.74x at 33 on a
-2-vCPU host, see ``friable.gowers``).  Results are identical for every T.
+flag, passed to the functions it splits.  It defaults to ``usable_cpus()``,
+which also caps every worker pool.  Threads split the segments of the mask
+sieve behind ``count`` (once N + 1 > ``DEFAULT_SEGMENT_SIZE``) and the
+U^3/U^4 derivative blocks of the Gowers norms (at least two blocks per
+worker; two threads ran U^3 1.39-1.51x faster at 9 blocks and 1.74x at 33
+on 2 vCPUs, see ``friable.gowers``).  Results are identical for every T.
 """
 
 import os

@@ -379,50 +379,29 @@ class DecompositionReport:
 
 
 def subset_decomposition_bound(
-    system: forms.FormSystem,
-    body: forms.ConvexBody,
-    N: int,
-    u: Sequence[float],
+    system: forms.FormSystem, body: forms.ConvexBody, N: int, u: Sequence[float]
 ) -> DecompositionReport:
-    """Evaluate every subset correlation sum exactly and check the bound."""
-    if len(u) != system.count:
-        raise ArgumentError(f"expected {system.count} exponents, got {len(u)}")
-    if any(ui <= 0 for ui in u):
-        raise ArgumentError("friability exponents must be positive")
+    """Evaluate every subset correlation sum exactly and check the bound.
+
+    The sum of subset s is ``forms.lattice_sum`` of h_i = 1_i - rho(u_i)
+    over the forms of s.  A body of more than ``_SUBSET_POINT_BUDGET``
+    lattice points raises ResourceError; the inputs are otherwise validated
+    as ``forms.count_friable_values`` validates them.
+    """
     npoints = forms.lattice_point_count(body)
     if npoints > _SUBSET_POINT_BUDGET:
         raise ResourceError(
             f"{npoints} lattice points exceed the subset budget {_SUBSET_POINT_BUDGET}"
         )
-    if not forms.validate_domain(system, body, N):
-        raise ArgumentError(f"some form leaves [0, {N}] on this body")
-    t = system.count
-    ys = [sieve.friable_bound(N, ui) for ui in u]
-    by_y = sieve.friable_masks(N, ys)
-    masks = [by_y[y] for y in ys]
+    masks = forms._friable_masks(system, body, N, u, None, 1)
+    count = forms.lattice_sum(system, body, masks)
     rhos = [float(dickman.rho(ui)) for ui in u]
-
-    subsets = []
-    for size in range(1, t + 1):
-        subsets.extend(itertools.combinations(range(t), size))
-    sums = {s: 0.0 for s in subsets}
-    count = 0
-    for prefix, lo, hi in forms._iter_slabs(body):
-        # a constant form is broadcast: h = -rho(u) is not 0 on a non-friable run
-        flags = [
-            np.full(hi - lo + 1, flag) if isinstance(flag, bool) else flag
-            for flag in forms._slab_flags(system, masks, prefix, lo, hi)
-        ]
-        hs = [flags[i].astype(np.float64) - rhos[i] for i in range(t)]
-        friable_all = flags[0]
-        for flag in flags[1:]:
-            friable_all = friable_all & flag
-        count += int(np.count_nonzero(friable_all))
-        for s in subsets:
-            prod = hs[s[0]]
-            for i in s[1:]:
-                prod = prod * hs[i]
-            sums[s] += float(np.sum(prod))
+    hs = [mask - rho for mask, rho in zip(masks, rhos)]
+    sums = {}
+    for size in range(1, system.count + 1):
+        for s in itertools.combinations(range(system.count), size):
+            subsystem = forms.FormSystem(tuple(system.forms[i] for i in s))
+            sums[s] = forms.lattice_sum(subsystem, body, [hs[i] for i in s])
     vol = float(forms.volume(body))
     prod_rho = float(np.prod(rhos))
     main = vol * prod_rho

@@ -52,16 +52,11 @@ def hildebrand(N=None):
     return {"N": N, "passed": all(row[-1] for row in rows)}, {"ratios": _table(header, rows)}
 
 
-def ternary_local_density_sum(N: int, u) -> float:
-    """D = sum over x1, x2 >= 1, x1 + x2 <= N of
-    delta_1(x1) * delta_2(x2) * delta_3(x1 + x2).
-
-    delta_i(m) is the exact share of N^(1/u_i)-friable integers in
-    [max(m - h, 1), m + h], h = max(m // 8, 1): the friability density a
-    form value near m sees before it is replaced by rho(u_i).  D is the
-    count of friable (x1, x2, x1+x2) on the simplex predicted by treating
-    the three friability events as independent.
-    """
+def local_densities(N: int, u) -> list[np.ndarray]:
+    """delta_i on 0..N for each u_i: the exact share of N^(1/u_i)-friable
+    integers in [max(m - h, 1), m + h], h = max(m // 8, 1), at m >= 1 (the
+    density a form value near m sees before it is replaced by rho(u_i)),
+    and 0 at m = 0."""
     m = np.arange(1, N + 1)
     h = np.maximum(m // 8, 1)
     lo = np.maximum(m - h, 1)
@@ -74,8 +69,16 @@ def ternary_local_density_sum(N: int, u) -> float:
         delta = np.zeros(N + 1)
         delta[1:] = (prefix[hi + 1] - prefix[lo]) / (hi - lo + 1)
         deltas.append(delta)
-    inner = np.convolve(deltas[0], deltas[1])[: N + 1]  # sum over x1 + x2 = s
-    return math.fsum((inner[2:] * deltas[2][2:]).tolist())
+    return deltas
+
+
+def ternary_local_density_sum(N: int, u) -> float:
+    """D = sum over x1, x2 >= 1, x1 + x2 <= N of delta_1(x1) delta_2(x2)
+    delta_3(x1 + x2), one ``forms.lattice_sum`` of the ``local_densities``:
+    the count of friable (x1, x2, x1+x2) on the simplex predicted by
+    treating the three friability events as independent."""
+    body = forms.ConvexBody.simplex(2, 1, N)
+    return forms.lattice_sum(forms.parse_form_system(TERNARY), body, local_densities(N, u))
 
 
 def theorem1(N=None):

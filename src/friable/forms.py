@@ -11,15 +11,16 @@ walk (integer floor and ceiling divisions) and decides emptiness.  An
 equality enters only through one integer substitution step: the range of
 <c, x> is one substitution of x_0 = <c, x> plus one elimination, and
 Lasserre's recursion substitutes each facet to give the exact rational
-volume of every bounded body.  Friability
-lookups index ``sieve.friable_masks`` over [0, N], which holds every form
-value once ``validate_domain`` passes.
-Along one slab a form's values are an arithmetic progression, so its
-flags are a strided view of its mask, or a single flag when the form does
-not depend on the innermost coordinate; a non-friable single flag skips
-the whole slab.  Separable systems, such as (x1, x2, x1 + x2) on a
-simplex, are counted by one FFT convolution of friable masks instead of
-slab by slab.
+volume of every bounded body.
+
+Every sum over the lattice points is one ``lattice_sum`` of
+prod_i w_i(F_i(n)), each w_i an array indexed by form i's values: the
+friable masks over [0, N] for a count, float weights for criterion 2's
+local-density sum and the subset audit.  Along one slab a form's values
+are an arithmetic progression, so its weights are a strided view, or one
+weight when the form does not depend on the innermost coordinate.
+Separable systems, such as (x1, x2, x1 + x2) on a simplex, are counted by
+one FFT convolution of friable masks instead of slab by slab.
 """
 
 from __future__ import annotations
@@ -474,31 +475,12 @@ def lattice_point_count(body: ConvexBody) -> int:
     return sum(hi - lo + 1 for _, lo, hi in _iter_slabs(body))
 
 
-def _slab_flags(
-    system: FormSystem, form_masks: Sequence[np.ndarray], prefix: tuple[int, ...], lo: int, hi: int
-) -> list[np.ndarray | bool]:
-    """Per form, the friability of its values along one run x_d = lo..hi.
-
-    With innermost coefficient a != 0 the values base + a x form an
-    arithmetic progression, so the flags are the strided view
-    ``mask[base + a lo :: a][:hi - lo + 1]`` (either sign of a; no gather,
-    no index array); with a = 0 the value is constant on the run and the
-    flag is the scalar ``mask[base]``.  Every value lies in [0, N] once
-    ``validate_domain`` holds, so no index wraps.
-    """
-    flags: list[np.ndarray | bool] = []
-    for f, mask in zip(system.forms, form_masks):
-        base = f.constant + sum(c * p for c, p in zip(f.coeffs[:-1], prefix))
-        a = f.coeffs[-1]
-        flags.append(mask[base + a * lo :: a][: hi - lo + 1] if a else bool(mask[base]))
-    return flags
-
-
 # The convolution runs only while every entry of the convolution stays far
 # below 2^53, so float64 FFT rounding cannot reach 1/2; the asserted bound
 # on the rounding error below catches what the headroom does not.
 _CONVOLUTION_MAX_ENTRY = 2**40
 _ROUNDING_TOL = 0.25
+_BOOL, _FLOAT = np.dtype(bool), np.dtype(np.float64)  # the two kinds of weights
 
 
 def count_friable_values(
@@ -514,59 +496,94 @@ def count_friable_values(
 
     The thresholds are y_i = friable_bound(N, u_i), the largest integer y
     with y^(u_i) <= N, or, given in place of ``u``, the integers ``ys``.
-    Form values equal to 0 or 1 count as friable (P+ convention).  A
-    separable system (see ``_separable_layout``) is counted by one FFT
-    convolution of friable masks, or refused with ResourceError before any
-    mask is sieved when that convolution is too large; every other input
-    is counted by the slab walker.
-    ``threads`` splits the segments of the mask sieve; both counts run in
-    the calling thread.
+    Form values equal to 0 or 1 count as friable (P+ convention).  The
+    count is ``lattice_sum`` of the friable masks.  ``threads`` splits the
+    segments of the mask sieve; both counts run in the calling thread.
     """
+    if not check_pairwise_affine_independence(system):
+        raise ArgumentError("two forms are affinely related")
+    return lattice_sum(system, body, _friable_masks(system, body, N, u, ys, threads))
+
+
+def _friable_masks(system: FormSystem, body: ConvexBody, N: int, u, ys, threads: int) -> list:
+    """Form i's friability mask over [0, N], for each i: the validate-and-sieve
+    step of ``count_friable_values`` and the subset audit.  Takes exactly one
+    of the exponents ``u`` and the thresholds ``ys``, one positive entry per
+    form.  Before sieving it raises PreconditionError when some form leaves
+    [0, N] on the body, and ResourceError when a separable input is too
+    large to convolve (see ``_separable_layout``)."""
     if (u is None) == (ys is None):
         raise ArgumentError("give exactly one of the exponents u and the thresholds ys")
     given = u if ys is None else ys
     if len(given) != system.count:
-        raise ArgumentError(
-            f"expected {system.count} friability exponents or thresholds, got {len(given)}"
-        )
+        raise ArgumentError(f"expected {system.count} exponents or thresholds, got {len(given)}")
     if any(g <= 0 for g in given):
         raise ArgumentError("friability exponents and thresholds must be positive")
-    if not check_pairwise_affine_independence(system):
-        raise ArgumentError("two forms are affinely related")
     if not validate_domain(system, body, N):
         raise PreconditionError(f"some form leaves [0, {N}] on this body")
-    layout = _separable_layout(system, body)
+    _separable_layout(system, body)  # its ResourceError comes before sieving
     if ys is None:
         ys = [sieve.friable_bound(N, ui) for ui in u]
     masks = sieve.friable_masks(N, ys, threads=threads)
-    form_masks = [masks[y] for y in ys]
-    if layout is None:
-        return _count_by_slabs(system, body, form_masks)
-    return _count_by_convolution(system, layout, body, form_masks)
+    return [masks[y] for y in ys]
 
 
-def _count_by_slabs(
-    system: FormSystem, body: ConvexBody, form_masks: Sequence[np.ndarray]
-) -> int:
-    """The slab walker: every lattice point, one innermost-coordinate run at a time.
+def lattice_sum(system: FormSystem, body: ConvexBody, weights: Sequence[np.ndarray]):
+    """sum over the lattice points n of the body of prod_i weights[i][F_i(n)].
 
-    ``form_masks[i]`` is the friability mask that form i's values index.  A
-    run on which some form is constant at a non-friable value is skipped
-    whole; the others count the AND of their forms' views.
+    ``weights[i]``, a 1-d array indexed by form i's values, must cover
+    their integer range over the body (PreconditionError otherwise).  Bool
+    weights give the exact ``int`` count, by one FFT convolution for a
+    separable system (see ``_separable_layout``), else by the slab walker;
+    float64 weights give a float, always by the walker.
     """
-    total = 0
+    if len(weights) != system.count or system.dimension != body.dimension:
+        raise ArgumentError("give one weight array per form, and a body of the forms' dimension")
+    if {(w.dtype, w.ndim) for w in weights} not in ({(_BOOL, 1)}, {(_FLOAT, 1)}):
+        raise ArgumentError("weights must be 1-d arrays, all bool or all float64")
+    exact = weights[0].dtype == _BOOL
+    if body.is_empty():
+        return 0 if exact else 0.0
+    for f, w in zip(system.forms, weights):
+        lo, hi = _functional_range(body, f.coeffs)
+        if math.ceil(lo) + f.constant < 0 or math.floor(hi) + f.constant >= len(w):
+            raise PreconditionError(f"form {f} has values beyond its {len(w)} weights")
+    layout = _separable_layout(system, body) if exact else None
+    if layout is None:
+        return _walk(system, body, weights)
+    return _count_by_convolution(system, layout, body, weights)
+
+
+def _walk(system: FormSystem, body: ConvexBody, weights: Sequence[np.ndarray]):
+    """The slab walker: ``lattice_sum`` one innermost-coordinate run at a time.
+
+    Along the run x_d = lo..hi a form's values are base + a x, so its
+    weights are the strided view ``w[base + a lo :: a][:hi - lo + 1]``
+    (either sign of a; no gather), or the scalar ``w[base]`` when a = 0.
+    Bool weights skip a run on a False scalar and count the AND of the
+    views.  Float weights multiply in form order (a run of scalars is
+    broadcast by ``np.full``) and add each run's ``np.sum`` in turn.
+    """
+    exact = weights[0].dtype == _BOOL
+    terms = [(f.constant, f.coeffs[:-1], f.coeffs[-1], w) for f, w in zip(system.forms, weights)]
+    total = 0 if exact else 0.0
     for prefix, lo, hi in _iter_slabs(body):
-        flags = _slab_flags(system, form_masks, prefix, lo, hi)
-        if not all(flag for flag in flags if isinstance(flag, bool)):
-            continue
-        views = [flag for flag in flags if not isinstance(flag, bool)]
-        if not views:
-            total += hi - lo + 1
-            continue
-        ok = views[0]
-        for view in views[1:]:
-            ok = ok & view
-        total += int(np.count_nonzero(ok))
+        n = hi - lo + 1
+        acc = None
+        for constant, head, a, w in terms:
+            base = constant + sum(map(operator.mul, head, prefix))
+            value = w[base + a * lo :: a][:n] if a else w[base]
+            if not exact:
+                acc = value if acc is None else acc * value
+            elif a:
+                acc = value if acc is None else acc & value
+            elif not value:
+                break
+        else:
+            if exact:
+                total += n if acc is None else int(np.count_nonzero(acc))
+            else:
+                total += float(np.sum(acc if np.ndim(acc) else np.full(n, acc)))
     return total
 
 
@@ -581,12 +598,11 @@ def _separable_layout(system: FormSystem, body: ConvexBody) -> _Layout | None:
 
     Separable: every coordinate x_j is one of the forms (coefficient 1,
     constant 0); at most one other form L = a.x + c, with every a_j >= 1;
-    and the body is nonempty, each of its rows bounding one coordinate
-    or a nonzero multiple of a.  Such a body is
-    its coordinate box cut by the range of a.x, so the count is a
-    convolution of the coordinate masks read against L's mask.  Raises
-    ResourceError when an entry of that convolution could reach 2^40 or
-    the number of points 2^63.
+    and the body is nonempty, each of its rows bounding one coordinate or a
+    nonzero multiple of a.  Such a body is its coordinate box cut by the
+    range of a.x, so the count is a convolution of the coordinate masks
+    read against L's mask.  Raises ResourceError when an entry of that
+    convolution could reach 2^40 or the number of points 2^63.
     """
     d = system.dimension
     unit = {tuple(int(i == j) for i in range(d)): j for j in range(d)}

@@ -399,11 +399,11 @@ def psi_count(N: int, y: float, *, threads: int = 1) -> int:
 def friable_masks(N: int, ys: Sequence[float], *, threads: int = 1) -> dict[float, np.ndarray]:
     """{y: mask} for each distinct y in ``ys``, mask[n] = (P+(n) <= y) on 0 <= n <= N.
 
-    One pass of ``_remainder_kernel`` over [0, N], split into segments
-    that ``threads`` workers fill.  ``rem`` starts as the integers
-    themselves; the primes are divided out in ascending order, once per
-    power, and the mask of y is the snapshot ``rem <= y`` taken once
-    every prime <= z = min(y, sqrt(N)) is out.  Proof, with r = rem[n]:
+    One pass of ``_remainder_kernel`` over [0, N], split into segments that
+    min(``threads``, usable CPUs) workers fill.  ``rem`` starts as the
+    integers themselves; the primes are divided out in ascending order,
+    once per power, and the mask of y is the snapshot ``rem <= y`` taken
+    once every prime <= z = min(y, sqrt(N)) is out.  Proof, with r = rem[n]:
 
     * every prime <= y is <= sqrt(N): r is 1 or has only prime factors
       above y, so r <= y iff r = 1 iff P+(n) <= y;
@@ -432,11 +432,12 @@ def friable_masks(N: int, ys: Sequence[float], *, threads: int = 1) -> dict[floa
         _remainder_kernel(a, b, primes, levels, [m[a : b + 1] for m in masks])
 
     starts = range(0, N + 1, segment_size)
-    if threads <= 1 or len(starts) == 1:
+    workers = min(threads, config.usable_cpus(), len(starts))
+    if workers <= 1:
         for a in starts:
             fill(a)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))  # consumed, so a worker's exception propagates
     by_bound = {bound: m for (_, bound), m in zip(levels, masks)}
     return {y: by_bound[math.floor(min(y, N))] for y in ys}

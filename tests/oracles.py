@@ -8,9 +8,11 @@ bisection instead of double bisection + Newton, tanh-sinh quadrature
 instead of the Beta closed form of S1, per-n divisor scans
 instead of sieve passes, one strided slice per k instead of the ordered
 divisor scatter, one Fraction floor and big-integer step per n instead of
-the phase kernel's integer arrays, membership tests of every bounding-box point
-instead of slab walks, the pair of rows x_0 <= <c, x> <= x_0 instead of
-substituting x_0 = <c, x> out for the range of <c, x>, O(M^2)
+the phase kernel's integer arrays, membership tests of every
+bounding-box point instead of slab walks, one exactly rounded sum over
+those points instead of the walker's run-by-run sums, the pair of rows
+x_0 <= <c, x> <= x_0 instead of substituting x_0 = <c, x> out for the
+range of <c, x>, O(M^2)
 autocorrelation sums and direct (k+1)-fold Gowers sums instead of FFTs,
 full complex FFTs instead of the real path's folded half spectrum, and
 Python's csv module row by row instead of the blocked CSV writer.
@@ -184,6 +186,15 @@ def enumerate_lattice_points(body: ConvexBody, N: int) -> list[tuple[int, ...]]:
     return [
         p for p in points if all(sum(c * x for c, x in zip(cs, p)) <= r for cs, r in body.rows)
     ]
+
+
+def lattice_sum(system, body: ConvexBody, N: int, weights) -> float:
+    """sum over the lattice points n of prod_i weights[i][F_i(n)], one point
+    at a time from ``enumerate_lattice_points``, added by ``math.fsum``."""
+    return math.fsum(
+        math.prod(float(w[evaluate(f, p)]) for f, w in zip(system.forms, weights))
+        for p in enumerate_lattice_points(body, N)
+    )
 
 
 def contains(body: ConvexBody, point) -> bool:

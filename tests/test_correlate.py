@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from friable import config, correlate, dickman, forms, sieve
-from friable.errors import ArgumentError, ResourceError
+from friable.errors import ArgumentError, PreconditionError, ResourceError
 
 HARPER = forms.parse_form_system("x1; x2; x1+x2")
 
@@ -463,6 +463,16 @@ def test_subset_sums_match_a_pointwise_sum():
     for subset, value in rep.subset_sums.items():
         expected = math.fsum(math.prod(row[i] for i in subset) for row in hs)
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-9), subset
+
+
+def test_subset_decomposition_refuses_a_form_outside_the_range():
+    # the same refusal, and the same error, as count_friable_values
+    body = forms.ConvexBody.simplex(2, 1, 100)
+    system = forms.parse_form_system("x1; x2; x1+x2+1")
+    with pytest.raises(PreconditionError):
+        correlate.subset_decomposition_bound(system, body, 100, (2.0, 2.0, 2.0))
+    with pytest.raises(PreconditionError):
+        forms.count_friable_values(system, body, 100, (2.0, 2.0, 2.0))
 
 
 def test_subset_decomposition_budget():

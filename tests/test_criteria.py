@@ -9,11 +9,15 @@ from friable.errors import ArgumentError
 
 
 def test_local_density_sum_equals_oracle():
-    # the sieve route and the trial-division oracle agree bit for bit
+    # the window densities from the sieve and from trial division agree bit
+    # for bit; D, summed run by run, agrees with the oracle's convolution
     for N in (500, 2000, 8000):
         for u in ((2.0, 2.0, 2.0), (1.5, 2.0, 2.5)):
+            deltas = criteria.local_densities(N, u)
+            for ui, delta in zip(u, deltas):
+                assert np.array_equal(delta, oracles.local_friable_density(N, ui, N)), (N, ui)
             got = criteria.ternary_local_density_sum(N, u)
-            assert got == oracles.ternary_local_density_sum(N, u), (N, u)
+            assert got == pytest.approx(oracles.ternary_local_density_sum(N, u), rel=1e-12), (N, u)
 
 
 def test_mertens_rejects_a_hard_inversion(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import oracles
-from friable import forms, sieve
+from friable import criteria, forms, sieve
 from friable.errors import ArgumentError, NumericError, PreconditionError, ResourceError
 
 HARPER = forms.parse_form_system("x1; x2; x1+x2")
@@ -428,7 +428,7 @@ def slab_count(system, body, N, u):
     """The slab walker on the thresholds count_friable_values uses."""
     ys = [sieve.friable_bound(N, ui) for ui in u]
     masks = sieve.friable_masks(N, ys)
-    return forms._count_by_slabs(system, body, [masks[y] for y in ys])
+    return forms._walk(system, body, [masks[y] for y in ys])
 
 
 @st.composite
@@ -662,6 +662,49 @@ def test_walker_matches_trial_division(case):
         for p in oracles.enumerate_lattice_points(body, N)
     )
     assert forms.count_friable_values(system, body, N, u) == brute
+
+
+@settings(max_examples=100, deadline=None)
+@given(walker_inputs(), st.integers(0, 2**32 - 1))
+def test_float_walk_matches_a_pointwise_sum(case, seed):
+    system, body, N, _ = case
+    rng = np.random.default_rng(seed)
+    weights = [rng.uniform(-1.0, 1.0, N + 1) for _ in system.forms]
+    got = forms._walk(system, body, weights)
+    size = oracles.lattice_sum(system, body, N, [np.abs(w) for w in weights])
+    assert abs(got - oracles.lattice_sum(system, body, N, weights)) <= 1e-12 * size
+
+
+def test_unimodular_pair_takes_both_routes():
+    # (a, b) = (x1 - x2, x2) maps {x2 >= 1, x1 - x2 >= 1, x1 <= N} onto the
+    # simplex and x1; x2; x1 - x2 onto the ternary's x1 + x2; x2; x1, so the
+    # walker and the convolution must agree
+    N = 2000
+    skew = forms.parse_form_system("x1; x2; x1-x2")
+    body = forms.ConvexBody.halfspaces([[0, -1], [-1, 1], [1, 0]], [-1, -1, N])
+    simplex = forms.ConvexBody.simplex(2, 1, N)
+    assert forms._separable_layout(skew, body) is None
+    assert forms._separable_layout(HARPER, simplex) is not None
+    for u, expected in (((2.0, 2.0, 2.0), 174658), ((1.5, 2.0, 2.5), 189188)):
+        assert forms.count_friable_values(skew, body, N, u) == expected
+        assert forms.count_friable_values(HARPER, simplex, N, u[::-1]) == expected
+    deltas = criteria.local_densities(N, (1.5, 2.0, 2.5))
+    walked = forms.lattice_sum(skew, body, deltas[::-1])
+    assert walked == pytest.approx(forms.lattice_sum(HARPER, simplex, deltas), rel=1e-12)
+
+
+def test_lattice_sum_refuses_weights_short_of_the_values():
+    body = forms.ConvexBody.simplex(2, 1, 50)
+    masks = [np.ones(51, dtype=bool)] * 3
+    assert forms.lattice_sum(HARPER, body, masks) == forms.lattice_point_count(body)
+    with pytest.raises(PreconditionError):  # x1 + x2 reaches 50
+        forms.lattice_sum(HARPER, body, masks[:2] + [np.ones(50, dtype=bool)])
+    shifted = forms.parse_form_system("x1; x2; x1+x2-3")  # x1 + x2 - 3 reaches -1
+    with pytest.raises(PreconditionError):
+        forms.lattice_sum(shifted, body, [np.ones(51)] * 3)
+    for weights in (masks[:2], masks[:2] + [np.ones(51)], [np.ones((51, 1), dtype=bool)] * 3):
+        with pytest.raises(ArgumentError):
+            forms.lattice_sum(HARPER, body, weights)
 
 
 def test_convolution_guard_refuses_before_sieving(monkeypatch):

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import sys
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -356,6 +357,7 @@ def test_friable_masks_across_segments_and_threads(monkeypatch):
     runs = [sieve.friable_masks(N, ys, threads=t) for t in (1, 2, 4)]
     # many small segments on more threads than cores, switching often
     monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 4099)
+    monkeypatch.setattr(config, "usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -366,6 +368,26 @@ def test_friable_masks_across_segments_and_threads(monkeypatch):
         assert np.array_equal(runs[0][y], lpf <= y), y
         for other in runs[1:]:
             assert np.array_equal(other[y], runs[0][y]), y
+
+
+def test_friable_masks_pool_is_capped_by_the_usable_cpus(monkeypatch):
+    N = 50000
+    ys = [2, 100, math.isqrt(N), N]
+    serial = sieve.friable_masks(N, ys, threads=1)
+    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 1000)  # 51 segments
+    seen = set()
+    kernel = sieve._remainder_kernel
+
+    def spy(*args):
+        seen.add(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(sieve, "_remainder_kernel", spy)
+    capped = sieve.friable_masks(N, ys, threads=64)
+    assert 1 <= len(seen) <= 2
+    for y in ys:
+        assert np.array_equal(capped[y], serial[y]), y
 
 
 def test_friable_masks_keep_no_factor_tables():
