@@ -1,9 +1,9 @@
 """Command-line front end: runs verification campaigns and persists results.
 
 Every invocation writes a result JSON, a manifest JSON (parameters,
-version, thread count, wall clock, sha256 digest of the result), and
-optionally CSV tables, into the output directory; a table is written
-block by block as it is rendered (``csv_chunks``).  Numeric output uses
+version, thread count, wall clock, peak memory, sha256 digest of the
+result), and optionally CSV tables, into the output directory; a table is
+written block by block as it is rendered (``csv_chunks``).  Numeric output uses
 17 significant digits for floats and exact decimal integers, so a rerun
 with identical parameters reproduces byte-identical result files.
 
@@ -19,6 +19,7 @@ import hashlib
 import math
 import os
 import re
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -315,6 +316,13 @@ def _blocks(head: bytes, n: int, plans: list) -> Iterator[bytes]:
         yield block.tobytes().translate(None, b"\0")
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size in MiB; ``ru_maxrss`` counts
+    KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _write_outputs(
     outdir: Path,
     command: str,
@@ -348,6 +356,7 @@ def _write_outputs(
         "version": __version__,
         "threads": threads,
         "wall_clock_s": elapsed,
+        "peak_rss_mb": _peak_rss_mb(),
         "output_digest": hashlib.sha256(digest_text.encode("utf-8")).hexdigest(),
         "output_files": files,
     }

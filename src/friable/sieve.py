@@ -173,10 +173,9 @@ def _sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> FactorSieve:
         if slices:
             spf[slices[0]] = p
     big = rem > 1
-    lpf[big] = rem[big]
-    mu[big] *= -1
-    unset = spf == 0
-    spf[unset] = rem[unset]
+    np.copyto(lpf, rem, where=big)
+    np.negative(mu, out=mu, where=big)
+    np.copyto(spf, rem, where=spf == 0)
     if lo <= 0 <= hi:
         i = 0 - lo
         lpf[i], spf[i], mu[i] = 0, 0, 0

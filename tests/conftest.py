@@ -2,9 +2,9 @@
 
 import pytest
 
-from friable import dickman
+import oracles
 
 
 @pytest.fixture(scope="session")
 def rho_table():
-    return dickman.build_rho_table(20.0)
+    return oracles.build_rho_table(20.0)

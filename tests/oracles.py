@@ -16,6 +16,10 @@ range of <c, x>, O(M^2)
 autocorrelation sums and direct (k+1)-fold Gowers sums instead of FFTs,
 full complex FFTs instead of the real path's folded half spectrum, and
 Python's csv module row by row instead of the blocked CSV writer.
+
+It also holds the builder of the Dickman table, ``build_rho_table``: the
+library reads the table's pieces as shipped data (``friable._rho_pieces``),
+and the tests rebuild them here to check the shipped bytes.
 """
 
 from __future__ import annotations
@@ -29,12 +33,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import chebyshev
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BarycentricInterpolator
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from friable.errors import ArgumentError, PreconditionError, ResourceError
+from friable.dickman import _DEGREE, DickmanTable
+from friable.errors import ArgumentError, NumericError, PreconditionError, ResourceError
 from friable.forms import AffineForm, ConvexBody, _eliminate
 from friable.gowers import _check_bounded, _root
 
@@ -223,6 +229,108 @@ def pairing_range(body: ConvexBody, coeffs) -> tuple[Fraction, Fraction]:
     lo = max(Fraction(b, a[0]) for a, b in top if a[0] < 0)
     hi = min(Fraction(b, a[0]) for a, b in top if a[0] > 0)
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# the builder of the shipped Dickman table
+# ---------------------------------------------------------------------------
+
+_MAX_PICARD = 500
+_TOL = 1e-10  # |table - rho| <= _TOL * max(rho, 1), see build_rho_table
+
+
+def _piece_definite_integral(coeffs: np.ndarray, left_knot: int, a, b):
+    """integral_a^b of the piece on [left_knot, left_knot + 1], exactly."""
+    anti = chebyshev.chebint(coeffs)
+    sa = 2.0 * (np.asarray(a, dtype=float) - (left_knot + 0.5))
+    sb = 2.0 * (np.asarray(b, dtype=float) - (left_knot + 0.5))
+    # dt = ds / 2 under s = 2 (t - (left_knot + 0.5))
+    return 0.5 * (chebyshev.chebval(sb, anti) - chebyshev.chebval(sa, anti))
+
+
+def _chebyshev_fitter(x: np.ndarray):
+    """``chebyshev.chebfit(x, ., _DEGREE)`` on fixed nodes x: the same
+    column-scaled least squares with the same rcond, its matrix built once,
+    so the coefficients are chebfit's bit for bit."""
+    lhs = chebyshev.chebvander(x, _DEGREE).T
+    scl = np.sqrt(np.square(lhs).sum(1))  # no column vanishes on distinct nodes
+    design = lhs.T / scl
+    rcond = len(x) * np.finfo(x.dtype).eps
+    return lambda y: np.linalg.lstsq(design, y, rcond)[0] / scl
+
+
+def build_rho_table(u_max: float = 20.0) -> DickmanTable:
+    """rho on [0, u_max], the generator of ``friable._rho_pieces``.
+
+    Integrating the delay equation u rho'(u) + rho(u - 1) = 0 gives the
+    averaged form u rho(u) = integral_{u-1}^{u} rho(t) dt (u >= 1), which
+    is iterated interval by interval: on [k, k+1] the values at 25
+    Chebyshev nodes are obtained by fixed-point iteration of
+
+        rho(x) = ( integral_{x-1}^{k} rho  +  integral_{k}^{x} rho ) / x,
+
+    where the first integral reads the previous piece and the second
+    integrates the current candidate exactly via its Chebyshev
+    antiderivative.  The map is a contraction (factor (x-k)/x <= 1/2) and
+    all quantities stay positive, so the pieces keep full relative
+    accuracy far into the tail.  The iteration per interval stops once the
+    relative change is below _TOL/100, so |table - rho| <= _TOL *
+    max(rho, 1) on every piece (in practice the error is near machine
+    precision in relative terms).  Each piece is built from the ones
+    before it alone, so a piece does not depend on u_max.
+    """
+    if not 1.0 <= u_max <= 50.0:
+        raise ArgumentError(f"u_max must lie in [1, 50], got {u_max}")
+    pieces: list[np.ndarray] = []
+    cheb_x = np.sort(np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)))
+    fit = _chebyshev_fitter(cheb_x)
+    for k in range(1, math.floor(u_max) + 1):
+        nodes = k + 0.5 + 0.5 * cheb_x
+        if k == 1:
+            # rho = 1 on [0, 1]: integral_{x-1}^{1} dt = 2 - x
+            tail = 2.0 - nodes
+        else:
+            tail = _piece_definite_integral(pieces[-1], k - 1, nodes - 1.0, float(k))
+        vals = tail / nodes  # ignore the (small) current-interval mass to start
+        for _ in range(_MAX_PICARD):
+            coeffs = fit(vals)
+            head = _piece_definite_integral(coeffs, k, float(k), nodes)
+            new_vals = (tail + head) / nodes
+            change = float(np.max(np.abs(new_vals - vals)))
+            scale = float(np.max(np.abs(new_vals)))
+            vals = new_vals
+            if change <= max(scale, 1e-300) * _TOL / 100.0:
+                break
+        else:
+            raise NumericError(f"fixed point failed to converge on [{k}, {k + 1}]")
+        pieces.append(fit(vals))
+    return DickmanTable(u_max=float(u_max), pieces=pieces)
+
+
+_RHO_PIECES_HEADER = '''"""Dickman rho on [1, 51]: the 50 pieces of the shipped table.
+
+Generated by ``build_rho_table(50.0)`` of the test suite's oracles; do not
+edit by hand.  Piece j, 25 little-endian float64 coefficients, is rho on
+[j + 1, j + 2] in the local variable s = 2 (u - (j + 1.5)).  Rewrite this
+file from the repository root with
+
+    PYTHONPATH=src:tests python -c "import oracles; s = oracles.rho_pieces_module(); open('src/friable/_rho_pieces.py', 'w').write(s)"
+"""
+
+PIECES = bytes.fromhex(
+'''
+
+
+def rho_pieces_module() -> str:
+    """The exact text of ``src/friable/_rho_pieces.py``: the pieces of
+    ``build_rho_table(50.0)`` as one hex literal, five coefficients a line."""
+    lines = [_RHO_PIECES_HEADER]
+    for j, piece in enumerate(build_rho_table(50.0).pieces):
+        lines.append(f"    # [{j + 1}, {j + 2}]\n")
+        raw = np.asarray(piece, dtype="<f8").tobytes().hex()
+        lines += [f'    "{raw[i : i + 80]}"\n' for i in range(0, len(raw), 80)]
+    lines.append(")\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,17 @@ def test_manifest_replay_digest(tmp_path):
     assert first["output_digest"] == second["output_digest"]
     assert first["version"] == second["version"]
     assert list(first) == ["command", "params", "version", "threads", "wall_clock_s",
-                           "output_digest", "output_files"]
+                           "peak_rss_mb", "output_digest", "output_files"]
+
+
+def test_manifest_records_peak_memory_outside_the_digest(tmp_path):
+    # the pinned digest of `dickman --u 2` (see test_fixed_outputs_are_unchanged)
+    assert run_cli(tmp_path, "dickman", "--u", "2") == 0
+    manifest = read_manifest(tmp_path, "dickman")
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
+    assert manifest["output_digest"] == (
+        "68de92a9d32c6bcd60f9ed60efd64d32d0edc7697b36b12cfe3c260a27d5709a"
+    )
 
 
 def test_count_digest_stable_despite_elapsed(tmp_path):
@@ -626,24 +636,25 @@ def test_csv_writer_refuses_cells_csv_would_quote():
 
 
 def test_dickman_builds_no_table_up_to_the_default_extent(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(dickman, "_table", None)
-    dickman.default_table()
-    builds = []
-    build = dickman.build_rho_table
+    # the table ships as data: no least-squares fit, so no Picard step, on any path
+    fits = []
+    lstsq = np.linalg.lstsq
 
-    def spy(u_max):
-        builds.append(u_max)
-        return build(u_max)
+    def spy(*args, **kwargs):
+        fits.append(args)
+        return lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(dickman, "build_rho_table", spy)
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    assert dickman.default_table().u_max == 50.0
     assert criteria.dickman()[0]["passed"] is True
     for argv in [("--table", "20", "0.002"), ("--table", "3", "0.01"), ("--table", "0.5", "0.1"),
-                 ("--u", "19.5"), ("--u", "20"), ("--u", "2"), ("--u", "0.5")]:
+                 ("--table", "50", "0.25"), ("--u", "19.5"), ("--u", "20"), ("--u", "2"),
+                 ("--u", "0.5")]:
         assert run_cli(tmp_path, "dickman", *argv) == 0, argv
-    assert builds == []
-    # the command prints what rho gives, bit for bit, beyond the default extent too
+    assert fits == []
+    # the command prints what rho gives, bit for bit
     capsys.readouterr()
     for u in (2.0, 3.0, 19.5, 20.0, 25.0, 50.0):
         assert run_cli(tmp_path, "dickman", "--u", repr(u)) == 0
         assert float(capsys.readouterr().out.splitlines()[0]) == dickman.rho(u), u
-    assert builds == []  # the shared table grows by its missing pieces, never rebuilt
+    assert fits == []

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_both_sides_of_the_knots_match_the_quadrature_oracle(rho_table):
 
 def test_fit_matrix_built_once_gives_chebfits_bits():
     x = np.sort(np.cos(np.pi * (np.arange(dickman._DEGREE + 1) + 0.5) / (dickman._DEGREE + 1)))
-    fit = dickman._chebyshev_fitter(x)
+    fit = oracles._chebyshev_fitter(x)
     rng = np.random.default_rng(2)
     for scale in (1.0, 1e-12, 1e-40):
         y = scale * rng.uniform(0.0, 1.0, x.size)
@@ -87,7 +88,7 @@ def test_fit_matrix_built_once_gives_chebfits_bits():
 
 
 def test_fractional_u_max():
-    t = dickman.build_rho_table(2.5)
+    t = oracles.build_rho_table(2.5)
     assert t.eval(2.5) == pytest.approx(RHO_ORACLE[2.5], abs=1e-10)
     with pytest.raises(ArgumentError):
         t.eval(2.6)
@@ -96,7 +97,8 @@ def test_fractional_u_max():
 def test_module_level_rho_and_extension():
     assert dickman.rho(1.0) == 1.0
     assert dickman.rho(2.0) == pytest.approx(1.0 - math.log(2.0), abs=1e-10)
-    assert dickman.rho(21.5) > 0.0  # triggers an extension past the default u_max
+    assert dickman.rho(21.5) > 0.0  # past the fixture's extent
+    assert dickman.rho(50.0) > 0.0  # the piece on [50, 51] holds the last knot
     arr = dickman.rho(np.array([0.5, 1.5, 3.0]))
     assert arr.shape == (3,)
     with pytest.raises(ArgumentError):
@@ -105,46 +107,32 @@ def test_module_level_rho_and_extension():
         dickman.rho(50.5)
 
 
-def test_rho_does_not_depend_on_earlier_extensions(monkeypatch):
-    # every table reads the right-hand piece at an integer knot, its own
-    # end point included, so extending the shared table moves no value
-    monkeypatch.setattr(dickman, "_table", None)
-    before = dickman.rho(20.0)
-    assert before == 2.4617828287642925e-29
-    at_25 = dickman.rho(25.0)
-    assert dickman.rho(20.0) == before
-    assert dickman.rho(np.array([20.0, 25.0]))[0] == before
-    assert dickman.rho(30.0) > 0.0
-    assert dickman.rho(25.0) == at_25
-    assert dickman.rho(20.0) == before
-    assert dickman.default_table().u_max == 30.0
+def test_shipped_pieces_equal_the_oracle_build():
+    table = dickman.default_table()
+    built = oracles.build_rho_table(50.0)
+    assert table.u_max == built.u_max == 50.0
+    assert len(table.pieces) == len(built.pieces) == 50
+    for shipped, fresh in zip(table.pieces, built.pieces):
+        assert np.array_equal(shipped, fresh)
+        assert not shipped.flags.writeable
+    # pinned values: the pieces on [20, 21] and [25, 26] read as they always have
+    assert dickman.rho(20.0) == 2.4617828287642925e-29
+    assert dickman.rho(25.0) == 1.6658044236711178e-39
+    # every u in [0, 50], the integer knots included, reads the builder's bits
+    grid = np.concatenate((np.linspace(0.0, 50.0, 20001), np.arange(51.0)))
+    assert np.array_equal(dickman.rho(grid), built.eval(grid))
 
 
-def test_rho_extends_the_shared_table_by_the_missing_pieces_only(monkeypatch):
-    monkeypatch.setattr(dickman, "_table", None)
-    dickman.rho(20.0)
-    grown = []
-    grow = dickman._grow
-
-    def spy(pieces, n_intervals):
-        grown.append((len(pieces), n_intervals))
-        return grow(pieces, n_intervals)
-
-    monkeypatch.setattr(dickman, "_grow", spy)
-    dickman.rho(25.0)
-    assert grown == [(20, 25)]  # fits the pieces on [21, 22] .. [25, 26] alone
-    table, built = dickman.default_table(), dickman.build_rho_table(25.0)
-    assert table.u_max == built.u_max == 25.0
-    assert len(table.pieces) == len(built.pieces) == 25
-    for mine, fresh in zip(table.pieces, built.pieces):
-        assert np.array_equal(mine, fresh)
+def test_shipped_pieces_module_is_the_generated_text():
+    shipped = Path(dickman.__file__).with_name("_rho_pieces.py").read_text(encoding="ascii")
+    assert shipped == oracles.rho_pieces_module()
 
 
 def test_build_argument_errors():
     with pytest.raises(ArgumentError):
-        dickman.build_rho_table(0.5)
+        oracles.build_rho_table(0.5)
     with pytest.raises(ArgumentError):
-        dickman.build_rho_table(51.0)
+        oracles.build_rho_table(51.0)
 
 
 def test_eval_domain_errors(rho_table):
