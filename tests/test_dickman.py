@@ -115,12 +115,43 @@ def test_shipped_pieces_equal_the_oracle_build():
     for shipped, fresh in zip(table.pieces, built.pieces):
         assert np.array_equal(shipped, fresh)
         assert not shipped.flags.writeable
-    # pinned values: the pieces on [20, 21] and [25, 26] read as they always have
-    assert dickman.rho(20.0) == 2.4617828287642925e-29
-    assert dickman.rho(25.0) == 1.6658044236711178e-39
     # every u in [0, 50], the integer knots included, reads the builder's bits
     grid = np.concatenate((np.linspace(0.0, 50.0, 20001), np.arange(51.0)))
     assert np.array_equal(dickman.rho(grid), built.eval(grid))
+
+
+def test_rho_does_not_depend_on_earlier_extensions():
+    # one shared table serves every call, so no earlier call, however far
+    # it reads, moves a value; the pieces on [20, 21] and [25, 26] read as
+    # they did when the table grew on demand
+    table = dickman.default_table()
+    before = dickman.rho(20.0)
+    assert before == 2.4617828287642925e-29
+    at_25 = dickman.rho(25.0)
+    assert at_25 == 1.6658044236711178e-39
+    assert dickman.rho(20.0) == before
+    assert dickman.rho(np.array([20.0, 25.0]))[0] == before
+    assert dickman.rho(30.0) > 0.0
+    assert dickman.rho(50.0) > 0.0
+    assert dickman.rho(25.0) == at_25
+    assert dickman.rho(20.0) == before
+    assert dickman.default_table() is table
+    assert table.u_max == 50.0
+
+
+def test_rho_extends_the_shared_table_by_the_missing_pieces_only():
+    # a piece depends only on the pieces below it: a build to a smaller
+    # extent fits the shared table's first pieces bit for bit, so the
+    # shared table is that build extended by the missing pieces alone
+    table = dickman.default_table()
+    for u_max in (20.0, 25.0):
+        built = oracles.build_rho_table(u_max)
+        assert built.u_max == u_max
+        assert len(built.pieces) == int(u_max)
+        for mine, fresh in zip(table.pieces, built.pieces):
+            assert np.array_equal(mine, fresh)
+        u = np.linspace(0.0, u_max, 2001)
+        assert np.array_equal(dickman.rho(u), built.eval(u))
 
 
 def test_shipped_pieces_module_is_the_generated_text():
