@@ -274,13 +274,24 @@ def _prime_pi_table(N: int) -> tuple[np.ndarray, np.ndarray]:
     v // p = N // (k p) is again in the table: large[k p] while
     k p <= r, else small[N // (k p)].  Once every prime <= sqrt(N) is
     out, S(v) = pi(v).
+
+    The dense primes p <= c = iroot(N, 3) take one step each.  The
+    sparse primes c < p <= r then go in one pass, ``_sparse_primes_pass``:
+    p^3 > N makes their steps independent.  Each reads S(N // (k p)) with
+    N // (k p) <= N / p < p^2 < N^(2/3); that entry changes only under
+    primes q with q^2 <= N / p, all dense, so it is final.  Each writes
+    only large[k] with k <= N // p^2 < N^(1/3), whose N // k > N^(2/3)
+    no sparse step reads, and never small, as p^2 > r.
     """
     r = math.isqrt(N)
+    c = _iroot(N, 3)
     idx = np.arange(r + 1, dtype=np.int64)
     small = np.maximum(idx - 1, 0)
     large = np.zeros(r + 1, dtype=np.int64)
     large[1:] = N // idx[1:] - 1
-    for p in primes_up_to(r).tolist():
+    primes = primes_up_to(r)
+    dense = int(np.searchsorted(primes, c, side="right"))
+    for p in primes[:dense].tolist():
         below = small[p - 1]
         top = min(r, N // (p * p))  # large[k] with N // k >= p^2
         inner = min(top, r // p)  # k p <= r
@@ -288,7 +299,79 @@ def _prime_pi_table(N: int) -> tuple[np.ndarray, np.ndarray]:
         large[inner + 1 : top + 1] -= small[N // (idx[inner + 1 : top + 1] * p)] - below
         if p * p <= r:
             small[p * p :] -= small[idx[p * p :] // p] - below
+    del idx
+    _sparse_primes_pass(N, primes[dense:], small, large)
     return small, large
+
+
+def _sparse_primes_pass(N: int, sparse: np.ndarray, small: np.ndarray, large: np.ndarray) -> None:
+    """Lucy's steps of the primes ``sparse``, all with p^3 > N, in one pass
+    over the table the smaller primes left, where each S it reads is final:
+
+        large[k] -= sum_{p : p^2 <= N // k} (S(N // (k p)) - pi(p - 1))
+
+    The primes of k are a prefix of ``sparse``, n_k long, as ``sparse``
+    ascends.  The (k, p) pairs run in blocks of at most r + 1, in order
+    of k, so a block is whole prefixes; each prefix sum of S is one
+    ``np.add.reduceat`` segment, and the pi(p - 1) are summed once.
+    """
+    if not sparse.size:
+        return
+    r = small.size - 1
+    tops = N // (sparse * sparse)  # descending; p serves k <= tops[p]
+    K = int(tops[0])
+    ks = np.arange(1, K + 1, dtype=np.int64)
+    counts = np.searchsorted(-tops, -ks, side="right")  # n_k = #{p : tops[p] >= k}
+    below = np.zeros(sparse.size + 1, dtype=np.int64)
+    np.cumsum(small[sparse - 1], out=below[1:])
+    large[1 : K + 1] += below[counts]
+    ends = np.cumsum(counts)
+    a = 0
+    while a < K:
+        # k = a + 1 .. b: the longest run with at most r + 1 pairs, at least
+        # one k, as n_k <= sparse.size <= r
+        b = int(np.searchsorted(ends, ends[a] - counts[a] + r + 1, side="right"))
+        large[a + 1 : b + 1] -= _prefix_sums(N, sparse, ks[a:b], counts[a:b], small, large)
+        a = b
+
+
+def _prefix_sums(
+    N: int, sparse: np.ndarray, ks: np.ndarray, n: np.ndarray, small: np.ndarray, large: np.ndarray
+) -> np.ndarray:
+    """sum_{j < n_k} S(N // (k p_j)) for each k of ``ks``, p_j = sparse[j], n_k = ``n``.
+
+    Its block temporaries, a few arrays of n.sum() entries, are freed on return.
+    """
+    r = small.size - 1
+    starts = np.cumsum(n) - n
+    j = np.arange(int(n.sum()))
+    j -= np.repeat(starts, n)
+    v = sparse[j]
+    del j
+    v *= np.repeat(ks, n)  # k p
+    np.floor_divide(N, v, out=v)  # v = N // (k p)
+    # v > r only where k p <= r; then S(v) = large[N // v], as N // (N // v) = v
+    big = v > r
+    s = small.take(v, mode="clip")
+    s[big] = large[N // v[big]]
+    return np.add.reduceat(s, starts)
+
+
+def _largest_prime_factors(n: int) -> np.ndarray:
+    """P+(m) for 0 <= m <= n, as int32: ``_sieve_segment``'s lpf alone, n < 2^31.
+
+    Every prime p <= sqrt(n) is divided out of ``rem``, once per power,
+    and written on its multiples in ascending order, so ``lpf`` holds the
+    largest of them.  What stays in ``rem`` is 1 or a prime above them
+    all; the maximum of the two is P+(m), with P+(0) = 0 and P+(1) = 1.
+    """
+    rem = np.arange(n + 1, dtype=np.int32)
+    lpf = np.zeros(n + 1, dtype=np.int32)
+    for p in primes_up_to(math.isqrt(n)).tolist():
+        for s in _power_slices(0, n, p):
+            rem[s] //= p
+        lpf[p::p] = p
+    return np.maximum(lpf, rem, out=lpf)
 
 
 def _listed_psi(N: int, z: int, limit: int) -> int | None:
@@ -325,8 +408,8 @@ def psi_count(N: int, y: float, *, threads: int = 1) -> int:
     count; summing m // r over the primes r in (A, m] by k counts, for
     each k, the primes in (A, m // k].  Every m met is N // d, so every
     m // k is N // (d k) and its pi is one lookup in ``_prime_pi_table(N)``.
-    When z >= isqrt(N) the root has no first sum and pi(z) comes from a
-    second table, ``_prime_pi_table(z)``.
+    When z >= isqrt(N) the root has no first sum, and pi(z) is small[z]
+    at z = isqrt(N), else one more table, ``_prime_pi_table(z)``.
 
     The children with m // r <= leaf = min(N^(3/5), one segment) are
     counted together from a largest-prime-factor table up to ``leaf``:
@@ -335,10 +418,14 @@ def psi_count(N: int, y: float, *, threads: int = 1) -> int:
     pi(min(s, m // n, P+(n) - 1)) - pi(lo) when positive, with
     lo = max(q, m // (leaf + 1)); the primes r in (q, lo] have
     m // r > leaf and recurse one by one.  When at most ``leaf`` of the
-    n <= N are z-friable, ``_listed_psi`` lists them instead.  The
-    prime-count table takes about N^(3/4) / log N array updates where a
-    sieve of [1, N] took N; ``y = 1`` counts n = 1 alone, the P+(1) = 1
-    convention.
+    n <= N are z-friable, ``_listed_psi`` lists them instead.
+
+    The prime-count table takes about N^(3/4) / log N array updates where
+    a sieve of [1, N] took N, in one numpy step per prime p <= N^(1/3)
+    and one blocked pass for the primes above: p^3 > N makes every entry
+    such a p reads, S(N // (k p)) with N // (k p) < p^2, final once the
+    smaller primes are out, and none of them writes an entry another
+    reads.  ``y = 1`` counts n = 1 alone, the P+(1) = 1 convention.
     ``threads`` has no effect: the count runs in one thread.
     """
     if N < 1:
@@ -367,11 +454,12 @@ def psi_count(N: int, y: float, *, threads: int = 1) -> int:
 
     if z >= root:  # no prime r with z < r <= sqrt(N): only the second sum
         K = N // (z + 1)
-        return N - pi_sum(N, K) + K * int(_prime_pi_table(z)[1][1])
+        pi_z = small[z] if z == root else _prime_pi_table(z)[1][1]
+        return N - pi_sum(N, K) + K * int(pi_z)
 
     primes = primes_up_to(root)
     prime_list = primes.tolist()
-    lpf = _sieve_segment(0, leaf, primes_up_to(math.isqrt(leaf))).lpf
+    lpf = _largest_prime_factors(leaf)
 
     def rough(m: int, q: int) -> int:
         """T(m, q) for m = N // d and q <= root."""
@@ -480,8 +568,8 @@ def sifted_squarefree_arrays(limit: int, y: float) -> tuple[np.ndarray, np.ndarr
             if len(slices) == 2:
                 mu[slices[1]] = 0
         big = rem > 1
-        mu[big] *= -1
-        mu[big & (rem <= y)] = 0
+        np.negative(mu, out=mu, where=big)
+        np.copyto(mu, 0, where=big & (rem <= y))
         keep = np.flatnonzero(mu)
         ks.append(keep + a)
         mus.append(mu[keep].astype(np.int64))

@@ -205,6 +205,56 @@ def test_prime_pi_table_published_values():
 
 def test_psi_count_at_the_harper_size():
     assert sieve.psi_count(10**7, 1015) == 2043438
+    # README's harper ladder, confirmed there by the segmented sieve
+    assert sieve.psi_count(10**8, 2536) == 19199267
+    assert sieve.psi_count(10**9, 6757) == 188831647
+
+
+@given(st.integers(1, 3 * 10**6))
+# the dense/sparse boundary N^(1/3): cubes and their neighbours (97^3 = 912673)
+@example(1)
+@example(2)
+@example(7)
+@example(8)
+@example(9)
+@example(26)
+@example(27)
+@example(28)
+@example(124)
+@example(125)
+@example(126)
+@example(1330)
+@example(1331)
+@example(1332)
+@example(912672)
+@example(912673)
+@example(912674)
+@example(10**6)
+@settings(max_examples=40, deadline=None)
+def test_prime_pi_table_matches_the_primes(N):
+    small, large = sieve._prime_pi_table(N)
+    r = math.isqrt(N)
+    primes = sieve.primes_up_to(N)
+    assert np.array_equal(small, np.searchsorted(primes, np.arange(r + 1), side="right"))
+    assert large[0] == 0
+    ks = np.arange(1, r + 1)
+    assert np.array_equal(large[1:], np.searchsorted(primes, N // ks, side="right"))
+
+
+def test_prime_pi_table_sparse_pass_is_blocked():
+    # the sparse primes' (k, p) pairs, about 5.2*10^5 at 10^10, run in
+    # blocks of at most isqrt(N) + 1; in one block the peak is 14 tables
+    N = 10**10
+    sieve.primes_up_to(math.isqrt(N))  # the shared prime cache is not part of the table
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        small, large = sieve._prime_pi_table(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert large[1] == 455052511
+    assert peak <= 8 * 8 * (math.isqrt(N) + 1), peak / (8 * (math.isqrt(N) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +350,17 @@ def test_sieve_segment_matches_trial_division(bounds):
     assert np.array_equal(seg.lpf, lpf)
     assert np.array_equal(seg.spf, spf)
     assert np.array_equal(seg.mu, mu)
+
+
+@given(st.integers(0, _LIMIT))
+@example(0)
+@example(1)
+@example(3)
+@example(4)
+@example(_LIMIT)
+@settings(max_examples=30, deadline=None)
+def test_leaf_table_matches_trial_division(n):
+    assert np.array_equal(sieve._largest_prime_factors(n), _oracle_tables()[0][: n + 1])
 
 
 def test_psi_count_keeps_no_factor_tables():
