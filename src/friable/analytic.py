@@ -156,6 +156,8 @@ class HarperPrediction(NamedTuple):
     s1: float
     psi: int
     prediction: float  # s0 * s1 * psi^3 / N
+    psi_squared: int  # psi^2, the trivial bound on the ternary count
+    within_trivial_bound: bool  # prediction <= psi_squared
 
 
 def harper_prediction(N: int, y: float) -> HarperPrediction:
@@ -163,12 +165,17 @@ def harper_prediction(N: int, y: float) -> HarperPrediction:
     returned with the terms it is built from.
 
     The S0 product is truncated at p_max = max(y, 10^6); Psi is exact.
-    ``solve_saddle_alpha`` refuses N < 2 and y outside [2, N].
+    ``solve_saddle_alpha`` refuses N < 2 and y outside [2, N].  The
+    ternary count is at most Psi(N, y)^2, as x1 and x2 are both y-friable
+    in [1, N]; near alpha = 1/3, where S1 diverges and S0 blows up, the
+    prediction can exceed that, and ``within_trivial_bound`` says whether
+    it does.  Nothing is refused.
     """
     sp = solve_saddle_alpha(N, y)
     s0 = singular_series_s0(sp.alpha, y, p_max=max(int(y), 10**6))
     s1 = singular_series_s1(sp.alpha)
     psi = sieve.psi_count(N, y)
+    prediction = s0.value * s1 * psi**3 / N
     return HarperPrediction(
         alpha=sp.alpha,
         saddle_residual=sp.residual,
@@ -176,7 +183,9 @@ def harper_prediction(N: int, y: float) -> HarperPrediction:
         s0_tail_bound=s0.tail_bound,
         s1=s1,
         psi=psi,
-        prediction=s0.value * s1 * psi**3 / N,
+        prediction=prediction,
+        psi_squared=psi**2,
+        within_trivial_bound=prediction <= psi**2,
     )
 
 

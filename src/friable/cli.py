@@ -568,14 +568,18 @@ def _cmd_verify(args) -> tuple[dict, dict, dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later
+    ``run`` in the process.  It holds no value that can change while the
+    process runs: ``--threads`` defaults to None, which ``run`` resolves."""
     parser = _Parser(prog="friable", description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument(
-        "--threads", type=int, default=config.usable_cpus(),
+        "--threads", type=int,
         help="threads for count's mask sieve once N + 1 > 2^20 and for the U^3/U^4 "
         "derivative blocks of gowers, two blocks per thread at least; results are "
-        "the same for every count (default: the usable CPUs, here %(default)s)",
+        "the same for every count (default: the usable CPUs)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -651,6 +655,8 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads is None:
+            args.threads = config.usable_cpus()
         if args.threads < 1:
             raise ArgumentError("thread count must be >= 1")
         start = time.perf_counter()

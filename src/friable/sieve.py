@@ -150,15 +150,17 @@ def _sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> FactorSieve:
     slices, one per power of p.  The writes in ascending order of p leave
     the largest small prime in ``lpf``, those in descending order the
     smallest in ``spf``.  What stays in ``rem`` is 1 or a single prime
-    above sqrt(hi), which is then the largest prime factor.  ``rem`` runs
-    in ``int32`` below 2^31, as in ``_remainder_kernel``; the tables are
-    ``int64`` whatever the segment.
+    above sqrt(hi): the largest prime factor is the maximum of ``lpf`` and
+    ``rem``, and such a prime flips mu.  ``spf`` starts as n itself, which
+    only the n with no prime factor <= sqrt(hi) keep.  ``rem``, ``lpf`` and
+    ``spf`` run in ``int32`` below 2^31, as in ``_remainder_kernel``, and
+    are cast once to the ``int64`` tables.
     """
     n = hi - lo + 1
-    lpf = np.zeros(n, dtype=np.int64)
-    spf = np.zeros(n, dtype=np.int64)
-    mu = np.ones(n, dtype=np.int8)
     rem = np.arange(lo, hi + 1, dtype=np.int32 if hi < 2**31 else np.int64)
+    lpf = np.zeros(n, dtype=rem.dtype)
+    spf = rem.copy()
+    mu = np.ones(n, dtype=np.int8)
     small = base_primes[: int(np.searchsorted(base_primes, math.isqrt(hi), side="right"))]
     strides = [(p, _power_slices(lo, hi, p)) for p in small.tolist()]
     for p, slices in strides:
@@ -172,10 +174,9 @@ def _sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> FactorSieve:
     for p, slices in reversed(strides):
         if slices:
             spf[slices[0]] = p
-    big = rem > 1
-    np.copyto(lpf, rem, where=big)
-    np.negative(mu, out=mu, where=big)
-    np.copyto(spf, rem, where=spf == 0)
+    np.maximum(lpf, rem, out=lpf)
+    mu *= 1 - 2 * (rem > 1).view(np.int8)
+    lpf, spf = lpf.astype(np.int64, copy=False), spf.astype(np.int64, copy=False)
     if lo <= 0 <= hi:
         i = 0 - lo
         lpf[i], spf[i], mu[i] = 0, 0, 0
@@ -539,7 +540,8 @@ def sifted_squarefree_arrays(limit: int, y: float) -> tuple[np.ndarray, np.ndarr
     mu on the multiples of p^2.  A k whose mu is still nonzero is then
     squarefree over the primes <= sqrt(limit), none of them <= y, and
     rem[k] <= limit is 1 or a single prime q > sqrt(limit): q flips mu,
-    and zeroes it when q <= y too.
+    and zeroes it when q <= y too, so mu is multiplied by
+    (rem == 1) - (rem > y), with y >= 1.
 
     ``y = 1`` sifts nothing out: every squarefree k <= limit is kept.
     """
@@ -567,9 +569,7 @@ def sifted_squarefree_arrays(limit: int, y: float) -> tuple[np.ndarray, np.ndarr
             rem[slices[0]] //= p
             if len(slices) == 2:
                 mu[slices[1]] = 0
-        big = rem > 1
-        np.negative(mu, out=mu, where=big)
-        np.copyto(mu, 0, where=big & (rem <= y))
+        mu *= (rem == 1).view(np.int8) - (rem > y).view(np.int8)
         keep = np.flatnonzero(mu)
         ks.append(keep + a)
         mus.append(mu[keep].astype(np.int64))

@@ -176,6 +176,17 @@ def test_harper_prediction_near_the_s1_divergence():
     assert terms.s1 == pytest.approx(oracles.s1_quad(terms.alpha), rel=1e-10)
 
 
+def test_harper_prediction_is_flagged_above_the_trivial_bound():
+    # the ternary count is at most Psi^2; near alpha = 1/3 the prediction is not
+    near = analytic.harper_prediction(10**6, 20.0)
+    assert near.psi_squared == near.psi**2 == 8751**2
+    assert near.prediction > near.psi_squared and near.within_trivial_bound is False
+    # criterion 8's point
+    ok = analytic.harper_prediction(10**4, 100.0)
+    assert ok.psi_squared == ok.psi**2 == 3716**2
+    assert ok.prediction <= ok.psi_squared and ok.within_trivial_bound is True
+
+
 def test_harper_prediction_y_equals_N():
     N = 200
     sp = analytic.solve_saddle_alpha(N, float(N))

@@ -324,6 +324,36 @@ def test_threads_flag_is_applied_and_validated(tmp_path, monkeypatch, capsys):
     assert config.usable_cpus() == 6
 
 
+def test_one_parser_serves_every_run(tmp_path, monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # a refused argv, half parsed into a subcommand, leaves the shared
+    # parser as it was: the next run gives the pinned digest
+    assert run_cli(tmp_path, "dickman", "--u", "2", "--table", "3", "1") == 64
+    assert run_cli(tmp_path, "count", "--forms", "x1", "--N", "5") == 64
+    assert run_cli(tmp_path, "dickman", "--u", "2") == 0
+    assert read_manifest(tmp_path, "dickman")["output_digest"] == (
+        "68de92a9d32c6bcd60f9ed60efd64d32d0edc7697b36b12cfe3c260a27d5709a"
+    )
+    # the --threads default is read on each run, not when the parser is built
+    for cpus in (5, 1):
+        monkeypatch.setattr(config, "usable_cpus", lambda: cpus)
+        assert run_cli(tmp_path, "dickman", "--u", "2") == 0
+        assert read_manifest(tmp_path, "dickman")["threads"] == cpus
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in cli._DISPATCH), out
+
+
+def test_harper_reports_the_trivial_bound(tmp_path):
+    assert run_cli(tmp_path, "harper", "--N", "1000000", "--y", "20") == 0
+    result = read_result(tmp_path, "harper")["result"]
+    assert result["psi_squared"] == result["psi"] ** 2
+    assert result["within_trivial_bound"] is False
+
+
 def _as_hpoly_spec(lows_highs):
     d = len(lows_highs)
     rows = []

@@ -43,6 +43,11 @@ def test_tables_match_trial_division():
         assert t.lpf[n] == oracles.lpf(n), n
         assert t.spf[n] == (sieve.SPF_INFINITY if spf == math.inf else spf), n
         assert t.mu[n] == oracles.mu(n), n
+    # the shortest segments, where rem keeps primes as small as 2
+    for hi in range(10):
+        t = sieve.build_factor_sieve(0, hi)
+        assert t.lpf.tolist() == [oracles.lpf(n) for n in range(hi + 1)]
+        assert t.mu.tolist() == [oracles.mu(n) for n in range(hi + 1)]
 
 
 def test_prime_invariants_in_segment():
@@ -350,6 +355,19 @@ def test_sieve_segment_matches_trial_division(bounds):
     assert np.array_equal(seg.lpf, lpf)
     assert np.array_equal(seg.spf, spf)
     assert np.array_equal(seg.mu, mu)
+    assert seg.lpf.dtype == seg.spf.dtype == np.int64
+
+
+def test_sieve_segment_across_two_to_the_31():
+    # the int64 path, which the segments above never reach: rem, lpf and spf
+    # run in int64 once hi >= 2^31
+    lo, hi = 2**31 - 64, 2**31 + 64
+    seg = sieve._sieve_segment(lo, hi, sieve.primes_up_to(math.isqrt(hi)))
+    ns = range(lo, hi + 1)
+    assert seg.lpf.tolist() == [oracles.lpf(n) for n in ns]
+    assert seg.spf.tolist() == [oracles.spf(n) for n in ns]
+    assert seg.mu.tolist() == [oracles.mu(n) for n in ns]
+    assert seg.lpf.dtype == seg.spf.dtype == np.int64
 
 
 @given(st.integers(0, _LIMIT))
