@@ -25,6 +25,56 @@ from .errors import ArgumentError, NumericError, ResourceError
 _SADDLE_LO = 1e-6
 _SADDLE_HI = 8.0
 _MERTENS_MAX_N = 100_000_000
+# Below this many terms exact_sum hands the array to math.fsum.  Medians of
+# 400 interleaved calls (2-vCPU VM): at 512 terms fsum took 14.7 us and the
+# limb kernel 11.1 us over a 93-bit span of exponents, 25.5 us and 27.5 us
+# over a 353-bit span; at 1024 terms 30.1/12.3 us and 51.3/32.9 us.
+_EXACT_SUM_MIN = 1024
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()) of a 1-d float64 array, bit for bit, by array passes.
+
+    Every term is an integer multiple of 2^lo, lo the exponent of the last
+    bit of the smallest nonzero |x|, and below 2^hi.  Scaled by 2^(B - hi),
+    the terms lie in (-2^B, 2^B); limbs of B = 62 - bitlen(n - 1) bits are
+    peeled from the top by np.trunc, a subtraction and a multiplication by
+    2^B, each exact, until the bits down to 2^lo are taken.  Each limb is
+    summed in int64, which cannot overflow as n 2^B <= 2^62, and the limb
+    sums make one Python integer I with sum x = I 2^(hi - L B) exactly for
+    L limbs.  One integer division then rounds it once, half to even, as
+    fsum does.  Short arrays, non-finite or all-zero ones, and those whose
+    scaling is not exact (a factor 2^(B - hi) beyond the float range, or
+    low bits that would fall below 2^-1074) or whose prefix sums could
+    overflow in fsum go to math.fsum itself.
+    """
+    n = x.size
+    if n < _EXACT_SUM_MIN:
+        return math.fsum(x.tolist())
+    B = 62 - (n - 1).bit_length()
+    r = np.abs(x)
+    top = float(r.max())
+    if not 0.0 < top < math.inf:  # nan, inf or only zeros
+        return math.fsum(x.tolist())
+    low = float(r.min())
+    if low == 0.0:
+        low = float(np.min(r, where=r > 0.0, initial=math.inf))
+    hi = math.frexp(top)[1]  # every |x| < 2^hi
+    lo = max(math.frexp(low)[1] - 53, -1074)  # every x is a multiple of 2^lo
+    if not B - 1022 <= hi <= 1021 - n.bit_length() or hi - lo > B + 1074:
+        return math.fsum(x.tolist())
+    np.multiply(x, 2.0 ** (B - hi), out=r)
+    t = np.empty_like(r)
+    limbs = -((lo - hi) // B)
+    total = 0
+    for j in range(limbs):
+        np.trunc(r, out=t)
+        total = (total << B) + int(np.add.reduce(t, dtype=np.int64))
+        if j + 1 < limbs:
+            r -= t
+            r *= 2.0**B
+    shift = limbs * B - hi
+    return total / (1 << shift) if shift >= 0 else float(total << -shift)
 
 
 @dataclass(frozen=True)
@@ -122,8 +172,9 @@ def singular_series_s0(alpha: float, y: float, p_max: int) -> SingularSeries0:
     factors = np.concatenate(terms) if terms else np.zeros(0)
     tail_bound = 2.0 / p_max
     if np.all(factors > -1.0):
-        # exact-sum of log1p terms: value independent of evaluation order
-        value = math.exp(math.fsum(np.log1p(factors).tolist()))
+        # exact sum of the log1p terms (exact_sum, equal to math.fsum): the
+        # value does not depend on the order of the primes
+        value = math.exp(exact_sum(np.log1p(factors)))
     else:
         value = float(np.prod(1.0 + factors))
     return SingularSeries0(value=value, tail_bound=tail_bound)
@@ -210,8 +261,9 @@ def sifted_sums(N: int, u: float, tau: float | None = None) -> tuple[float, floa
     sum mu(k)/k, and, when tau is given, sum mu(k)^2/k over those k > N^(1-tau)
     (None otherwise).
 
-    Each is summed with math.fsum, so it is the correctly rounded value of
-    the exact sum of the floating-point terms.
+    Each is summed by ``exact_sum``, which equals math.fsum bit for bit, so
+    it is the correctly rounded value of the exact sum of the floating-point
+    terms.
     """
     if N < 2:
         raise ArgumentError(f"N must be >= 2, got {N}")
@@ -224,8 +276,8 @@ def sifted_sums(N: int, u: float, tau: float | None = None) -> tuple[float, floa
         if tau * u >= 1.0:
             raise ArgumentError(f"need tau * u < 1, got tau * u = {tau * u}")
     ks, mus = sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
-    tail = None if tau is None else math.fsum((1.0 / ks[ks > cutoff]).tolist())
-    return math.fsum((mus / ks).tolist()), tail
+    tail = None if tau is None else exact_sum(1.0 / ks[ks > cutoff])
+    return exact_sum(mus / ks), tail
 
 
 def sifted_mobius_sum(N: int, u: float) -> float:

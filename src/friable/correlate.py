@@ -39,6 +39,13 @@ SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 _SUBSET_POINT_BUDGET = 10**6
 _HTAU_TERM_BUDGET = 10**7
 _SCATTER_BLOCK = 1 << 20  # (k, multiple) pairs per np.add.at call
+# k with this many multiples take a strided slice, not the scatter.  At
+# N = 10^5, tau = 0.2, u = 1.5/2/3 (medians of 150 calls, 2-vCPU VM) the
+# pass over k <= N^(1-tau) fell from 1.52/1.93/2.52 ms to 0.14/0.73/0.42 ms;
+# a threshold of 8 took 0.90/1.22/1.44 ms there and doubled the pass over
+# the k above (0.23/0.23/0.32 -> 0.48/0.49/0.65 ms), whose few multiples
+# each cost a slice.
+_DENSE_MULTIPLES = 128
 _PHASE_BLOCK = 1 << 18  # phases computed per step of PhaseSequence.values
 
 
@@ -241,14 +248,21 @@ def _admissible_k(N: int, u: float, tau: float) -> tuple[np.ndarray, np.ndarray]
 def _divisor_pass(N: int, ks: np.ndarray, mus: np.ndarray, start: float) -> np.ndarray:
     """start + sum_k mu(k) 1[k | n] for n = 0..N; index 0 is 0.
 
-    One ordered scatter: the pairs (k, j k), j = 1..N // k, are laid out
-    k by k in ascending order, in blocks of about ``_SCATTER_BLOCK`` pairs,
-    and ``np.add.at`` applies them in that order.  Each n thus receives its
-    mu(k) in the same order as a strided ``out[::k] += mu(k)`` loop over
-    ascending k, so the sums are bit-identical to it.
+    A k with at least ``_DENSE_MULTIPLES`` multiples adds mu(k) by one
+    strided slice ``out[k::k] += mu(k)``.  As N // k falls when k rises,
+    these k are a prefix of the ascending ks.  The rest go through one
+    ordered scatter: the pairs (k, j k), j = 1..N // k, are laid out k by k
+    in ascending order, in blocks of about ``_SCATTER_BLOCK`` pairs, and
+    ``np.add.at`` applies them in that order.  Each n thus receives its
+    mu(k) in the same order as a strided loop over ascending k, so the
+    sums are bit-identical to it.
     """
     out = np.full(N + 1, start, dtype=np.float64)
     counts = N // ks
+    dense = int(np.count_nonzero(counts >= _DENSE_MULTIPLES))
+    for k, m in zip(ks[:dense].tolist(), mus[:dense].tolist()):
+        out[k::k] += m
+    ks, mus, counts = ks[dense:], mus[dense:], counts[dense:]
     ends = np.cumsum(counts)
     lo = 0
     while lo < ks.size:
@@ -270,7 +284,7 @@ def _truncated_mobius(N: int, ks: np.ndarray, mus: np.ndarray) -> tuple[np.ndarr
         raise ResourceError(
             f"h_tau sieve pass needs {work} updates, over budget {_HTAU_TERM_BUDGET}"
         )
-    mean = math.fsum((mus / ks).tolist())
+    mean = analytic.exact_sum(mus / ks)
     return _divisor_pass(N, ks, mus, -mean), mean
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from friable import analytic, sieve
@@ -203,6 +205,73 @@ def test_harper_argument_errors():
         analytic.harper_prediction(10, 11.0)
     with pytest.raises(ArgumentError):
         analytic.harper_prediction(1, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# exact sums
+# ---------------------------------------------------------------------------
+
+
+def _sum_outcome(fn, x):
+    """The bits of fn(x) (sign of zero and nan included), or the error it raises."""
+    try:
+        return float.hex(fn(x))
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def _sum_inputs(draw):
+    # lengths on both sides of the fsum crossover; the terms come from a
+    # seeded generator, as a drawn list of 3000 floats shrinks no better
+    n = draw(st.one_of(st.integers(0, 3000), st.sampled_from([1023, 1024, 1025])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, 300))
+    x = rng.standard_normal(n) * np.exp2(rng.integers(lo, hi + 1, n))
+    scale = draw(st.sampled_from(["plain", "some_tiny", "all_tiny", "huge", "zeros"]))
+    if scale == "some_tiny":  # a few subnormal or barely normal terms beside the rest
+        some = rng.random(n) < 0.05
+        x[some] = np.ldexp(rng.standard_normal(n), rng.integers(-1074, -960, n))[some]
+    elif scale == "all_tiny":  # every term below 2^-1000
+        x = np.ldexp(rng.standard_normal(n), rng.integers(-1074, -1000, n))
+    elif scale == "huge":  # b before -b near the overflow threshold: fsum raises
+        half = np.ldexp(np.abs(rng.standard_normal(n // 2)), rng.integers(1010, 1021, n // 2))
+        x = np.concatenate([half, -half, np.ones(n % 2)])
+    elif scale == "zeros":
+        x = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    if draw(st.booleans()):
+        # exact cancellation: the k smallest terms stay, each of the rest
+        # beside its negative, so the sum is that of the smallest terms
+        x = x[np.argsort(np.abs(x))]
+        k = draw(st.integers(0, 3))
+        rest = x[k:k + (n - k) // 2]
+        x = np.concatenate([x[:k], rest, -rest, np.zeros((n - k) % 2)])
+        rng.shuffle(x)
+    if draw(st.booleans()) and n:
+        specials = np.array([math.inf, -math.inf, math.nan, 5e-324, -(2.0**-1050)])
+        x[rng.integers(0, n, 2)] = rng.choice(specials, 2)
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_sum_inputs())
+# 2^20 terms just under 2^B = 2^42, the top limb full in every term: the
+# int64 limb sum, 2^20 (2^42 - 1) < 2^62, overflows if a limb takes 2 bits more
+@example(x=np.full(1 << 20, 2.0**42 - 1.0))
+def test_exact_sum_equals_fsum(x):
+    assert _sum_outcome(analytic.exact_sum, x) == _sum_outcome(lambda a: math.fsum(a.tolist()), x)
+
+
+def test_exact_sum_keeps_the_last_bit_at_every_span():
+    # one term with its last bit set, whose sum it is, beside pairs b, -b
+    # whose top bit lies d bits above that last bit, for d over more than two
+    # limb widths (B = 51 at 1025 terms): no width leaves the last limb short
+    for d in range(53, 53 + 2 * 51 + 3):
+        last = (1.0 + 2.0**-52) * (-1) ** d
+        big = np.full(512, 2.0 ** (d - 53))
+        x = np.concatenate([[last], big, -big])
+        assert analytic.exact_sum(x) == math.fsum(x.tolist()) == last, d
 
 
 # ---------------------------------------------------------------------------

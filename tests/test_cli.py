@@ -479,6 +479,15 @@ def test_fixed_outputs_are_unchanged(tmp_path):
     result = read_result(tmp_path, "mertens")["result"]
     assert result["sum"] == 0.31075202760741483
     assert result["mu2_tail"] == 0.22286461551045639
+    for u, total, tail in [
+        ("1.5", 0.5957318476658879, 0.2228646155104564),
+        ("2.5", 0.13954515793446468, 0.2660986708373564),
+        ("3", 0.056020343628373444, 0.3334421073776131),
+    ]:
+        assert run_cli(tmp_path, "mertens", "--N", "1000000", "--u", u, "--tau", "0.2") == 0
+        result = read_result(tmp_path, "mertens")["result"]
+        assert (result["sum"], result["mu2_tail"]) == (total, tail), u
+    assert analytic.harper_prediction(10**7, 1000).s0 == 1.0827729829009083
     # through the library: slab-walker counts (the cut triangle and a 4-term
     # progression x1 + j x2) and the subset audit's exact sums
     harper = forms.parse_form_system("x1; x2; x1+x2")

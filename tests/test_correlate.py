@@ -123,15 +123,19 @@ def test_h_tau_budget_bounds_the_head(monkeypatch):
     data=st.data(),
     start=st.floats(-4.0, 4.0),
     block=st.one_of(st.none(), st.integers(1, 64)),
+    dense=st.one_of(st.none(), st.integers(1, 64)),
 )
-def test_divisor_pass_equals_the_strided_loop_bit_for_bit(N, data, start, block):
+def test_divisor_pass_equals_the_strided_loop_bit_for_bit(N, data, start, block, dense):
     # admissible (k, mu(k)): sifted squarefree k up to a random limit <= N;
-    # a small block forces the scatter through several np.add.at calls
+    # a small block forces the scatter through several np.add.at calls, and
+    # a small dense threshold moves the split between strided slices and
+    # the scatter up through the k
     limit = data.draw(st.integers(1, N))
     y = data.draw(st.integers(1, N))
     ks, mus = sieve.sifted_squarefree_arrays(limit, y)
     expected = oracles.divisor_pass_strided(N, ks, mus, start)
-    with mock.patch.object(correlate, "_SCATTER_BLOCK", block or correlate._SCATTER_BLOCK):
+    with mock.patch.object(correlate, "_SCATTER_BLOCK", block or correlate._SCATTER_BLOCK), \
+            mock.patch.object(correlate, "_DENSE_MULTIPLES", dense or correlate._DENSE_MULTIPLES):
         assert _same_bits(correlate._divisor_pass(N, ks, mus, start), expected)
 
 
@@ -139,7 +143,8 @@ def test_divisor_pass_in_many_blocks(monkeypatch):
     N, u = 10**4, 2.0
     ks, mus = sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
     expected = oracles.divisor_pass_strided(N, ks, mus, -0.3)
-    monkeypatch.setattr(correlate, "_SCATTER_BLOCK", 1000)  # 16284 pairs: k = 1 alone, then 7 more blocks
+    # 16284 pairs: k = 1 takes a strided slice, the other 6284 go in 7 blocks
+    monkeypatch.setattr(correlate, "_SCATTER_BLOCK", 1000)
     assert _same_bits(correlate._divisor_pass(N, ks, mus, -0.3), expected)
 
 
