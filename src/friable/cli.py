@@ -421,7 +421,7 @@ def _cmd_count(args) -> tuple[dict, dict, dict]:
     body = parse_body_spec(body_text, system.dimension)
     u = parse_u_list(args.u)
     start = time.perf_counter()
-    count = forms.count_friable_values(system, body, args.N, u, threads=args.threads)
+    count = forms.count_friable_values(system, body, args.N, u)
     elapsed = time.perf_counter() - start
     vol = forms.volume(body)
     main = forms.main_term(vol, u)
@@ -577,9 +577,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument(
         "--threads", type=int,
-        help="threads for count's mask sieve once N + 1 > 2^20 and for the U^3/U^4 "
-        "derivative blocks of gowers, two blocks per thread at least; results are "
-        "the same for every count (default: the usable CPUs)",
+        help="threads for the U^3/U^4 derivative blocks of gowers, two blocks per "
+        "thread at least; results are the same for every count, and every other "
+        "command runs in one thread (default: the usable CPUs)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,12 +1,12 @@
 """The library's default budgets and the default thread count.
 
 The only runtime setting, the thread count T, is the CLI's ``--threads``
-flag, passed to the functions it splits.  It defaults to ``usable_cpus()``,
-which also caps every worker pool.  Threads split the segments of the mask
-sieve behind ``count`` (once N + 1 > ``DEFAULT_SEGMENT_SIZE``) and the
-U^3/U^4 derivative blocks of the Gowers norms (at least two blocks per
-worker; two threads ran U^3 1.39-1.51x faster at 9 blocks and 1.74x at 33
-on 2 vCPUs, see ``friable.gowers``).  Results are identical for every T.
+flag.  It defaults to ``usable_cpus()``, which also caps the package's one
+worker pool: the U^3/U^4 derivative blocks of the Gowers norms (at least
+two blocks per worker; see ``friable.gowers`` for its speed-ups, which need
+a free second CPU).  Every other computation, the mask sieve behind
+``count`` included, runs in the calling thread.  Results are identical for
+every T.
 The shared Dickman table has no setting: it ships as data on [0, 50]
 (see ``friable.dickman``).
 """

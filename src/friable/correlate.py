@@ -407,7 +407,7 @@ def subset_decomposition_bound(
         raise ResourceError(
             f"{npoints} lattice points exceed the subset budget {_SUBSET_POINT_BUDGET}"
         )
-    masks = forms._friable_masks(system, body, N, u, None, 1)
+    masks = forms._friable_masks(system, body, N, u, None)
     count = forms.lattice_sum(system, body, masks)
     rhos = [float(dickman.rho(ui)) for ui in u]
     hs = [mask - rho for mask, rho in zip(masks, rhos)]

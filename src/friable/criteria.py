@@ -41,6 +41,8 @@ def _no_size(name: str, N) -> None:
 def hildebrand(N=None):
     """Criterion 1: |Psi(N, N^(1/u)) / (N rho(u)) - 1| <= 3 u log(u+1) / log N."""
     N = 10**6 if N is None else N
+    if N < 2:
+        raise ArgumentError(f"hildebrand needs N >= 2 (its bound divides by log N), got {N}")
     header = ["u", "psi", "n_rho", "relative_deviation", "bound", "within"]
     rows = []
     for u in (1.5, 2.0, 2.5, 3.0):

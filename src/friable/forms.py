@@ -490,22 +490,21 @@ def count_friable_values(
     u: Sequence[float] | None = None,
     *,
     ys: Sequence[int] | None = None,
-    threads: int = 1,
 ) -> int:
     """#{n in K cap Z^d : P+(F_i(n)) <= y_i for every i}, exact.
 
     The thresholds are y_i = friable_bound(N, u_i), the largest integer y
     with y^(u_i) <= N, or, given in place of ``u``, the integers ``ys``.
     Form values equal to 0 or 1 count as friable (P+ convention).  The
-    count is ``lattice_sum`` of the friable masks.  ``threads`` splits the
-    segments of the mask sieve; both counts run in the calling thread.
+    count is ``lattice_sum`` of the friable masks; the sieve and the sum
+    both run in the calling thread.
     """
     if not check_pairwise_affine_independence(system):
         raise ArgumentError("two forms are affinely related")
-    return lattice_sum(system, body, _friable_masks(system, body, N, u, ys, threads))
+    return lattice_sum(system, body, _friable_masks(system, body, N, u, ys))
 
 
-def _friable_masks(system: FormSystem, body: ConvexBody, N: int, u, ys, threads: int) -> list:
+def _friable_masks(system: FormSystem, body: ConvexBody, N: int, u, ys) -> list:
     """Form i's friability mask over [0, N], for each i: the validate-and-sieve
     step of ``count_friable_values`` and the subset audit.  Takes exactly one
     of the exponents ``u`` and the thresholds ``ys``, one positive entry per
@@ -524,7 +523,7 @@ def _friable_masks(system: FormSystem, body: ConvexBody, N: int, u, ys, threads:
     _separable_layout(system, body)  # its ResourceError comes before sieving
     if ys is None:
         ys = [sieve.friable_bound(N, ui) for ui in u]
-    masks = sieve.friable_masks(N, ys, threads=threads)
+    masks = sieve.friable_masks(N, ys)
     return [masks[y] for y in ys]
 
 

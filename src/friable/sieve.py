@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -427,7 +426,9 @@ def psi_count(N: int, y: float, *, threads: int = 1) -> int:
     such a p reads, S(N // (k p)) with N // (k p) < p^2, final once the
     smaller primes are out, and none of them writes an entry another
     reads.  ``y = 1`` counts n = 1 alone, the P+(1) = 1 convention.
-    ``threads`` has no effect: the count runs in one thread.
+    ``threads`` has no effect: the count runs in one thread.  The argument
+    stays because the benchmark tracer binds it by name; it goes with the
+    tracer's change (ROADMAP 1b).
     """
     if N < 1:
         raise ArgumentError(f"N must be >= 1, got {N}")
@@ -484,14 +485,14 @@ def psi_count(N: int, y: float, *, threads: int = 1) -> int:
     return N - rough(N, z)
 
 
-def friable_masks(N: int, ys: Sequence[float], *, threads: int = 1) -> dict[float, np.ndarray]:
+def friable_masks(N: int, ys: Sequence[float]) -> dict[float, np.ndarray]:
     """{y: mask} for each distinct y in ``ys``, mask[n] = (P+(n) <= y) on 0 <= n <= N.
 
-    One pass of ``_remainder_kernel`` over [0, N], split into segments that
-    min(``threads``, usable CPUs) workers fill.  ``rem`` starts as the
-    integers themselves; the primes are divided out in ascending order,
-    once per power, and the mask of y is the snapshot ``rem <= y`` taken
-    once every prime <= z = min(y, sqrt(N)) is out.  Proof, with r = rem[n]:
+    One pass of ``_remainder_kernel`` over [0, N], segment by segment in
+    the calling thread.  ``rem`` starts as the integers themselves; the
+    primes are divided out in ascending order, once per power, and the
+    mask of y is the snapshot ``rem <= y`` taken once every prime
+    <= z = min(y, sqrt(N)) is out.  Proof, with r = rem[n]:
 
     * every prime <= y is <= sqrt(N): r is 1 or has only prime factors
       above y, so r <= y iff r = 1 iff P+(n) <= y;
@@ -514,19 +515,9 @@ def friable_masks(N: int, ys: Sequence[float], *, threads: int = 1) -> dict[floa
     primes, levels = _remainder_plan(N, ys)
     masks = [np.empty(N + 1, dtype=bool) for _ in levels]
     segment_size = config.DEFAULT_SEGMENT_SIZE
-
-    def fill(a: int) -> None:
+    for a in range(0, N + 1, segment_size):
         b = min(a + segment_size - 1, N)
         _remainder_kernel(a, b, primes, levels, [m[a : b + 1] for m in masks])
-
-    starts = range(0, N + 1, segment_size)
-    workers = min(threads, config.usable_cpus(), len(starts))
-    if workers <= 1:
-        for a in starts:
-            fill(a)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))  # consumed, so a worker's exception propagates
     by_bound = {bound: m for (_, bound), m in zip(levels, masks)}
     return {y: by_bound[math.floor(min(y, N))] for y in ys}
 

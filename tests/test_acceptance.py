@@ -93,32 +93,18 @@ def test_criterion_8_harper_soft_check():
 
 
 def test_criterion_9_thread_determinism(monkeypatch):
-    N = 800
-    system = forms.parse_form_system(criteria.TERNARY)
-    # the simplex takes the convolution; cut by x1 - x2 <= N // 3 it takes
-    # the slab walker; the threads split only the sieve behind the masks
-    simplex = forms.ConvexBody.simplex(2, 1, N)
-    cut = forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 1], [1, -1]], [-1, -1, N, N // 3])
-    counts = {
-        name: {
-            forms.count_friable_values(system, body, N, (2.0, 2.0, 2.0), threads=t)
-            for t in (1, 4, 8)
-        }
-        for name, body in (("simplex", simplex), ("cut", cut))
-    }
-    # psi_count and the Harper prediction run in one thread; the mask sieve
-    # still splits its segments, 13 of them here
+    # the mask sieve runs in the calling thread; over 13 segments of 8191
+    # entries its mask still counts Psi(N, y) exactly
     monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 8191)
-    masks = [sieve.friable_masks(10**5, [316], threads=t)[316] for t in (1, 4, 8)]
-    masks_ok = all(np.array_equal(m, masks[0]) for m in masks[1:])
-    masks_ok = masks_ok and int(np.count_nonzero(masks[0][1:])) == sieve.psi_count(10**5, 316)
+    mask = sieve.friable_masks(10**5, [316])[316]
+    masks_ok = int(np.count_nonzero(mask[1:])) == sieve.psi_count(10**5, 316)
     # the U^3 norm of M = 4096 runs its 33 derivative blocks on the workers
     h = correlate.balanced_friable(4095, 2.0).values
     norms = {gowers.gowers_norm_cyclic(h, 3, threads=t) for t in (1, 2, 4)}
-    ok = all(len(c) == 1 for c in counts.values()) and masks_ok and len(norms) == 1
+    ok = masks_ok and len(norms) == 1
     print(
-        f"[{'PASS' if ok else 'FAIL'}] criterion 9: counts={counts}, "
-        f"friable masks at N = 10^5, y = 316 identical for 1, 4, 8 threads: {masks_ok}, "
+        f"[{'PASS' if ok else 'FAIL'}] criterion 9: friable mask at N = 10^5, "
+        f"y = 316 over 13 segments counts psi_count: {masks_ok}, "
         f"U^3 norms at M = 4096 for 1, 2, 4 threads: {norms}"
     )
     assert ok

@@ -243,6 +243,17 @@ def test_verify_harper_suite_small(tmp_path):
     assert "ratio" in result and "passed" in result
 
 
+def test_sized_suites_at_small_sizes(tmp_path, capsys):
+    # every size either runs or is refused with one error line and exit 2
+    for suite in ("hildebrand", "theorem1", "product", "harper"):
+        for n in [*range(-1, 14), 99, 100]:
+            code = run_cli(tmp_path, "verify", "--suite", suite, "--N", str(n))
+            err = capsys.readouterr().err
+            assert code in (0, 2), (suite, n, code)
+            if code == 2:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), (suite, n, err)
+
+
 def test_the_cli_imports_without_scipy():
     src = os.path.dirname(os.path.dirname(friable.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -272,23 +283,21 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path, argv):
 
 
 def test_threads_flag_is_applied_and_validated(tmp_path, monkeypatch, capsys):
-    seen = []
+    sieved = []
     friable_masks = sieve.friable_masks
 
-    def spy(N, ys, *, threads=1):
-        seen.append(threads)
-        return friable_masks(N, ys, threads=threads)
+    def spy(N, ys):
+        sieved.append(N)
+        return friable_masks(N, ys)
 
     monkeypatch.setattr(sieve, "friable_masks", spy)
     count = ("count", "--forms", "x1; x2; x1+x2", "--body", "simplex:1,N",
              "--N", "5000", "--u", "2,2,2")
-    # six segments of 977 entries, so three threads do split the mask sieve
-    monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 977)
+    # count runs in one thread: the manifest records T, the digest ignores it
     manifests = []
     for threads in ("1", "3"):
         assert run_cli(tmp_path, "--threads", threads, *count) == 0
         manifests.append(read_manifest(tmp_path, "count"))
-    assert seen == [1, 3]
     assert [m["threads"] for m in manifests] == [1, 3]
     assert manifests[0]["output_digest"] == manifests[1]["output_digest"]
     capsys.readouterr()
@@ -296,7 +305,7 @@ def test_threads_flag_is_applied_and_validated(tmp_path, monkeypatch, capsys):
         assert run_cli(tmp_path, "--threads", threads, *count) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: thread count must be >= 1"], err
-    assert seen == [1, 3]  # refused before any work
+    assert sieved == [5000, 5000]  # refused before any sieving
     assert run_cli(tmp_path, "--config", "f", *count) == 64
     # gowers: the flag reaches the norm, and the default is the usable CPUs
     norm_cyclic = gowers.gowers_norm_cyclic

@@ -407,16 +407,6 @@ def _walker_triangle(N):
     )
 
 
-def test_count_threads_deterministic():
-    # threads split the mask sieve's segments; both counts then run in one thread
-    for body in (forms.ConvexBody.simplex(2, 1, 400), _walker_triangle(400)):
-        vals = {
-            forms.count_friable_values(HARPER, body, 400, (2.0, 2.0, 2.0), threads=t)
-            for t in (1, 4, 8)
-        }
-        assert len(vals) == 1
-
-
 # ---------------------------------------------------------------------------
 # convolution dispatch against the slab walker
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 import functools
 import math
 import random
-import sys
-import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -428,45 +426,15 @@ def test_friable_masks_match_trial_division(args):
         assert np.array_equal(masks[y], lpf <= y), y
 
 
-def test_friable_masks_across_segments_and_threads(monkeypatch):
+def test_friable_masks_across_small_segments(monkeypatch):
     N = config.DEFAULT_SEGMENT_SIZE + 12345
     root = math.isqrt(N)
     ys = [2, 1000, root, root + 1, 2 * 10**5, N]
     lpf = sieve.build_factor_sieve(0, N).lpf
-    runs = [sieve.friable_masks(N, ys, threads=t) for t in (1, 2, 4)]
-    # many small segments on more threads than cores, switching often
     monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 4099)
-    monkeypatch.setattr(config, "usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs.append(sieve.friable_masks(N, ys, threads=8))
-    finally:
-        sys.setswitchinterval(interval)
+    masks = sieve.friable_masks(N, ys)
     for y in ys:
-        assert np.array_equal(runs[0][y], lpf <= y), y
-        for other in runs[1:]:
-            assert np.array_equal(other[y], runs[0][y]), y
-
-
-def test_friable_masks_pool_is_capped_by_the_usable_cpus(monkeypatch):
-    N = 50000
-    ys = [2, 100, math.isqrt(N), N]
-    serial = sieve.friable_masks(N, ys, threads=1)
-    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(config, "DEFAULT_SEGMENT_SIZE", 1000)  # 51 segments
-    seen = set()
-    kernel = sieve._remainder_kernel
-
-    def spy(*args):
-        seen.add(threading.get_ident())
-        return kernel(*args)
-
-    monkeypatch.setattr(sieve, "_remainder_kernel", spy)
-    capped = sieve.friable_masks(N, ys, threads=64)
-    assert 1 <= len(seen) <= 2
-    for y in ys:
-        assert np.array_equal(capped[y], serial[y]), y
+        assert np.array_equal(masks[y], lpf <= y), y
 
 
 def test_friable_masks_keep_no_factor_tables():
