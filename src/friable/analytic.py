@@ -278,8 +278,3 @@ def sifted_sums(N: int, u: float, tau: float | None = None) -> tuple[float, floa
     ks, mus = sieve.sifted_squarefree_arrays(N, sieve.friable_bound(N, u))
     tail = None if tau is None else exact_sum(1.0 / ks[ks > cutoff])
     return exact_sum(mus / ks), tail
-
-
-def sifted_mobius_sum(N: int, u: float) -> float:
-    """sum mu(k)/k over squarefree k <= N with P-(k) > N^(1/u) (``sifted_sums``)."""
-    return sifted_sums(N, u)[0]

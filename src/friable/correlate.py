@@ -23,20 +23,18 @@ which would otherwise inject a meaningless O(#k) spike).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import analytic, config, dickman, forms, sieve
+from . import analytic, config, dickman, sieve
 from .errors import ArgumentError, ResourceError
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0   # badly approximable
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 
-_SUBSET_POINT_BUDGET = 10**6
 _HTAU_TERM_BUDGET = 10**7
 _SCATTER_BLOCK = 1 << 20  # (k, multiple) pairs per np.add.at call
 # k with this many multiples take a strided slice, not the scatter.  At
@@ -363,76 +361,3 @@ def sigma2_bound_scale(N: int, u: float, tau: float) -> float:
     """u N (tau u + rho(u) log(u+1) / log N), the scale of the bound on |Sigma_2|."""
     rho_u = float(dickman.rho(u))
     return u * N * (tau * u + rho_u * math.log(u + 1.0) / math.log(N))
-
-
-# ---------------------------------------------------------------------------
-# subset decomposition over a form system
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Exact numeric audit of the balanced-function subset decomposition.
-
-    lhs = |count - Vol prod rho| must be at most the sum of the 2^t - 1
-    subset correlation magnitudes plus the lattice-vs-volume boundary term
-    |#points - Vol| * prod rho (an O(N^(d-1)) quantity); ``slack`` reports
-    the margin.
-    """
-
-    count: int
-    lattice_points: int
-    volume: float
-    main_term: float
-    lhs: float
-    subset_sums: dict[tuple[int, ...], float]
-    subset_bound: float
-    boundary_term: float
-    slack: float
-    holds: bool
-
-
-def subset_decomposition_bound(
-    system: forms.FormSystem, body: forms.ConvexBody, N: int, u: Sequence[float]
-) -> DecompositionReport:
-    """Evaluate every subset correlation sum exactly and check the bound.
-
-    The sum of subset s is ``forms.lattice_sum`` of h_i = 1_i - rho(u_i)
-    over the forms of s.  A body of more than ``_SUBSET_POINT_BUDGET``
-    lattice points raises ResourceError; the inputs are otherwise validated
-    as ``forms.count_friable_values`` validates them.
-    """
-    npoints = forms.lattice_point_count(body)
-    if npoints > _SUBSET_POINT_BUDGET:
-        raise ResourceError(
-            f"{npoints} lattice points exceed the subset budget {_SUBSET_POINT_BUDGET}"
-        )
-    masks = forms._friable_masks(system, body, N, u, None)
-    count = forms.lattice_sum(system, body, masks)
-    rhos = [float(dickman.rho(ui)) for ui in u]
-    hs = [mask - rho for mask, rho in zip(masks, rhos)]
-    sums = {}
-    for size in range(1, system.count + 1):
-        for s in itertools.combinations(range(system.count), size):
-            subsystem = forms.FormSystem(tuple(system.forms[i] for i in s))
-            sums[s] = forms.lattice_sum(subsystem, body, [hs[i] for i in s])
-    vol = float(forms.volume(body))
-    prod_rho = float(np.prod(rhos))
-    main = vol * prod_rho
-    lhs = abs(count - main)
-    subset_bound = sum(abs(v) for v in sums.values())
-    boundary = abs(npoints - vol) * prod_rho
-    slack = subset_bound + boundary - lhs
-    holds = lhs <= subset_bound + boundary + 1e-6 * max(1.0, abs(main))
-    return DecompositionReport(
-        count=count,
-        lattice_points=npoints,
-        volume=vol,
-        main_term=main,
-        lhs=lhs,
-        subset_sums=sums,
-        subset_bound=subset_bound,
-        boundary_term=boundary,
-        slack=slack,
-        holds=holds,
-    )

@@ -176,7 +176,7 @@ def mertens(N=None):
     rho_u = float(_dickman.rho(u))
     rows = []
     for N in (10**3, 10**4, 10**5, 10**6):
-        s = analytic.sifted_mobius_sum(N, u)
+        s = analytic.sifted_sums(N, u)[0]
         rows.append([N, s, abs(s - rho_u)])
     errors = [row[2] for row in rows]
     inversions = [(a, b) for a, b in zip(errors, errors[1:]) if b > a]

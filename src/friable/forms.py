@@ -16,9 +16,10 @@ volume of every bounded body.
 Every sum over the lattice points is one ``lattice_sum`` of
 prod_i w_i(F_i(n)), each w_i an array indexed by form i's values: the
 friable masks over [0, N] for a count, float weights for criterion 2's
-local-density sum and the subset audit.  Along one slab a form's values
-are an arithmetic progression, so its weights are a strided view, or one
-weight when the form does not depend on the innermost coordinate.
+local-density sum and the test suite's subset audit.  Along one slab a
+form's values are an arithmetic progression, so its weights are a strided
+view, or one weight when the form does not depend on the innermost
+coordinate.
 Separable systems, such as (x1, x2, x1 + x2) on a simplex, are counted by
 one FFT convolution of friable masks instead of slab by slab.
 """
@@ -497,20 +498,12 @@ def count_friable_values(
     with y^(u_i) <= N, or, given in place of ``u``, the integers ``ys``.
     Form values equal to 0 or 1 count as friable (P+ convention).  The
     count is ``lattice_sum`` of the friable masks; the sieve and the sum
-    both run in the calling thread.
+    both run in the calling thread, after every refusal: PreconditionError
+    when some form leaves [0, N] on the body, ResourceError when a
+    separable input is too large to convolve (``_separable_layout``).
     """
     if not check_pairwise_affine_independence(system):
         raise ArgumentError("two forms are affinely related")
-    return lattice_sum(system, body, _friable_masks(system, body, N, u, ys))
-
-
-def _friable_masks(system: FormSystem, body: ConvexBody, N: int, u, ys) -> list:
-    """Form i's friability mask over [0, N], for each i: the validate-and-sieve
-    step of ``count_friable_values`` and the subset audit.  Takes exactly one
-    of the exponents ``u`` and the thresholds ``ys``, one positive entry per
-    form.  Before sieving it raises PreconditionError when some form leaves
-    [0, N] on the body, and ResourceError when a separable input is too
-    large to convolve (see ``_separable_layout``)."""
     if (u is None) == (ys is None):
         raise ArgumentError("give exactly one of the exponents u and the thresholds ys")
     given = u if ys is None else ys
@@ -524,7 +517,7 @@ def _friable_masks(system: FormSystem, body: ConvexBody, N: int, u, ys) -> list:
     if ys is None:
         ys = [sieve.friable_bound(N, ui) for ui in u]
     masks = sieve.friable_masks(N, ys)
-    return [masks[y] for y in ys]
+    return lattice_sum(system, body, [masks[y] for y in ys])
 
 
 def lattice_sum(system: FormSystem, body: ConvexBody, weights: Sequence[np.ndarray]):

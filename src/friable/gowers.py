@@ -31,12 +31,13 @@ holding rows of consecutive h2 and, at k = 4, of several h1.  The blocks
 are independent, and numpy's FFTs release the interpreter lock, so W
 worker threads share them: worker w takes the blocks w, w + W, ...  W is
 ``threads``, at most the usable CPUs and one per ``_BLOCKS_PER_WORKER``
-= 2 blocks, and at least 1; one worker runs in the calling thread.  Each
-worker reuses one set of work arrays per row dtype (rows, spectrum and
-fourth powers: 5 MB for real rows and 6 MB for complex ones, whatever M),
-allocated by the calling thread.
-Each block total is one float, and the calling thread adds them in block
-order, so the norm has the same bits for every W.  Speed-up of 2
+= 2 blocks, and at least 1; one worker runs in the calling thread.  The
+real and the complex rows of U^4 are summed apart, each kind by its own
+blocks and workers.  Each worker reuses one set of work arrays (rows,
+spectrum and fourth powers: 5 MB for real rows and 6 MB for complex ones,
+whatever M), allocated by the calling thread.  Each block total is one
+float, and the calling thread adds them in block order, then the two
+kinds, so the norm has the same bits for every W.  Speed-up of 2
 workers over 1 on balanced friable functions, 2-vCPU host, medians of
 20-40 interleaved runs in two sweeps: U^3 at M = 1024 (3 blocks)
 0.78-1.11x cyclic and 0.74-0.91x as the interval norm at N = 511, hence
@@ -77,7 +78,6 @@ binom(s - 1, j - 1).  Summing N + 1 - s over s gives
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -206,31 +206,23 @@ def _workers(threads: int, blocks: int) -> int:
     return max(1, min(threads, config.usable_cpus(), blocks // _BLOCKS_PER_WORKER))
 
 
-def _block_totals(blocks: list[list[tuple]], work: dict, mine: range) -> list[float]:
-    """The totals of the blocks numbered ``mine``, through ``work``, one set
-    of work arrays per row dtype."""
-    return [work[blocks[i][0][0].dtype].total(blocks[i]) for i in mine]
-
-
-def _derivative_sum(kinds: list[list[tuple]], M: int, threads: int) -> float:
-    """sum_r w_r ||r||_{U^2}^4 over the rows of every source of ``kinds``, a
-    list of sources of one dtype each, in blocks of ``_BLOCK_ENTRIES`` row
-    entries (at least one row).  Worker w of W takes the blocks w, w + W,
-    ...; each kind's block totals are then added in block order from 0.0,
-    and the kinds in order, so the sum does not depend on W."""
-    chunk = min(max(1, _BLOCK_ENTRIES // M), sum(w.size for sources in kinds for _, _, w in sources))
-    plans = [_block_plan(sources, chunk) for sources in kinds]
-    blocks = [block for plan in plans for block in plan]
+def _derivative_sum(sources: list[tuple], M: int, threads: int) -> float:
+    """sum_r w_r ||r||_{U^2}^4 over the rows of ``sources``, all of one
+    dtype, in blocks of ``_BLOCK_ENTRIES`` row entries (at least one row).
+    Worker w of W takes the blocks w, w + W, ...; the block totals are then
+    added in block order from 0.0, so the sum does not depend on W."""
+    chunk = min(max(1, _BLOCK_ENTRIES // M), sum(w.size for _, _, w in sources))
+    blocks = _block_plan(sources, chunk)
     workers = _workers(threads, len(blocks))
     parts = [range(w, len(blocks), workers) for w in range(workers)]
     # allocated in this thread: what a worker thread allocates stays in that
     # thread's malloc arena after it ends (14 MB more peak RSS over repeated
     # count_gowers campaigns on a 2-vCPU host)
-    work = [
-        {dtype: _WorkArrays(M, dtype, chunk) for dtype in {blocks[i][0][0].dtype for i in part}}
-        for part in parts
-    ]
-    run = functools.partial(_block_totals, blocks)
+    work = [_WorkArrays(M, sources[0][0].dtype, chunk) for _ in parts]
+
+    def run(arrays: _WorkArrays, mine: range) -> list[float]:
+        return [arrays.total(blocks[i]) for i in mine]
+
     if workers == 1:
         results = [run(work[0], parts[0])]
     else:
@@ -239,14 +231,10 @@ def _derivative_sum(kinds: list[list[tuple]], M: int, threads: int) -> float:
     totals = [0.0] * len(blocks)
     for w, result in enumerate(results):
         totals[w::workers] = result
-    by_kind = []
-    for plan in plans:
-        kind_total = 0.0
-        for total in totals[: len(plan)]:
-            kind_total += total
-        by_kind.append(kind_total)
-        totals = totals[len(plan) :]
-    return sum(by_kind)
+    total = 0.0
+    for block_total in totals:
+        total += block_total
+    return total
 
 
 def _uk_pow(vals: np.ndarray, k: int, threads: int = 1) -> float:
@@ -262,7 +250,7 @@ def _uk_pow(vals: np.ndarray, k: int, threads: int = 1) -> float:
     M = vals.size
     half = _half_weights(M)
     if k == 3:
-        return _derivative_sum([[(vals, 0, half)]], M, threads) / M
+        return _derivative_sum([(vals, 0, half)], M, threads) / M
     derivatives = sliding_window_view(np.concatenate((vals, vals)), M)[: half.size] * np.conj(vals)
     by_kind: dict[str, list[tuple]] = {}  # real and complex derivatives, in order of h1
     for h1, g in enumerate(derivatives):
@@ -271,7 +259,7 @@ def _uk_pow(vals: np.ndarray, k: int, threads: int = 1) -> float:
         weights = (2.0 * half[h1]) * half[h1:]  # the pairs (h1, h2) and (h2, h1)
         weights[0] = half[h1] * half[h1]  # the diagonal pair, once
         by_kind.setdefault(g.dtype.kind, []).append((g, h1, weights))
-    return _derivative_sum(list(by_kind.values()), M, threads) / (M * M)
+    return sum(_derivative_sum(sources, M, threads) for sources in by_kind.values()) / (M * M)
 
 
 def _root(power: float, k: int) -> float:

@@ -17,9 +17,13 @@ autocorrelation sums and direct (k+1)-fold Gowers sums instead of FFTs,
 full complex FFTs instead of the real path's folded half spectrum, and
 Python's csv module row by row instead of the blocked CSV writer.
 
-It also holds the builder of the Dickman table, ``build_rho_table``: the
-library reads the table's pieces as shipped data (``friable._rho_pieces``),
-and the tests rebuild them here to check the shipped bytes.
+It also holds two pieces of test-only code that are not disjoint oracles.
+The builder of the Dickman table, ``build_rho_table``: the library reads
+the table's pieces as shipped data (``friable._rho_pieces``), and the
+tests rebuild them here to check the shipped bytes.  And the subset audit,
+``subset_decomposition_bound``: it sums the paper's expansion of
+prod_i (rho(u_i) + h_i) over subsets of the forms with the library's own
+``forms.lattice_sum`` and sieve, and nothing in the library calls it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ import csv
 import io
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -39,6 +45,7 @@ from scipy.interpolate import BarycentricInterpolator
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
+from friable import dickman, forms, sieve
 from friable.dickman import _DEGREE, DickmanTable
 from friable.errors import ArgumentError, NumericError, PreconditionError, ResourceError
 from friable.forms import AffineForm, ConvexBody, _eliminate
@@ -229,6 +236,85 @@ def pairing_range(body: ConvexBody, coeffs) -> tuple[Fraction, Fraction]:
     lo = max(Fraction(b, a[0]) for a, b in top if a[0] < 0)
     hi = min(Fraction(b, a[0]) for a, b in top if a[0] > 0)
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# the subset audit of the balanced-function decomposition
+# ---------------------------------------------------------------------------
+
+_SUBSET_POINT_BUDGET = 10**6
+
+
+@dataclass(frozen=True)
+class DecompositionReport:
+    """Exact numeric audit of the balanced-function subset decomposition.
+
+    lhs = |count - Vol prod rho| must be at most the sum of the 2^t - 1
+    subset correlation magnitudes plus the lattice-vs-volume boundary term
+    |#points - Vol| * prod rho (an O(N^(d-1)) quantity); ``slack`` reports
+    the margin.
+    """
+
+    count: int
+    lattice_points: int
+    volume: float
+    main_term: float
+    lhs: float
+    subset_sums: dict[tuple[int, ...], float]
+    subset_bound: float
+    boundary_term: float
+    slack: float
+    holds: bool
+
+
+def subset_decomposition_bound(
+    system: forms.FormSystem, body: ConvexBody, N: int, u: Sequence[float]
+) -> DecompositionReport:
+    """Evaluate every subset correlation sum exactly and check the bound.
+
+    The sum of subset s is ``forms.lattice_sum`` of h_i = 1_i - rho(u_i)
+    over the forms of s.  A body of more than ``_SUBSET_POINT_BUDGET``
+    lattice points raises ResourceError, and one on which some form leaves
+    [0, N] raises PreconditionError, as ``forms.count_friable_values`` does.
+    """
+    npoints = forms.lattice_point_count(body)
+    if npoints > _SUBSET_POINT_BUDGET:
+        raise ResourceError(
+            f"{npoints} lattice points exceed the subset budget {_SUBSET_POINT_BUDGET}"
+        )
+    if not forms.validate_domain(system, body, N):
+        raise PreconditionError(f"some form leaves [0, {N}] on this body")
+    ys = [sieve.friable_bound(N, ui) for ui in u]
+    by_y = sieve.friable_masks(N, ys)
+    masks = [by_y[y] for y in ys]
+    count = forms.lattice_sum(system, body, masks)
+    rhos = [float(dickman.rho(ui)) for ui in u]
+    hs = [mask - rho for mask, rho in zip(masks, rhos)]
+    sums = {}
+    for size in range(1, system.count + 1):
+        for s in itertools.combinations(range(system.count), size):
+            subsystem = forms.FormSystem(tuple(system.forms[i] for i in s))
+            sums[s] = forms.lattice_sum(subsystem, body, [hs[i] for i in s])
+    vol = float(forms.volume(body))
+    prod_rho = float(np.prod(rhos))
+    main = vol * prod_rho
+    lhs = abs(count - main)
+    subset_bound = sum(abs(v) for v in sums.values())
+    boundary = abs(npoints - vol) * prod_rho
+    slack = subset_bound + boundary - lhs
+    holds = lhs <= subset_bound + boundary + 1e-6 * max(1.0, abs(main))
+    return DecompositionReport(
+        count=count,
+        lattice_points=npoints,
+        volume=vol,
+        main_term=main,
+        lhs=lhs,
+        subset_sums=sums,
+        subset_bound=subset_bound,
+        boundary_term=boundary,
+        slack=slack,
+        holds=holds,
+    )
 
 
 # ---------------------------------------------------------------------------

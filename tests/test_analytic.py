@@ -280,12 +280,12 @@ def test_exact_sum_keeps_the_last_bit_at_every_span():
 
 
 def test_mobius_sum_u_one():
-    assert analytic.sifted_mobius_sum(100, 1.0) == 1.0
-    assert analytic.sifted_mobius_sum(10**4, 1.0) == 1.0
+    assert analytic.sifted_sums(100, 1.0)[0] == 1.0
+    assert analytic.sifted_sums(10**4, 1.0)[0] == 1.0
 
 
 def test_mobius_sum_hand_enumeration():
-    got = analytic.sifted_mobius_sum(100, 2.0)
+    got = analytic.sifted_sums(100, 2.0)[0]
     expected = math.fsum(
         m / k for k, m in oracles.sifted_squarefree(100, 10.0)
     )
@@ -294,7 +294,7 @@ def test_mobius_sum_hand_enumeration():
 
 def test_mobius_sum_at_prime_power_threshold():
     # N = 5^3: the sifting bound N^(1/3) is exactly 5, so k = 5 is not sifted
-    got = analytic.sifted_mobius_sum(125, 3.0)
+    got = analytic.sifted_sums(125, 3.0)[0]
     expected = math.fsum(m / k for k, m in oracles.sifted_squarefree(125, 5.0))
     assert got == pytest.approx(expected, abs=1e-15)
     assert got != pytest.approx(expected - 1.0 / 5.0, abs=1e-3)
@@ -302,7 +302,7 @@ def test_mobius_sum_at_prime_power_threshold():
 
 def test_mobius_sum_near_rho(rho_table):
     rho2 = rho_table.eval(2.0)
-    got = analytic.sifted_mobius_sum(10**6, 2.0)
+    got = analytic.sifted_sums(10**6, 2.0)[0]
     assert abs(got - rho2) <= 0.5 * rho2
 
 
@@ -333,11 +333,11 @@ def test_mu2_tail_growth_constant():
 
 def test_mertens_argument_and_resource_errors():
     with pytest.raises(ArgumentError):
-        analytic.sifted_mobius_sum(1, 2.0)
+        analytic.sifted_sums(1, 2.0)
     with pytest.raises(ArgumentError):
-        analytic.sifted_mobius_sum(100, 0.5)
+        analytic.sifted_sums(100, 0.5)
     with pytest.raises(ResourceError):
-        analytic.sifted_mobius_sum(2 * 10**8, 2.0)
+        analytic.sifted_sums(2 * 10**8, 2.0)
     with pytest.raises(ArgumentError):
         analytic.sifted_sums(100, 2.0, 0.9)  # tau * u >= 1
     with pytest.raises(ArgumentError):

@@ -227,7 +227,7 @@ def test_mertens_sifts_once(tmp_path, monkeypatch):
     assert run_cli(tmp_path, "mertens", "--N", "100000", "--u", "2", "--tau", "0.2") == 0
     result = read_result(tmp_path, "mertens")["result"]
     assert calls == [(100000, 316)]
-    assert result["sum"] == analytic.sifted_mobius_sum(100000, 2.0)
+    assert result["sum"] == analytic.sifted_sums(100000, 2.0)[0]
     assert result["mu2_tail"] == analytic.sifted_sums(100000, 2.0, 0.2)[1]
 
 
@@ -505,7 +505,7 @@ def test_fixed_outputs_are_unchanged(tmp_path):
     ap4 = forms.parse_form_system("x1; x1+x2; x1+2x2; x1+3x2")
     ap_body = forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 3]], [-1, -1, 4000])
     assert forms.count_friable_values(ap4, ap_body, 4000, (2.0,) * 4) == 104205
-    audit = correlate.subset_decomposition_bound(
+    audit = oracles.subset_decomposition_bound(
         harper, forms.ConvexBody.simplex(2, 1, 1200), 1200, (2.0, 2.0, 2.0)
     )
     assert audit.count == 63476

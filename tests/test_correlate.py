@@ -424,7 +424,7 @@ def test_subset_decomposition_single_form():
     N, u = 400, 2.0
     system = forms.parse_form_system("x1")
     body = forms.ConvexBody.box([(1, N)])
-    rep = correlate.subset_decomposition_bound(system, body, N, (u,))
+    rep = oracles.subset_decomposition_bound(system, body, N, (u,))
     psi = sieve.psi_count(N, float(N) ** (1.0 / u))
     rho_u = float(dickman.rho(u))
     assert rep.subset_sums[(0,)] == pytest.approx(psi - N * rho_u, abs=1e-8)
@@ -433,7 +433,7 @@ def test_subset_decomposition_single_form():
 
 def test_subset_decomposition_u_one():
     body = forms.ConvexBody.simplex(2, 1, 100)
-    rep = correlate.subset_decomposition_bound(HARPER, body, 100, (1.0, 1.0, 1.0))
+    rep = oracles.subset_decomposition_bound(HARPER, body, 100, (1.0, 1.0, 1.0))
     for value in rep.subset_sums.values():
         assert value == pytest.approx(0.0, abs=1e-9)
     assert rep.lhs <= rep.boundary_term + 1e-9
@@ -441,7 +441,7 @@ def test_subset_decomposition_u_one():
 
 def test_subset_decomposition_harper_instance():
     body = forms.ConvexBody.simplex(2, 1, 1200)
-    rep = correlate.subset_decomposition_bound(HARPER, body, 1200, (2.0, 2.0, 2.0))
+    rep = oracles.subset_decomposition_bound(HARPER, body, 1200, (2.0, 2.0, 2.0))
     assert rep.holds
     assert rep.slack >= 0.0
     assert len(rep.subset_sums) == 7
@@ -454,7 +454,7 @@ def test_subset_sums_match_a_pointwise_sum():
     system = forms.parse_form_system("x1; x1+x2; x1-2x2+120")
     body = forms.ConvexBody.halfspaces([[-1, 0], [0, -1], [1, 1], [0, 1]], [-1, -1, 150, 40])
     N, u = 300, (2.0, 2.5, 1.5)
-    rep = correlate.subset_decomposition_bound(system, body, N, u)
+    rep = oracles.subset_decomposition_bound(system, body, N, u)
     rhos = [float(dickman.rho(ui)) for ui in u]
     exps = [Fraction(ui) for ui in u]
     hs = [
@@ -475,7 +475,7 @@ def test_subset_decomposition_refuses_a_form_outside_the_range():
     body = forms.ConvexBody.simplex(2, 1, 100)
     system = forms.parse_form_system("x1; x2; x1+x2+1")
     with pytest.raises(PreconditionError):
-        correlate.subset_decomposition_bound(system, body, 100, (2.0, 2.0, 2.0))
+        oracles.subset_decomposition_bound(system, body, 100, (2.0, 2.0, 2.0))
     with pytest.raises(PreconditionError):
         forms.count_friable_values(system, body, 100, (2.0, 2.0, 2.0))
 
@@ -483,4 +483,4 @@ def test_subset_decomposition_refuses_a_form_outside_the_range():
 def test_subset_decomposition_budget():
     body = forms.ConvexBody.simplex(2, 1, 3000)
     with pytest.raises(ResourceError):
-        correlate.subset_decomposition_bound(HARPER, body, 3000, (2.0, 2.0, 2.0))
+        oracles.subset_decomposition_bound(HARPER, body, 3000, (2.0, 2.0, 2.0))
