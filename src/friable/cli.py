@@ -317,8 +317,17 @@ def _blocks(head: bytes, n: int, plans: list) -> Iterator[bytes]:
 
 
 def _peak_rss_mb() -> float:
-    """This process's peak resident set size in MiB; ``ru_maxrss`` counts
-    KiB on Linux and bytes on macOS."""
+    """This process's peak resident set size in MiB: ``VmHWM`` of
+    /proc/self/status where there is one, since Linux carries a parent's
+    ``ru_maxrss`` into the child through fork and exec; elsewhere
+    ``ru_maxrss``, which counts KiB on Linux and bytes on macOS."""
+    try:
+        with open("/proc/self/status", "rb") as status:  # Name: may be any bytes
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 2**10  # kB
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 

@@ -2,11 +2,12 @@
 
 The only runtime setting, the thread count T, is the CLI's ``--threads``
 flag.  It defaults to ``usable_cpus()``, which also caps the package's one
-worker pool: the U^3/U^4 derivative blocks of the Gowers norms (at least
-two blocks per worker; see ``friable.gowers`` for its speed-ups, which need
-a free second CPU).  Every other computation, the mask sieve behind
-``count`` included, runs in the calling thread.  Results are identical for
-every T.
+set of workers: the calling thread and plain threads that take the U^3/U^4
+derivative blocks of the Gowers norms one at a time as each is free (at
+least two blocks per worker; see ``friable.gowers`` for its speed-ups,
+which need a free second CPU).  Every other computation, the mask sieve
+behind ``count`` included, runs in the calling thread.  Results are
+identical for every T.
 The shared Dickman table has no setting: it ships as data on [0, 50]
 (see ``friable.dickman``).
 """

@@ -19,6 +19,11 @@ that the shipped bytes are what the builder gives.
 
 Evaluation is O(1) per point: one degree-24 Chebyshev piece per unit
 interval (error ~ (2 + sqrt 3)^-24 since rho is analytic on each piece).
+The piece is summed by Clenshaw's recurrence, taking the steps of numpy's
+``chebval`` in its order, so every value has chebval's bits.  A scalar
+runs it on Python floats; an array runs it in blocks of ``_BLOCK`` = 2^13
+entries, each step gathering the entries' coefficients from one
+(degree + 1, pieces) matrix, so the work arrays are O(block).
 
 Knot rule: for u > 1 the value is read from piece floor(u) - 1, the piece
 on [floor(u), floor(u) + 1], so at an integer knot k the right-hand piece
@@ -31,12 +36,12 @@ library uses.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from ._rho_pieces import PIECES
 from .errors import ArgumentError
 
 _DEGREE = 24
+_BLOCK = 1 << 13  # array entries per Clenshaw pass, sized for cache
 
 
 class DickmanTable:
@@ -50,23 +55,64 @@ class DickmanTable:
     def __init__(self, u_max: float, pieces: list[np.ndarray]):
         self.u_max = float(u_max)
         self.pieces = pieces
+        self._rows = [piece.tolist() for piece in pieces]
+        self._by_degree = np.array(pieces).T.copy()  # row j: every piece's T_j coefficient
 
     def __repr__(self) -> str:
         return f"DickmanTable(u_max={self.u_max}, pieces={len(self.pieces)})"
 
     def eval(self, u):
         """rho(u) for scalar or array u in [0, u_max]; exactly 1 on [0, 1]."""
+        if np.isscalar(u):
+            x = float(u)
+            if not 0.0 <= x <= self.u_max:  # NaN fails both
+                raise ArgumentError(f"u outside table domain [0, {self.u_max}]")
+            if x <= 1.0:
+                return 1.0
+            k = int(x) - 1
+            return _clenshaw(2.0 * (x - (k + 1.5)), self._rows[k])
         arr = np.asarray(u, dtype=float)
         if not np.all((arr >= 0.0) & (arr <= self.u_max)):  # NaN fails both
             raise ArgumentError(f"u outside table domain [0, {self.u_max}]")
-        out = np.ones_like(arr)
-        above = arr > 1.0
-        idx = np.floor(arr).astype(int) - 1
-        for k in np.unique(idx[above]).tolist():
-            sel = above & (idx == k)
-            s = 2.0 * (arr[sel] - (k + 1.5))
-            out[sel] = chebyshev.chebval(s, self.pieces[k])
-        return float(out) if np.isscalar(u) else out
+        flat = arr.reshape(-1)
+        out = np.ones(flat.shape)
+        for start in range(0, flat.size, _BLOCK):
+            x = flat[start : start + _BLOCK]
+            above = x > 1.0
+            if above.any():
+                np.copyto(out[start : start + _BLOCK], self._block(x), where=above)
+        return out.reshape(arr.shape)
+
+    def _block(self, x: np.ndarray) -> np.ndarray:
+        """``_clenshaw`` entrywise on the array x, each entry on its piece
+        floor(x) - 1; an entry x <= 1 reads piece 0 and is discarded."""
+        k = np.floor(x).astype(np.intp)
+        k -= 1
+        np.maximum(k, 0, out=k)
+        s = x - (k + 1.5)
+        s *= 2.0
+        x2 = 2.0 * s
+        c0 = self._by_degree[-2].take(k)
+        c1 = self._by_degree[-1].take(k)
+        tmp = np.empty_like(s)
+        for row in self._by_degree[-3::-1]:
+            row.take(k, out=tmp)
+            tmp -= c1  # the new c0 = c[-i] - c1
+            c1 *= x2
+            c1 += c0  # the new c1 = c0 + c1 * x2
+            c0, tmp = tmp, c0
+        c1 *= s
+        c1 += c0
+        return c1
+
+
+def _clenshaw(s: float, c: list[float]) -> float:
+    """sum_j c[j] T_j(s) by the steps of numpy's ``chebval``, in its order."""
+    x2 = 2.0 * s
+    c0, c1 = c[-2], c[-1]
+    for ci in c[-3::-1]:
+        c0, c1 = ci - c1, c0 + c1 * x2
+    return c0 + c1 * s
 
 
 # ---------------------------------------------------------------------------

@@ -29,20 +29,23 @@ The derivative rows of U^3 and U^4 are transformed in blocks of
 ``_BLOCK_ENTRIES`` = 2^18 row entries (at least one row), a block
 holding rows of consecutive h2 and, at k = 4, of several h1.  The blocks
 are independent, and numpy's FFTs release the interpreter lock, so W
-worker threads share them: worker w takes the blocks w, w + W, ...  W is
-``threads``, at most the usable CPUs and one per ``_BLOCKS_PER_WORKER``
-= 2 blocks, and at least 1; one worker runs in the calling thread.  The
+workers share them: the calling thread and W - 1 started threads, each
+taking the next block not yet taken until none is left, so a worker
+slowed by a busy CPU takes fewer.  W is ``threads``, at most the usable
+CPUs and one per ``_BLOCKS_PER_WORKER`` = 2 blocks, and at least 1.  The
 real and the complex rows of U^4 are summed apart, each kind by its own
 blocks and workers.  Each worker reuses one set of work arrays (rows,
-spectrum and fourth powers: 5 MB for real rows and 6 MB for complex ones,
-whatever M), allocated by the calling thread.  Each block total is one
-float, and the calling thread adds them in block order, then the two
-kinds, so the norm has the same bits for every W.  Speed-up of 2
-workers over 1 on balanced friable functions, 2-vCPU host, medians of
-20-40 interleaved runs in two sweeps: U^3 at M = 1024 (3 blocks)
-0.78-1.11x cyclic and 0.74-0.91x as the interval norm at N = 511, hence
-the floor; M = 1280 (4 blocks) 1.01-1.15x, 1536 (5) 1.00-1.37x, 2048 (9)
-1.39-1.51x, 4096 (33) 1.74x; U^4 at M = 256 (9 blocks) 1.20-1.43x.
+spectrum and fourth powers: 5 MB for real rows and 6 MB for complex
+ones, whatever M), allocated by the calling thread.  Each block total is
+one float, and the calling thread adds them in block order, then the two
+kinds, so the norm has the same bits for every W and whichever worker
+took a block.  Speed-up of 2 workers over 1 on balanced friable
+functions, 2-vCPU host, medians of two sweeps of 20 interleaved runs:
+U^3 at M = 4096 (33 blocks) 1.65x and 1.79x, U^4 at M = 256 (9 blocks)
+1.43x and 1.47x.  With a fixed share of the blocks per worker, U^3 at
+M = 1024 (3 blocks) ran 0.78-1.11x cyclic and 0.74-0.91x as the interval
+norm at N = 511, hence the floor; M = 1280 (4 blocks) 1.01-1.15x,
+1536 (5) 1.00-1.37x, 2048 (9) 1.39-1.51x.
 
 A real f has real derivatives Delta_h f(n) = f(n + h) f(n) and a
 Hermitian spectrum, |fhat(-xi)| = |fhat(xi)|, so the same folding applies
@@ -79,7 +82,7 @@ binom(s - 1, j - 1).  Summing N + 1 - s over s gives
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from threading import Lock, Thread
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -209,28 +212,48 @@ def _workers(threads: int, blocks: int) -> int:
 def _derivative_sum(sources: list[tuple], M: int, threads: int) -> float:
     """sum_r w_r ||r||_{U^2}^4 over the rows of ``sources``, all of one
     dtype, in blocks of ``_BLOCK_ENTRIES`` row entries (at least one row).
-    Worker w of W takes the blocks w, w + W, ...; the block totals are then
-    added in block order from 0.0, so the sum does not depend on W."""
+    Each of the W workers takes the next free block until none is left;
+    the block totals are then added in block order from 0.0, so the sum
+    does not depend on W or on which worker took which block.  If a block
+    raises, no further block is handed out and, once every worker has
+    stopped, the first error is raised here."""
     chunk = min(max(1, _BLOCK_ENTRIES // M), sum(w.size for _, _, w in sources))
     blocks = _block_plan(sources, chunk)
     workers = _workers(threads, len(blocks))
-    parts = [range(w, len(blocks), workers) for w in range(workers)]
     # allocated in this thread: what a worker thread allocates stays in that
     # thread's malloc arena after it ends (14 MB more peak RSS over repeated
     # count_gowers campaigns on a 2-vCPU host)
-    work = [_WorkArrays(M, sources[0][0].dtype, chunk) for _ in parts]
-
-    def run(arrays: _WorkArrays, mine: range) -> list[float]:
-        return [arrays.total(blocks[i]) for i in mine]
-
-    if workers == 1:
-        results = [run(work[0], parts[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, work, parts))
+    work = [_WorkArrays(M, sources[0][0].dtype, chunk) for _ in range(workers)]
     totals = [0.0] * len(blocks)
-    for w, result in enumerate(results):
-        totals[w::workers] = result
+    lock = Lock()
+    taken = 0
+    errors: list[BaseException] = []
+
+    def run(arrays: _WorkArrays) -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == len(blocks):
+                    return
+                i = taken
+                taken += 1
+            try:
+                totals[i] = arrays.total(blocks[i])
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    started = [Thread(target=run, args=(arrays,)) for arrays in work[1:]]
+    for thread in started:
+        thread.start()
+    try:
+        run(work[0])  # the calling thread is worker 0
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     total = 0.0
     for block_total in totals:
         total += block_total

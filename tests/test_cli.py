@@ -706,3 +706,18 @@ def test_dickman_builds_no_table_up_to_the_default_extent(tmp_path, monkeypatch,
         assert run_cli(tmp_path, "dickman", "--u", repr(u)) == 0
         assert float(capsys.readouterr().out.splitlines()[0]) == dickman.rho(u), u
     assert fits == []
+
+
+def test_manifest_peak_is_the_process_own(tmp_path):
+    # Linux hands a parent's ru_maxrss to the child through fork and exec;
+    # the CLI, started from this process while it holds 256 MB, reports its
+    # own peak
+    held = np.ones(2**25)  # 256 MB, every page touched
+    src = os.path.dirname(os.path.dirname(friable.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, "-m", "friable", "--out", str(tmp_path / "out"), "dickman", "--u", "2"],
+        env=env, capture_output=True, check=True,
+    )
+    assert held.sum() == 2**25
+    assert read_manifest(tmp_path, "dickman")["peak_rss_mb"] < 200.0

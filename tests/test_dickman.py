@@ -184,3 +184,47 @@ def test_residual_grid_arguments(rho_table):
         dickman.dde_residual_grid(rho_table, 100, 0.5, 5.0)
     with pytest.raises(ArgumentError):
         dickman.dde_residual_grid(rho_table, 100, 5.0, 25.0)
+
+
+def _chebval_rho(u: np.ndarray) -> np.ndarray:
+    """rho on the shared table's pieces by numpy's own ``chebval``."""
+    from numpy.polynomial.chebyshev import chebval
+
+    pieces = dickman.default_table().pieces
+    out = np.ones_like(u)
+    above = u > 1.0
+    idx = np.floor(u).astype(int) - 1
+    for k in np.unique(idx[above]).tolist():
+        sel = above & (idx == k)
+        out[sel] = chebval(2.0 * (u[sel] - (k + 1.5)), pieces[k])
+    return out
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values).tolist()]
+
+
+def test_rho_has_the_bits_of_chebval():
+    # the Clenshaw steps are chebval's, in its order: random u, every knot
+    # and its two neighbours, the ends, and a 10^6-point grid, which spans
+    # many blocks
+    knots = np.arange(1.0, 51.0)
+    u = np.concatenate((
+        np.random.default_rng(30).uniform(0.0, 50.0, 10**5),
+        knots, np.nextafter(knots, 0.0), np.nextafter(knots[:-1], 51.0),
+        [0.0, 1.0, 50.0], np.linspace(0.0, 50.0, 10**6),
+    ))
+    assert _hex(dickman.rho(u)) == _hex(_chebval_rho(u))
+    # scalar, 0-d, 1-d and 2-d inputs keep their types and shapes
+    few = u[: 10**5 : 997]
+    for value in few.tolist()[:200] + [0.0, 1.0, 50.0, 2, np.float64(37.5)]:
+        got = dickman.rho(value)
+        assert type(got) is float
+        assert got.hex() == _hex(_chebval_rho(np.array([float(value)])))[0]
+    zero_d = dickman.rho(np.array(2.37))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert _hex(zero_d) == _hex(_chebval_rho(np.array([2.37])))
+    square = few[:100].reshape(10, 10)
+    assert dickman.rho(square).shape == (10, 10)
+    assert _hex(dickman.rho(square)) == _hex(_chebval_rho(square))
+    assert _hex(dickman.rho(list(few))) == _hex(_chebval_rho(few))

@@ -1,7 +1,8 @@
 import itertools
+import sys
 import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -298,34 +299,136 @@ def test_real_and_complex_rows_are_summed_apart(M, power, monkeypatch):
 
 def test_worker_pool_is_bounded(monkeypatch):
     # 35 blocks of 5 rows (k = 4, M = 34) and three usable CPUs: any thread
-    # count above three runs three workers, each with one set of work
-    # arrays, allocated in the calling thread (a worker thread's allocations
-    # stay in its own malloc arena)
+    # count above three runs three workers, the calling thread and two
+    # started threads, each with one set of work arrays, allocated in the
+    # calling thread (a worker thread's allocations stay in its own malloc
+    # arena)
     monkeypatch.setattr(config, "usable_cpus", lambda: 3)
     monkeypatch.setattr(gowers, "_BLOCK_ENTRIES", 5 * 34)
-    sets, pools = [], []
+    sets, started = [], []
 
     class CountedArrays(gowers._WorkArrays):
         def __init__(self, *args):
             sets.append(threading.get_ident())
             super().__init__(*args)
 
-    def pool(*, max_workers):
-        pools.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
     monkeypatch.setattr(gowers, "_WorkArrays", CountedArrays)
-    monkeypatch.setattr(gowers, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(gowers, "Thread", CountedThread)
     f = _random_bounded(np.random.default_rng(10), 34, real=True)
     serial = gowers._uk_pow(f, 4)
-    assert (len(sets), pools) == (1, [])  # one worker runs in the calling thread
+    assert (len(sets), started) == (1, [])  # one worker runs in the calling thread
     sets.clear()
     assert gowers._uk_pow(f, 4, 100_000) == serial
-    assert (sets, pools) == ([threading.get_ident()] * 3, [3])
+    assert (sets, len(started)) == ([threading.get_ident()] * 3, 2)
     assert gowers._workers(100_000, 10**6) == 3
     assert gowers._workers(2, 10**6) == 2
     assert gowers._workers(100_000, 5) == 2  # two blocks per worker at least
     assert gowers._workers(100_000, 3) == gowers._workers(8, 1) == 1
+
+
+def _spy_on_blocks(monkeypatch, before_block):
+    """Record (thread, block) for every block total, calling
+    ``before_block(thread, nth block of that thread)`` first; returns the
+    records and the plans of blocks as ``_derivative_sum`` cut them."""
+    taken, plans = [], []
+    total, block_plan = gowers._WorkArrays.total, gowers._block_plan
+    lock = threading.Lock()
+
+    def spied_total(self, block):
+        me = threading.get_ident()
+        with lock:
+            nth = sum(1 for thread, _ in taken if thread == me)
+            taken.append((me, block))
+        before_block(me, nth)
+        return total(self, block)
+
+    def spied_plan(sources, chunk):
+        plans.append(block_plan(sources, chunk))
+        return plans[-1]
+
+    monkeypatch.setattr(gowers._WorkArrays, "total", spied_total)
+    monkeypatch.setattr(gowers, "_block_plan", spied_plan)
+    return taken, plans
+
+
+@pytest.mark.parametrize("M, k", [(4096, 3), (256, 4)])
+def test_a_stalled_worker_takes_fewer_blocks(M, k, monkeypatch):
+    # the started worker sleeps 20 ms on its first block; the calling thread
+    # takes the free blocks meanwhile, so more than a fixed half share, every
+    # block runs once, and the bits are the serial ones (33 blocks at U^3, 9
+    # at U^4)
+    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
+    f = correlate.balanced_friable(M - 1, 2.0).values
+    serial = gowers._uk_pow(f, k, 1)
+    caller = threading.get_ident()
+
+    def stall(thread, nth):
+        if thread != caller and nth == 0:
+            time.sleep(0.02)
+
+    taken, plans = _spy_on_blocks(monkeypatch, stall)
+    assert gowers._uk_pow(f, k, 2) == serial
+    blocks = [id(block) for plan in plans for block in plan]
+    assert sorted(id(block) for _, block in taken) == sorted(blocks)
+    mine = sum(1 for thread, _ in taken if thread == caller)
+    assert {thread for thread, _ in taken} - {caller}, "the started worker took no block"
+    assert mine > (len(blocks) + 1) // 2, (mine, len(blocks))  # more than every other block
+
+
+def test_block_counter_under_thread_switches(monkeypatch):
+    # eight workers on two cores, 5-row blocks and a 1 us switch interval:
+    # a lost update of the shared block counter would run a block twice or
+    # skip one, and move the bits
+    monkeypatch.setattr(config, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(gowers, "_BLOCK_ENTRIES", 5 * 64)
+    f = _random_bounded(np.random.default_rng(11), 64)
+    serial = gowers._uk_pow(f, 4, 1)
+    taken, plans = _spy_on_blocks(monkeypatch, lambda thread, nth: None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            taken.clear()
+            plans.clear()
+            assert gowers._uk_pow(f, 4, 8) == serial
+            blocks = [id(block) for plan in plans for block in plan]
+            assert sorted(id(block) for _, block in taken) == sorted(blocks)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
+    # the calling thread holds any block it takes until the started worker
+    # has raised on its own; the error surfaces in the caller, no further
+    # block is handed out, and every started thread has ended
+    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
+    f = correlate.balanced_friable(4095, 2.0).values
+    caller = threading.get_ident()
+    raised = threading.Event()
+
+    class BlockError(Exception):
+        pass
+
+    def fail(thread, nth):
+        if thread == caller:
+            raised.wait(10.0)
+        else:
+            raised.set()
+            raise BlockError
+
+    taken, plans = _spy_on_blocks(monkeypatch, fail)
+    before = threading.active_count()
+    with pytest.raises(BlockError):
+        gowers.gowers_norm_cyclic(f, 3, threads=2)
+    assert threading.active_count() == before
+    # at most the failed block and the one the calling thread held
+    assert len(taken) <= 2 < len(plans[0])
+    assert {thread for thread, _ in taken} != {caller}
 
 
 def test_uk_pow_returns_a_python_float():
